@@ -68,5 +68,3 @@ from .cascades import (
 from .breakdown import sampling_rate_breakdown
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Union
 
-from .model import Event, StreamBundle
+from .model import Event, StreamBundle, bucket_of
 
 BREAKDOWN_KEYS = ("hour", "minute", "second", "millisecond", "lang", "type")
 
@@ -23,38 +24,33 @@ class BreakdownRow:
     rate: float
 
 
-def bucket_value(ev: Event, key: str, tz_offset_hours: int = 0):
-    ts = ev.timestamp_ms + tz_offset_hours * 3_600_000
-    if key == "hour":
-        return (ts // 3_600_000) % 24
-    if key == "minute":
-        return (ts // 60_000) % 60
-    if key == "second":
-        return (ts // 1_000) % 60
-    if key == "millisecond":
-        return ts % 1_000
+def _bucket_counts(events: Iterable[Event], key: str, tz_offset_hours: int) -> Counter:
     if key == "lang":
-        return ev.lang
+        return Counter(ev.lang for ev in events)
     if key == "type":
-        return ev.event_type
-    raise ValueError(f"key must be one of {BREAKDOWN_KEYS}")
+        return Counter(ev.event_type for ev in events)
+    return Counter(bucket_of(ev.timestamp_ms, key, tz_offset_hours, band_ms=1) for ev in events)
 
 
 def sampling_rate_breakdown(
-    complete: StreamBundle,
-    sample: StreamBundle,
+    complete: Union[StreamBundle, Iterable[Event]],
+    sample: Union[StreamBundle, Iterable[Event]],
     key: str,
     tz_offset_hours: int = 0,
 ) -> list[BreakdownRow]:
     """Per-bucket (complete count, sample count, rate) table.
 
-    Buckets with zero complete count are omitted; the complete-count
-    weighted mean of the rates equals the stream-wide mean rate exactly.
+    Either side may be a bundle or any iterable of events; each is counted
+    in one pass, so memory is bounded by the bucket count.  Buckets with
+    zero complete count are omitted; the complete-count weighted mean of
+    the rates equals the stream-wide mean rate exactly.
     """
     if key not in BREAKDOWN_KEYS:
         raise ValueError(f"key must be one of {BREAKDOWN_KEYS}")
-    c_counts: Counter = Counter(bucket_value(ev, key, tz_offset_hours) for ev in complete.events)
-    s_counts: Counter = Counter(bucket_value(ev, key, tz_offset_hours) for ev in sample.events)
+    c_counts, s_counts = (
+        _bucket_counts(side.events if isinstance(side, StreamBundle) else side, key, tz_offset_hours)
+        for side in (complete, sample)
+    )
     rows = []
     for bucket in sorted(c_counts, key=lambda b: (str(type(b)), b)):
         c = c_counts[bucket]

@@ -185,24 +185,18 @@ def inter_arrival_distribution(
         grid = np.geomspace(lo, deltas.max() + 0.1, 200)
     else:
         grid = np.asarray(grid_s, dtype=float)
-    ccdf = 1.0 - np.searchsorted(deltas, grid, side="right") / len(deltas)
-    return InterArrivalDistribution(deltas, grid, ccdf, round(float(np.median(deltas)), 1))
+    return InterArrivalDistribution(deltas, grid, ccdf(deltas, grid), round(float(np.median(deltas)), 1))
+
+
+def ccdf(sorted_values: np.ndarray, grid) -> np.ndarray:
+    """Share of ``sorted_values`` (ascending, non-empty) above each grid point."""
+    n = len(sorted_values)
+    return (n - np.searchsorted(sorted_values, grid, side="right")) / n
 
 
 def potential_reach(cascade: Cascade) -> int:
     """Total followers over observed retweeters (root excluded)."""
-    return sum(ev.follower_count for ev in cascade.retweets)
-
-
-def _within_window(cascade: Cascade, anchor_ms: int, window_s: float) -> Cascade:
-    if window_s == float("inf"):
-        return cascade
-    horizon = anchor_ms + int(window_s * MS_PER_S)
-    return Cascade(
-        cascade.root_id,
-        cascade.root,
-        tuple(ev for ev in cascade.retweets if ev.timestamp_ms <= horizon),
-    )
+    return _reach_until(cascade, float("inf"))
 
 
 def relative_potential_reach(
@@ -218,8 +212,12 @@ def relative_potential_reach(
     if complete_c.root is None:
         raise ValueError("complete cascade must carry its root")
     anchor = complete_c.root.timestamp_ms
-    denom = potential_reach(_within_window(complete_c, anchor, window_s))
+    horizon = window_s if window_s == float("inf") else anchor + int(window_s * MS_PER_S)
+    denom = _reach_until(complete_c, horizon)
     if denom == 0:
         return None
-    num = potential_reach(_within_window(sample_c, anchor, window_s))
-    return num / denom
+    return _reach_until(sample_c, horizon) / denom
+
+
+def _reach_until(cascade: Cascade, horizon_ms: float) -> int:
+    return sum(ev.follower_count for ev in cascade.retweets if ev.timestamp_ms <= horizon_ms)

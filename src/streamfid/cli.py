@@ -14,17 +14,18 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .breakdown import BREAKDOWN_KEYS, bucket_value
-from .cascades import compare_cascades, inter_arrival_distribution, reconstruct_cascades
+from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
+from .cascades import ccdf, compare_cascades, inter_arrival_distribution, reconstruct_cascades
 from .entity import (
     ENTITY_KEYS,
-    entity_occurrences,
     estimate_complete_frequency_vector,
     estimate_missing_entities,
+    frequency_vector_of,
 )
 from .graphs import (
     bowtie_decompose,
@@ -35,14 +36,7 @@ from .graphs import (
     spectral_cocluster,
 )
 from .io import LineFormatError, iter_records, read_bundle, write_bundle
-from .model import (
-    GRANULARITIES,
-    Event,
-    FrequencyVector,
-    RateLimitMessage,
-    empirical_mean_rate,
-    merge_streams,
-)
+from .model import GRANULARITIES, Event, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
 from .simulate import (
@@ -207,12 +201,10 @@ def cmd_breakdown(args, parser):
     # single pass per file; memory bounded by bucket count, not event count
     if len(args.input) != 2:
         parser.error("breakdown needs exactly two -i inputs: complete then sample")
-    c_counts = Counter(bucket_value(e, args.key, args.tz_offset) for e in _stream_events(args.input[0]))
-    s_counts = Counter(bucket_value(e, args.key, args.tz_offset) for e in _stream_events(args.input[1]))
-    rows = [
-        (b, c_counts[b], s_counts.get(b, 0), round(s_counts.get(b, 0) / c_counts[b], 6))
-        for b in sorted(c_counts, key=lambda b: (str(type(b)), b))
-    ]
+    breakdown = sampling_rate_breakdown(
+        _stream_events(args.input[0]), _stream_events(args.input[1]), args.key, args.tz_offset
+    )
+    rows = [(r.bucket, r.complete_count, r.sample_count, round(r.rate, 6)) for r in breakdown]
     _write_table(
         args.output,
         ("bucket", "complete_count", "sample_count", "rate"),
@@ -224,37 +216,24 @@ def cmd_breakdown(args, parser):
 
 
 def cmd_entity_stats(args, parser):
-    occ = entity_occurrences(_stream_events(_one_input(args, parser)), args.key)
-    fv = FrequencyVector.from_occurrences(occ.values())
+    fv = frequency_vector_of(_stream_events(_one_input(args, parser)), args.key)
     rows = [(k, fv.counts[k]) for k in sorted(fv.counts)]
     _write_table(args.output, ("k", "F_sample"), rows, _manifest(args), args.format)
     return 0
 
 
 def cmd_estimate_missing(args, parser):
-    # one streaming pass collects per-entity counts plus the message counter
-    src = _one_input(args, parser)
-    occ = Counter()
-    delivered = 0
-    missed = 0
-    count_user = args.key == "user"
-    for rec in iter_records(src):
-        if isinstance(rec, RateLimitMessage):
-            if rec.cumulative_missed < missed:
-                parser.error("non-monotone rate limit counters; map threads first")
-            missed = rec.cumulative_missed
-            continue
-        delivered += 1
-        if count_user:
-            occ[rec.user_id] += 1
-        else:
-            for entity in set(rec.hashtags if args.key == "hashtag" else rec.urls):
-                occ[entity] += 1
-    fv = FrequencyVector.from_occurrences(occ.values())
+    sample = read_bundle(_one_input(args, parser))
+    fv = frequency_vector_of(sample.events, args.key)
     if args.rate is not None:
         rate = args.rate
+    elif not sample.messages:
+        parser.error("the sample has no rate limit messages to derive the rate from; pass --rate")
     else:
-        rate = delivered / (delivered + missed) if delivered + missed else 1.0
+        try:
+            rate = mean_rate_from_messages(sample)
+        except ValueError as exc:
+            parser.error(str(exc))
     if not 0.0 < rate <= 1.0:
         parser.error(f"sampling rate {rate} outside (0,1]")
     result = estimate_complete_frequency_vector(fv, rate, k_max=args.k_max)
@@ -431,20 +410,17 @@ def cmd_cascade(args, parser):
             )
         for w in windows:
             tag = "inf" if math.isinf(w) else f"{int(w)}s"
-            ratios = sorted(
-                r.relative_potential_reach[w]
-                for r in rows
-                if r.relative_potential_reach[w] is not None
-            )
-            if not ratios:
+            ratios = np.sort([r.relative_potential_reach[w] for r in rows
+                              if r.relative_potential_reach[w] is not None])
+            if not len(ratios):
                 continue
-            grid = [i / 100.0 for i in range(101)]
-            n = len(ratios)
-            ccdf = []
-            for x in grid:
-                above = sum(1 for v in ratios if v > x)
-                ccdf.append((f"{x:.2f}", f"{above / n:.6f}"))
-            _write_csv(f"{stem}_reach_{tag}.csv", ("x", "ccdf"), ccdf, manifest)
+            grid = np.arange(101) / 100.0
+            _write_csv(
+                f"{stem}_reach_{tag}.csv",
+                ("x", "ccdf"),
+                [(f"{x:.2f}", f"{y:.6f}") for x, y in zip(grid, ccdf(ratios, grid))],
+                manifest,
+            )
     return 0
 
 
@@ -468,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic complete stream")
     p.add_argument("--duration", type=float, required=True, help="seconds")
-    p.add_argument("--rate", type=float, required=True, help="base events/second")
+    p.add_argument("--rate", type=float, required=True,
+                   help="base arrivals/second before the --type-mix root share; cascades add "
+                        "the rest (--rate 120 gives about 52 events/s with the defaults)")
     p.add_argument("--amplitude", type=float, default=0.0, help="diurnal amplitude [0,1)")
     p.add_argument("--cascade-fraction", type=float, default=0.5)
     p.add_argument("--users", type=int, default=10_000)
@@ -513,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-missing", help="estimate entirely-missed entities")
     p.add_argument("--key", choices=ENTITY_KEYS, required=True)
     p.add_argument("--rate", type=float, default=None,
-                   help="mean sampling rate; derived from rate limit messages when omitted")
+                   help="mean sampling rate; derived from the sample's rate limit messages "
+                        "when omitted, so required for a sample without them")
     p.add_argument("--k-max", type=int, default=100)
     add_io(p)
     p.set_defaults(func=cmd_estimate_missing)

@@ -155,7 +155,6 @@ def estimate_complete_frequency_vector(
     f_sample: FrequencyVector,
     rate: float,
     k_max: int = DEFAULT_K_MAX,
-    tol: float = 1e-8,
     max_iter: int = 10_000,
 ) -> InversionResult:
     """Invert the binomial kernel on an observed frequency vector.
@@ -184,7 +183,7 @@ def estimate_complete_frequency_vector(
     A = binomial_kernel(k_max, rate)
     T = np.triu(np.ones((k_max, k_max)))
     try:
-        u, residual = scipy_nnls(A @ T, b, maxiter=max_iter, atol=tol)
+        u, residual = scipy_nnls(A @ T, b, maxiter=max_iter)
     except RuntimeError as exc:
         raise SolverError(f"inversion failed after {max_iter} iterations: {exc}") from exc
     x = T @ u

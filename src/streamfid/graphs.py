@@ -170,9 +170,6 @@ class FlowMatrix:
     counts: np.ndarray  # len(rows) x len(cols)
     ratios: np.ndarray
 
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
 
 def _flow(
     labels_complete: Mapping,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from .model import Event, RateLimitMessage, StreamBundle
 
@@ -101,8 +101,3 @@ def write_bundle(path, bundle: StreamBundle) -> None:
         for _, obj in records:
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
-
-def write_events(path, events: Iterable[Event]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(event_to_obj(ev), separators=(",", ":")) + "\n")

@@ -15,30 +15,29 @@ EVENT_TYPES = ("root", "retweet", "quote", "reply")
 
 GRANULARITIES = ("hour", "minute", "second", "millisecond")
 
-# millisecond-of-second profiles are banded to bound sparsity
+# millisecond-of-second rate profiles are banded to bound sparsity
 MILLISECOND_BAND_MS = 50
 
-_BUCKET_COUNTS = {"hour": 24, "minute": 60, "second": 60, "millisecond": 1000 // MILLISECOND_BAND_MS}
+# granularity -> (bucket width in ms, buckets per cycle)
+_CYCLES = {"hour": (3_600_000, 24), "minute": (60_000, 60), "second": (1_000, 60)}
 
 
-def bucket_of(timestamp_ms: int, granularity: str) -> int:
-    """Cyclic time bucket index for a timestamp (UTC)."""
-    if granularity == "hour":
-        return (timestamp_ms // 3_600_000) % 24
-    if granularity == "minute":
-        return (timestamp_ms // 60_000) % 60
-    if granularity == "second":
-        return (timestamp_ms // 1_000) % 60
+def bucket_of(timestamp_ms: int, granularity: str, tz_offset_hours: int = 0,
+              band_ms: int = MILLISECOND_BAND_MS) -> int:
+    """Cyclic time bucket of a timestamp shifted by ``tz_offset_hours``.
+
+    Hour of day, minute of hour, second of minute, or the millisecond of
+    the second divided into bands of ``band_ms`` (1 gives one bucket per
+    millisecond).
+    """
+    ts = timestamp_ms + tz_offset_hours * 3_600_000
     if granularity == "millisecond":
-        return (timestamp_ms % 1_000) // MILLISECOND_BAND_MS
-    raise ValueError(f"unknown granularity {granularity!r}")
-
-
-def bucket_count(granularity: str) -> int:
+        return (ts % 1_000) // band_ms
     try:
-        return _BUCKET_COUNTS[granularity]
+        width, cycle = _CYCLES[granularity]
     except KeyError:
         raise ValueError(f"unknown granularity {granularity!r}") from None
+    return (ts // width) % cycle
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,19 +23,6 @@ ZERO_RATE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
-class UserSampleStats:
-    user_id: int
-    n_c: int
-    n_s: int
-
-    @property
-    def user_rate(self) -> float:
-        if self.n_c < 1:
-            raise ValueError("user rate undefined without complete events")
-        return self.n_s / self.n_c
-
-
-@dataclass(frozen=True)
 class RankRow:
     entity: int
     observed_rank: int
@@ -92,12 +79,6 @@ def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
         raise ValueError("rankings must order the same element set")
     pos_b = {e: i for i, e in enumerate(rank_b)}
     return float(kendalltau(np.arange(len(rank_a)), [pos_b[e] for e in rank_a]).statistic)
-
-
-def user_sample_stats(complete: StreamBundle, sample: StreamBundle) -> dict[int, UserSampleStats]:
-    n_c = Counter(ev.user_id for ev in complete.events)
-    n_s = Counter(ev.user_id for ev in sample.events)
-    return {u: UserSampleStats(u, c, n_s.get(u, 0)) for u, c in n_c.items()}
 
 
 def _rank_by(users: Sequence[int], score: Mapping[int, float]) -> dict[int, int]:

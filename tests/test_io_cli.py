@@ -129,7 +129,6 @@ class TestCliEntity:
     def test_estimate_missing_on_acceptance_fixture(self, tmp_path, capsys):
         # the acceptance population: 10^5 Zipf users thinned at 0.5272
         import numpy as np
-        from streamfid.io import write_events
         from streamfid.simulate import bernoulli_sample
 
         rng = np.random.default_rng(404)
@@ -139,16 +138,34 @@ class TestCliEntity:
         sampled = bernoulli_sample(events, 0.5272, seed=41)
         truth = n_users - len({e.user_id for e in sampled})
         s = tmp_path / "s.jsonl"
-        write_events(s, sampled)
+        write_bundle(s, StreamBundle.build(sampled))
         with pytest.warns(UserWarning, match="clamped"):
             assert run_cli("estimate-missing", "-i", s, "--rate", 0.5272, "--key", "user") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimated_missing"] == pytest.approx(truth, rel=0.02)
 
+    def test_estimate_missing_without_messages_requires_rate(self, tmp_path, capsys):
+        c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+        run_cli("simulate", "--duration", 30, "--rate", 40, "--seed", 2, "-o", c)
+        run_cli("sample", "--mode", "bernoulli", "--rate", 0.3, "--seed", 1, "-i", c, "-o", s)
+        assert not read_bundle(s).messages
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate-missing", "-i", s, "--key", "user")
+        assert exc.value.code == 2
+        assert "--rate" in capsys.readouterr().err
+
+    def test_estimate_missing_rejects_non_monotone_counters(self, tmp_path, capsys):
+        s = tmp_path / "s.jsonl"
+        events = [ev(i, 100 * i, user=i % 3) for i in range(6)]
+        write_bundle(s, StreamBundle.build(events, [RateLimitMessage(150, 5), RateLimitMessage(350, 2)]))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate-missing", "-i", s, "--key", "user")
+        assert exc.value.code == 2
+        assert "non-monotone" in capsys.readouterr().err
+
     def test_entity_stats_csv(self, tmp_path, capsys):
         s = tmp_path / "s.jsonl"
-        from streamfid.io import write_events
-        write_events(s, [ev(0, 0, user=1), ev(1, 1, user=1), ev(2, 2, user=2)])
+        write_bundle(s, StreamBundle.build([ev(0, 0, user=1), ev(1, 1, user=1), ev(2, 2, user=2)]))
         out = tmp_path / "f.csv"
         run_cli("entity-stats", "-i", s, "--key", "user", "-o", out)
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -179,8 +196,7 @@ class TestCliRankGraphCascade:
         events = [ev(0, 0, user=1, hashtags=("a",)), ev(1, 1, user=2, hashtags=("a", "b"))]
         events += [ev(2, 2, user=3, kind="retweet", root_id=0)]
         src = tmp_path / "e.jsonl"
-        from streamfid.io import write_events
-        write_events(src, events)
+        write_bundle(src, StreamBundle.build(events))
         run_cli("graph", "bipartite", "-i", src, "-o", tmp_path / "bip.csv")
         run_cli("graph", "cocluster", "-i", src, "--k", 2, "--seed", 1, "-o", tmp_path / "cc.csv")
         run_cli("graph", "retweet", "-i", src, "-o", tmp_path / "rt.csv")
@@ -205,13 +221,12 @@ class TestCliRankGraphCascade:
 
     def test_cascade_report_and_ccdfs(self, tmp_path, capsys):
         from workloads import cascade_corpus
-        from streamfid.io import write_events
         from streamfid.simulate import bernoulli_sample
 
         events = cascade_corpus(3, n_cascades=60, min_retweets=5, pareto_scale=2)
         c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
-        write_events(c, events)
-        write_events(s, bernoulli_sample(events, 0.5, seed=1))
+        write_bundle(c, StreamBundle.build(events))
+        write_bundle(s, StreamBundle.build(bernoulli_sample(events, 0.5, seed=1)))
         out = tmp_path / "cascade.json"
         assert run_cli("cascade", "-i", c, "-i", s, "--window-s", 600, "--window-s", "inf",
                        "-o", out) == 0

@@ -7,7 +7,6 @@ from streamfid.ranking import (
     rank_percentiles,
     temporal_rates_from_messages,
     top_k_rank_table,
-    user_sample_stats,
 )
 from streamfid.breakdown import sampling_rate_breakdown
 from streamfid.simulate import rate_limited_bundle
@@ -143,18 +142,6 @@ class TestTopKRankTable:
         base = _rank_by(list(score), score)
         scaled = _rank_by(list(score), {u: 37.1 * v for u, v in score.items()})
         assert base == scaled
-
-
-class TestUserSampleStats:
-    def test_totals_match_bundles(self):
-        complete = hour_biased_workload(seed=5, n_users=30, secs_per_hour=60)
-        sample = rate_limited_bundle(complete, threshold=2)
-        stats = user_sample_stats(complete, sample)
-        assert sum(s.n_c for s in stats.values()) == len(complete.events)
-        assert sum(s.n_s for s in stats.values()) == len(sample.events)
-        for s in stats.values():
-            assert 0 <= s.n_s <= s.n_c
-            assert 0.0 <= s.user_rate <= 1.0
 
 
 class TestRankPercentiles:
