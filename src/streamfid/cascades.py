@@ -19,6 +19,9 @@ from .model import Event
 
 MS_PER_S = 1000.0
 
+# reach windows compare_cascades and the cascade command report by default
+DEFAULT_REACH_WINDOWS_S = (600.0, 3600.0, float("inf"))
+
 
 @dataclass(frozen=True)
 class Cascade:
@@ -96,7 +99,7 @@ def compare_cascades(
     complete: Sequence[Cascade],
     sample: Sequence[Cascade],
     retweet_threshold: int = 50,
-    reach_windows_s: Sequence[float] = (600.0, 3600.0, float("inf")),
+    reach_windows_s: Sequence[float] = DEFAULT_REACH_WINDOWS_S,
 ) -> tuple[list[CascadeRow], CascadeSummary]:
     """Per-cascade observation status plus corpus-level summary statistics.
 

@@ -20,7 +20,13 @@ import numpy as np
 
 from . import __version__
 from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
-from .cascades import ccdf, compare_cascades, inter_arrival_distribution, reconstruct_cascades
+from .cascades import (
+    DEFAULT_REACH_WINDOWS_S,
+    ccdf,
+    compare_cascades,
+    inter_arrival_distribution,
+    reconstruct_cascades,
+)
 from .entity import (
     ENTITY_KEYS,
     estimate_complete_frequency_vector,
@@ -370,11 +376,8 @@ def cmd_cascade(args, parser):
     complete_bundle, sample_bundle = _read_two_bundles(args, parser)
     complete = reconstruct_cascades(complete_bundle.events, include_quotes=args.include_quotes)
     sample = reconstruct_cascades(sample_bundle.events, include_quotes=args.include_quotes)
-    windows = [(float("inf") if w == "inf" else float(w)) for w in args.window_s] or [
-        600.0,
-        3600.0,
-        float("inf"),
-    ]
+    windows = ([(float("inf") if w == "inf" else float(w)) for w in args.window_s]
+               or DEFAULT_REACH_WINDOWS_S)
     rows, summary = compare_cascades(complete, sample, args.retweet_threshold, windows)
     manifest = _manifest(args)
     payload = {

@@ -26,6 +26,9 @@ DEFAULT_K_MAX = 100
 
 ENTITY_KEYS = ("user", "hashtag", "url")
 
+# iteration cap of the NNLS solver in estimate_complete_frequency_vector
+NNLS_MAX_ITER = 10_000
+
 
 class SolverError(RuntimeError):
     pass
@@ -155,7 +158,6 @@ def estimate_complete_frequency_vector(
     f_sample: FrequencyVector,
     rate: float,
     k_max: int = DEFAULT_K_MAX,
-    max_iter: int = 10_000,
 ) -> InversionResult:
     """Invert the binomial kernel on an observed frequency vector.
 
@@ -183,9 +185,9 @@ def estimate_complete_frequency_vector(
     A = binomial_kernel(k_max, rate)
     T = np.triu(np.ones((k_max, k_max)))
     try:
-        u, residual = scipy_nnls(A @ T, b, maxiter=max_iter)
+        u, residual = scipy_nnls(A @ T, b, maxiter=NNLS_MAX_ITER)
     except RuntimeError as exc:
-        raise SolverError(f"inversion failed after {max_iter} iterations: {exc}") from exc
+        raise SolverError(f"inversion failed after {NNLS_MAX_ITER} iterations: {exc}") from exc
     x = T @ u
 
     f_hat = FrequencyVector({k: float(v) for k, v in zip(range(1, k_max + 1), x) if v > 0})

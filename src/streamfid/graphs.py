@@ -10,13 +10,14 @@ between the complete-set and sample-set structures.
 from __future__ import annotations
 
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .model import Event
 
@@ -101,14 +102,20 @@ def spectral_cocluster(g: BipartiteGraph, k: int, seed: int = 0) -> dict[str, in
     return out
 
 
+def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence) -> csr_matrix:
+    """CSR matrix of a {(row, col): weight} mapping, indexed by position in the orders."""
+    rpos = {r: i for i, r in enumerate(row_order)}
+    cpos = {c: j for j, c in enumerate(col_order)}
+    n = len(weights)
+    rows = np.fromiter((rpos[r] for r, _ in weights), dtype=np.int64, count=n)
+    cols = np.fromiter((cpos[c] for _, c in weights), dtype=np.int64, count=n)
+    vals = np.fromiter(weights.values(), dtype=float, count=n)
+    return csr_matrix((vals, (rows, cols)), shape=(len(row_order), len(col_order)))
+
+
 def _normalized_weights(g: BipartiteGraph):
     """D_u^-1/2 W D_h^-1/2 as a CSC matrix, with the two scaling vectors."""
-    uidx = {u: i for i, u in enumerate(g.users)}
-    hidx = {h: i for i, h in enumerate(g.hashtags)}
-    rows = np.fromiter((uidx[u] for u, _ in g.weights), dtype=np.int64, count=len(g.weights))
-    cols = np.fromiter((hidx[h] for _, h in g.weights), dtype=np.int64, count=len(g.weights))
-    vals = np.fromiter(g.weights.values(), dtype=float, count=len(g.weights))
-    w = coo_matrix((vals, (rows, cols)), shape=(len(g.users), len(g.hashtags))).tocsr()
+    w = _sparse(g.weights, g.users, g.hashtags)
     du = np.asarray(w.sum(axis=1)).ravel()
     dh = np.asarray(w.sum(axis=0)).ravel()
     su = 1.0 / np.sqrt(np.maximum(du, 1e-12))
@@ -212,19 +219,13 @@ def _flow(
     return FlowMatrix(tuple(row_order), tuple(cols) + (MISSING,), counts, counts / sums)
 
 
-def cluster_flow(
-    labels_complete: Mapping, labels_sample: Mapping, all_entities: Optional[Iterable] = None
-) -> FlowMatrix:
+def cluster_flow(labels_complete: Mapping, labels_sample: Mapping) -> FlowMatrix:
     """k x (k+1) movement matrix between two cluster labelings.
 
     Rows are complete clusters; columns are sample clusters reordered
     greedily to maximize the diagonal, plus a final column counting
     entities absent from the sample labeling.
     """
-    if all_entities is not None:
-        missing = set(all_entities) - set(labels_complete)
-        if missing:
-            raise ValueError("entities outside the complete labeling")
     rows = sorted(set(labels_complete.values()))
     cols = sorted(set(labels_sample.values()) | set(rows))
     return _flow(labels_complete, labels_sample, rows, cols, greedy_diagonal=True)
@@ -253,37 +254,19 @@ class Digraph:
         if any(w < 1 for w in self.edges.values()):
             raise ValueError("edge weights must be positive")
 
-    def successors(self) -> dict:
-        adj = defaultdict(list)
-        for (a, b) in self.edges:
-            adj[a].append(b)
-        return adj
-
-    def predecessors(self) -> dict:
-        adj = defaultdict(list)
-        for (a, b) in self.edges:
-            adj[b].append(a)
-        return adj
-
     @classmethod
     def from_edges(cls, weighted_edges: Mapping, extra_nodes: Iterable = ()) -> "Digraph":
         nodes = {n for e in weighted_edges for n in e} | set(extra_nodes)
         return cls(dict(weighted_edges), frozenset(nodes))
 
 
-def build_retweet_network(
-    events: Sequence[Event], include_quotes: bool = True, include_replies: bool = False
-) -> Digraph:
+def build_retweet_network(events: Sequence[Event], include_quotes: bool = True) -> Digraph:
     """Digraph of retweeter -> retweeted author, weighted by retweet count.
 
     Events whose root cannot be resolved to an author within the list are
     skipped and counted in ``skipped_unresolvable``.
     """
-    kinds = {"retweet"}
-    if include_quotes:
-        kinds.add("quote")
-    if include_replies:
-        kinds.add("reply")
+    kinds = {"retweet", "quote"} if include_quotes else {"retweet"}
     author_of = {ev.id: ev.user_id for ev in events if ev.event_type == "root"}
     weights: Counter = Counter()
     skipped = 0
@@ -321,65 +304,9 @@ class BowtieAssignment:
         return {name: c.get(name, 0) for name in BOWTIE_COMPONENTS}
 
 
-def _tarjan_scc(nodes: Sequence, succ: Mapping) -> list[list]:
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
-def _reachable(starts: Iterable, adj: Mapping) -> set:
-    seen = set(starts)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+def _reach(adj, starts) -> np.ndarray:
+    """Mask of the nodes reachable along ``adj`` from any start (starts included)."""
+    return np.isfinite(dijkstra(adj, indices=starts, unweighted=True, min_only=True))
 
 
 def bowtie_decompose(g: Digraph) -> BowtieAssignment:
@@ -394,31 +321,15 @@ def bowtie_decompose(g: Digraph) -> BowtieAssignment:
     if not g.nodes:
         return BowtieAssignment({})
     nodes = sorted(g.nodes)
-    succ = g.successors()
-    pred = g.predecessors()
-    sccs = _tarjan_scc(nodes, succ)
-    max_size = max(len(c) for c in sccs)
-    # ties resolved to the SCC containing the smallest node id
-    lscc = set(min((c for c in sccs if len(c) == max_size), key=min))
-
-    fwd = _reachable(lscc, succ)
-    bwd = _reachable(lscc, pred)
-    out = fwd - lscc
-    in_ = bwd - lscc
-    rest = set(nodes) - lscc - in_ - out
-    from_in = _reachable(in_, succ) if in_ else set()
-    to_out = _reachable(out, pred) if out else set()
-
-    comp: dict = {}
-    for v in nodes:
-        if v in lscc:
-            comp[v] = LSCC
-        elif v in in_:
-            comp[v] = IN
-        elif v in out:
-            comp[v] = OUT
-        else:
-            a = v in from_in
-            b = v in to_out
-            comp[v] = TUBES if a and b else (TENDRILS if a or b else DISCONNECTED)
-    return BowtieAssignment(comp)
+    adj = _sparse(g.edges, nodes, nodes)
+    _, scc = connected_components(adj, directed=True, connection="strong")
+    # nodes are sorted, so the first node in a largest SCC has the smallest id
+    core = int(np.argmax(np.bincount(scc)[scc]))
+    lscc = scc == scc[core]
+    out = _reach(adj, [core]) & ~lscc
+    in_ = _reach(adj.T, [core]) & ~lscc
+    from_in = _reach(adj, np.flatnonzero(in_))
+    to_out = _reach(adj.T, np.flatnonzero(out))
+    code = np.select([lscc, in_, out, from_in & to_out, from_in | to_out], range(5), default=5)
+    # BOWTIE_COMPONENTS lists LSCC, IN, OUT, Tubes, Tendrils, Disconnected in that order
+    return BowtieAssignment({v: BOWTIE_COMPONENTS[c] for v, c in zip(nodes, code)})

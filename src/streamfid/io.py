@@ -78,12 +78,12 @@ def iter_records(path) -> Iterator[Record]:
                 raise LineFormatError(path, lineno, reason) from None
 
 
-def read_bundle(path, meta: dict | None = None) -> StreamBundle:
+def read_bundle(path) -> StreamBundle:
     """Load a JSONL file into a StreamBundle (re-sorting if needed)."""
     events, messages = [], []
     for rec in iter_records(path):
         (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
-    return StreamBundle.build(events, messages, meta or {"source": str(path)})
+    return StreamBundle.build(events, messages, {"source": str(path)})
 
 
 def write_bundle(path, bundle: StreamBundle) -> None:

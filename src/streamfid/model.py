@@ -208,6 +208,24 @@ def empirical_mean_rate(complete: StreamBundle, sample: StreamBundle) -> float:
     return len(sample.events) / len(complete.events)
 
 
+def missed_increments(messages: Iterable[RateLimitMessage]) -> list[int]:
+    """Each message's increase of the cumulative missed counter, counting from 0.
+
+    The increments sum to the final counter.  A decreasing counter means the
+    messages interleave several sampler threads, which ``map_threads`` must
+    separate first.
+    """
+    increments = []
+    prev = 0
+    for m in messages:
+        if m.cumulative_missed < prev:
+            raise ValueError("non-monotone counter: messages of several sampler threads, "
+                             "separate them with map_threads first")
+        increments.append(m.cumulative_missed - prev)
+        prev = m.cumulative_missed
+    return increments
+
+
 def mean_rate_from_messages(sample: StreamBundle) -> float:
     """Mean sampling rate estimated from the sample alone.
 
@@ -217,14 +235,7 @@ def mean_rate_from_messages(sample: StreamBundle) -> float:
     """
     if not sample.events and not sample.messages:
         raise ValueError("empty sample stream")
-    missed = 0
-    prev = 0
-    for m in sample.messages:
-        if m.cumulative_missed < prev:
-            raise ValueError("non-monotone counter: multi-thread messages, map threads first")
-        prev = m.cumulative_missed
-    if sample.messages:
-        missed = sample.messages[-1].cumulative_missed
+    missed = sum(missed_increments(sample.messages))
     delivered = len(sample.events)
     return delivered / (delivered + missed) if delivered + missed else 1.0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from statistics import mean, median
 from typing import Sequence
 
-from .model import RateLimitMessage, StreamBundle
+from .model import RateLimitMessage, StreamBundle, missed_increments
 
 DEFAULT_MAX_THREADS = 4
 
@@ -93,11 +93,8 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
 
 def estimate_missing(segment: Segment) -> int:
     """Missing volume as the difference of the two bounding counters."""
-    lo, hi = segment.bounding_messages
-    diff = hi.cumulative_missed - lo.cumulative_missed
-    if diff < 0:
-        raise ValueError("non-monotone counter: multi-thread data, use map_threads")
-    return diff
+    # the second increment is the counter difference across the segment
+    return missed_increments(segment.bounding_messages)[1]
 
 
 def validate(segments: Sequence[Segment]) -> ValidationReport:

@@ -313,6 +313,27 @@ class TestBowtieDecompose:
             assert ours == oracle
 
 
+def cycle(ids):
+    return [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
+
+
+class TestLsccTieRule:
+    """Among equal-size SCCs the LSCC is the one holding the smallest node id."""
+
+    @pytest.mark.parametrize(
+        "small, large",
+        [((1, 2, 3), (7, 8, 9)), ((1, 8, 9), (2, 3, 7))],
+        ids=["blocks", "interleaved"],
+    )
+    @pytest.mark.parametrize("bridge_from_small", [True, False], ids=["to_large", "from_large"])
+    def test_cycle_with_smallest_id_wins(self, small, large, bridge_from_small):
+        bridge = (small[-1], large[0]) if bridge_from_small else (large[0], small[-1])
+        comp = bowtie_decompose(digraph(cycle(small) + cycle(large) + [bridge]))
+        assert {v for v in small if comp[v] == LSCC} == set(small)
+        other = OUT if bridge_from_small else IN
+        assert all(comp[v] == other for v in large)
+
+
 class TestBowtieFlow:
     def test_identity_diagonal(self):
         assign = {1: LSCC, 2: IN, 3: OUT, 4: TUBES, 5: TENDRILS, 6: DISCONNECTED}
