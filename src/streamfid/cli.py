@@ -34,6 +34,7 @@ from .entity import (
     frequency_vector_of,
 )
 from .graphs import (
+    Digraph,
     bowtie_decompose,
     bowtie_flow,
     build_bipartite,
@@ -311,8 +312,6 @@ def _read_edge_csv(path) -> dict:
 
 
 def _digraph_from_csv(path):
-    from .graphs import Digraph
-
     edges = {(int(a), int(b)): w for (a, b), w in _read_edge_csv(path).items()}
     return Digraph.from_edges(edges)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import nnls as scipy_nnls
-from scipy.stats import binom, nbinom
+# scipy is imported inside the functions that call it: importing streamfid,
+# and every CLI command that never calls scipy, then skips its ~1 s load
 
 from .model import Event, FrequencyVector
 
@@ -83,6 +83,8 @@ def ks_d_statistic(g: DiscreteDistribution, h: DiscreteDistribution) -> float:
 
 def binomial_sample_model(n_c: int, rate: float) -> DiscreteDistribution:
     """Distribution of the sample frequency of an entity seen n_c times."""
+    from scipy.stats import binom
+
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
     if not 0.0 < rate <= 1.0:
@@ -98,6 +100,8 @@ def negbinom_complete_model(n_s: int, rate: float, k_max: int = DEFAULT_K_MAX) -
     tail mass is reported in ``metadata["truncation_mass"]`` along with the
     closed-form untruncated mean n_s / rate.
     """
+    from scipy.stats import nbinom
+
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
     if not 0.0 < rate <= 1.0:
@@ -120,6 +124,8 @@ def binomial_mixture_model(f_complete: FrequencyVector, rate: float) -> Discrete
     0..max(k).  This is the model curve an observed sample-frequency
     distribution is compared against.
     """
+    from scipy.stats import binom
+
     if not f_complete.counts:
         raise ValueError("empty frequency vector")
     if not 0.0 < rate <= 1.0:
@@ -139,6 +145,8 @@ def _normalize(p: np.ndarray) -> np.ndarray:
 
 def binomial_kernel(k_max: int, rate: float) -> np.ndarray:
     """Matrix A with A[i-1, j-1] = P(sample freq = i | complete freq = j)."""
+    from scipy.stats import binom
+
     i = np.arange(1, k_max + 1)
     return binom.pmf(i[:, None], i[None, :], rate)
 
@@ -169,6 +177,9 @@ def estimate_complete_frequency_vector(
     gradient stalls here because the kernel's conditioning degrades like
     rate**-k_max.
     """
+    from scipy.optimize import nnls as scipy_nnls
+    from scipy.stats import nbinom
+
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
     over = {k: v for k, v in f_sample.counts.items() if k > k_max}

@@ -12,14 +12,16 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+# scipy is imported inside the functions that call it: importing streamfid,
+# and every CLI command that never calls scipy, then skips its ~1 s load
 
 from .model import Event
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 LSCC = "LSCC"
 IN = "IN"
@@ -104,6 +106,8 @@ def spectral_cocluster(g: BipartiteGraph, k: int, seed: int = 0) -> dict[str, in
 
 def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence) -> csr_matrix:
     """CSR matrix of a {(row, col): weight} mapping, indexed by position in the orders."""
+    from scipy.sparse import csr_matrix
+
     rpos = {r: i for i, r in enumerate(row_order)}
     cpos = {c: j for j, c in enumerate(col_order)}
     n = len(weights)
@@ -162,6 +166,8 @@ def _truncated_svd(m, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _seeded_kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    from scipy.cluster.vq import kmeans2
+
     if k == 1:
         return np.zeros(len(points), dtype=int)
     _, labels = kmeans2(points, k, minit="++", seed=seed, missing="warn")
@@ -253,6 +259,9 @@ class Digraph:
     def __post_init__(self):
         if any(w < 1 for w in self.edges.values()):
             raise ValueError("edge weights must be positive")
+        missing = next((n for e in self.edges for n in e if n not in self.nodes), None)
+        if missing is not None:
+            raise ValueError(f"edge endpoint {missing!r} is not in nodes")
 
     @classmethod
     def from_edges(cls, weighted_edges: Mapping, extra_nodes: Iterable = ()) -> "Digraph":
@@ -306,6 +315,8 @@ class BowtieAssignment:
 
 def _reach(adj, starts) -> np.ndarray:
     """Mask of the nodes reachable along ``adj`` from any start (starts included)."""
+    from scipy.sparse.csgraph import dijkstra
+
     return np.isfinite(dijkstra(adj, indices=starts, unweighted=True, min_only=True))
 
 
@@ -318,6 +329,8 @@ def bowtie_decompose(g: Digraph) -> BowtieAssignment:
     reaching OUT are Tubes, nodes with exactly one of those properties are
     Tendrils, and the rest are Disconnected.
     """
+    from scipy.sparse.csgraph import connected_components
+
     if not g.nodes:
         return BowtieAssignment({})
     nodes = sorted(g.nodes)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
+# scipy is imported inside the functions that call it: importing streamfid,
+# and every CLI command that never calls scipy, then skips its ~1 s load
 
 from .model import Event, StreamBundle, TemporalRateProfile, bucket_of, missed_increments
 
@@ -74,6 +75,8 @@ def corrected_volume(user_events: Sequence[Event], profile: TemporalRateProfile)
 
 def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
     """Tie-corrected Kendall tau-b between two orderings of one element set."""
+    from scipy.stats import kendalltau
+
     if set(rank_a) != set(rank_b) or len(rank_a) != len(rank_b):
         raise ValueError("rankings must order the same element set")
     pos_b = {e: i for i, e in enumerate(rank_b)}
@@ -144,6 +147,8 @@ def rank_percentiles(
     Percentile = rank / population with average ranks over ties; smaller
     means higher ranked.  Entities absent from the sample count as 0.
     """
+    from scipy.stats import rankdata
+
     if not complete_counts:
         raise ValueError("no entities")
     entities = sorted(complete_counts)

@@ -270,6 +270,21 @@ class TestBuildRetweetNetwork:
             assert w <= complete.edges[edge]
 
 
+class TestDigraphEndpoints:
+    def test_edge_endpoint_missing_from_nodes_rejected(self):
+        with pytest.raises(ValueError, match="edge endpoint 3 is not in nodes"):
+            Digraph({(1, 2): 1, (2, 1): 1, (2, 3): 1}, frozenset({1, 2}))
+
+    def test_first_missing_endpoint_named(self):
+        with pytest.raises(ValueError, match="edge endpoint 7 is not in nodes"):
+            Digraph({(1, 2): 1, (7, 1): 1, (2, 9): 1}, frozenset({1, 2}))
+
+    def test_consistent_graphs_accepted(self):
+        g = Digraph.from_edges({(1, 2): 1, (2, 3): 2}, extra_nodes=[9])
+        assert g.nodes == frozenset({1, 2, 3, 9})
+        assert Digraph({}, frozenset({4})).nodes == frozenset({4})
+
+
 class TestBowtieDecompose:
     def test_cycle_with_inbound_node(self):
         g = digraph([(1, 2), (2, 3), (3, 1), (9, 1)])
