@@ -34,6 +34,7 @@ from .entity import (
     frequency_vector_of,
 )
 from .graphs import (
+    BipartiteGraph,
     Digraph,
     bowtie_decompose,
     bowtie_flow,
@@ -42,7 +43,7 @@ from .graphs import (
     cluster_flow,
     spectral_cocluster,
 )
-from .io import LineFormatError, iter_records, read_bundle, write_bundle
+from .io import iter_records, read_bundle, write_bundle
 from .model import GRANULARITIES, Event, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
@@ -104,7 +105,7 @@ def _write_table(path, header, rows, manifest, fmt="csv"):
 
 def _write_json(path, payload, manifest):
     payload = {"manifest": manifest, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -230,6 +231,8 @@ def cmd_entity_stats(args, parser):
 
 
 def cmd_estimate_missing(args, parser):
+    if args.k_max < 1:
+        parser.error("--k-max must be >= 1")
     sample = read_bundle(_one_input(args, parser))
     fv = frequency_vector_of(sample.events, args.key)
     if args.rate is not None:
@@ -269,6 +272,8 @@ def cmd_estimate_missing(args, parser):
 
 
 def cmd_rank(args, parser):
+    if args.k < 2:
+        parser.error("--k must be >= 2")
     complete, sample = _read_two_bundles(args, parser)
     profile = temporal_rates_from_messages(sample, args.granularity)
     report = top_k_rank_table(complete, sample, profile, args.k)
@@ -290,30 +295,21 @@ def cmd_rank(args, parser):
     return 0
 
 
-def _read_assignment(path) -> dict:
-    out = {}
+def _csv_rows(path, header: str):
+    """Data rows of a CSV: manifest comment lines and the header row skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if not row or row[0] == "node":
-                continue
-            out[row[0]] = row[1]
-    return out
+            if row and row[0] != header:
+                yield row
+
+
+def _read_assignment(path) -> dict:
+    return {row[0]: row[1] for row in _csv_rows(path, "node")}
 
 
 def _read_edge_csv(path) -> dict:
     """Weighted edge list from a (src, dst, weight) CSV."""
-    edges = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if not row or row[0] == "src":
-                continue
-            edges[(row[0], row[1])] = int(row[2]) if len(row) > 2 else 1
-    return edges
-
-
-def _digraph_from_csv(path):
-    edges = {(int(a), int(b)): w for (a, b), w in _read_edge_csv(path).items()}
-    return Digraph.from_edges(edges)
+    return {(row[0], row[1]): int(row[2]) if len(row) > 2 else 1 for row in _csv_rows(path, "src")}
 
 
 def cmd_graph(args, parser):
@@ -343,8 +339,6 @@ def cmd_graph(args, parser):
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "cocluster":
         if str(src).endswith(".csv"):
-            from .graphs import BipartiteGraph
-
             weights = {(int(u), h): w for (u, h), w in _read_edge_csv(src).items()}
             g = BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
                                tuple(sorted({h for _, h in weights})))
@@ -358,7 +352,7 @@ def cmd_graph(args, parser):
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "bowtie":
         if str(src).endswith(".csv"):
-            g = _digraph_from_csv(src)
+            g = Digraph.from_edges({(int(a), int(b)): w for (a, b), w in _read_edge_csv(src).items()})
         else:
             g = build_retweet_network(read_bundle(src).events, include_quotes=not args.no_quotes)
         assignment = bowtie_decompose(g)
@@ -535,10 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except LineFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # LineFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

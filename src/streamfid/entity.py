@@ -12,13 +12,13 @@ follows.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-# scipy is imported inside the functions that call it: importing streamfid,
-# and every CLI command that never calls scipy, then skips its ~1 s load
+# scipy is imported inside the function that calls it: importing streamfid,
+# and every CLI command that never calls scipy, then skips its load
 
 from .model import Event, FrequencyVector
 
@@ -81,40 +81,55 @@ def ks_d_statistic(g: DiscreteDistribution, h: DiscreteDistribution) -> float:
     return float(np.max(np.abs(g.cdf_at(xs) - h.cdf_at(xs))))
 
 
+def _binomial_rows(n: int, rate: float) -> Iterator[np.ndarray]:
+    """Yield P(Binomial(j, rate) = i) for i = 0..n as row j, for j = 0..n.
+
+    Pascal's rule builds each row from the one before, so holding one row
+    costs O(n) memory.
+    """
+    row = np.zeros(n + 1)
+    row[0] = 1.0
+    yield row
+    for _ in range(n):
+        row = row * (1.0 - rate) + np.concatenate(([0.0], row[:-1])) * rate
+        yield row
+
+
 def binomial_sample_model(n_c: int, rate: float) -> DiscreteDistribution:
     """Distribution of the sample frequency of an entity seen n_c times."""
-    from scipy.stats import binom
-
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
-    ns = np.arange(0, n_c + 1)
-    return DiscreteDistribution(ns, _normalize(binom.pmf(ns, n_c, rate)))
+    (pmf,) = deque(_binomial_rows(n_c, rate), maxlen=1)
+    return DiscreteDistribution(np.arange(0, n_c + 1), pmf / pmf.sum())
 
 
 def negbinom_complete_model(n_s: int, rate: float, k_max: int = DEFAULT_K_MAX) -> DiscreteDistribution:
     """Distribution of the complete frequency of an entity seen n_s times.
 
+    P(complete = k | sample = n_s) = (n_s / k) * P(Binomial(k, rate) = n_s).
     The support is truncated at ``k_max`` and renormalized; the discarded
     tail mass is reported in ``metadata["truncation_mass"]`` along with the
     closed-form untruncated mean n_s / rate.
     """
-    from scipy.stats import nbinom
-
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
     if k_max < n_s:
         raise ValueError("k_max must be >= n_s")
+    at_n_s = np.empty(k_max + 1)
+    for k, row in enumerate(_binomial_rows(k_max, rate)):
+        at_n_s[k] = row[n_s]
     nc = np.arange(n_s, k_max + 1)
-    pmf = nbinom.pmf(nc - n_s, n_s, rate)
-    tail = float(nbinom.sf(k_max - n_s, n_s, rate))
+    pmf = n_s / nc * at_n_s[n_s:]
+    # row is now the k_max row: complete > k_max iff fewer than n_s of the first k_max were sampled
+    tail = min(float(row[:n_s].sum()), 1.0)
     meta = {"truncation_mass": tail, "untruncated_mean": n_s / rate}
     if tail > 0.01:
         meta["warning"] = f"truncation mass {tail:.4f} exceeds 0.01; increase k_max"
-    return DiscreteDistribution(nc, _normalize(pmf), meta)
+    return DiscreteDistribution(nc, pmf / pmf.sum(), meta)
 
 
 def binomial_mixture_model(f_complete: FrequencyVector, rate: float) -> DiscreteDistribution:
@@ -124,31 +139,20 @@ def binomial_mixture_model(f_complete: FrequencyVector, rate: float) -> Discrete
     0..max(k).  This is the model curve an observed sample-frequency
     distribution is compared against.
     """
-    from scipy.stats import binom
-
     if not f_complete.counts:
         raise ValueError("empty frequency vector")
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
     kmax = f_complete.max_frequency
-    ns = np.arange(0, kmax + 1)
     mix = np.zeros(kmax + 1)
-    for k, count in f_complete.counts.items():
-        mix[: k + 1] += count * binom.pmf(ns[: k + 1], k, rate)
-    return DiscreteDistribution(ns, _normalize(mix))
-
-
-def _normalize(p: np.ndarray) -> np.ndarray:
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    return p / p.sum()
+    for k, row in enumerate(_binomial_rows(kmax, rate)):
+        mix += f_complete[k] * row
+    return DiscreteDistribution.from_weights(np.arange(0, kmax + 1), mix)
 
 
 def binomial_kernel(k_max: int, rate: float) -> np.ndarray:
     """Matrix A with A[i-1, j-1] = P(sample freq = i | complete freq = j)."""
-    from scipy.stats import binom
-
-    i = np.arange(1, k_max + 1)
-    return binom.pmf(i[:, None], i[None, :], rate)
+    return np.column_stack([row[1:] for row in _binomial_rows(k_max, rate)][1:])
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,11 @@ def estimate_complete_frequency_vector(
     rate**-k_max.
     """
     from scipy.optimize import nnls as scipy_nnls
-    from scipy.stats import nbinom
 
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     over = {k: v for k, v in f_sample.counts.items() if k > k_max}
     clamped = sum(over.values())
     if over:
@@ -203,8 +208,10 @@ def estimate_complete_frequency_vector(
 
     f_hat = FrequencyVector({k: float(v) for k, v in zip(range(1, k_max + 1), x) if v > 0})
     # chance the most frequent observed entity truly sits beyond k_max
-    ns_max = min(f_sample.max_frequency, k_max) if f_sample.counts else 0
-    tail = float(nbinom.sf(k_max - ns_max, ns_max, rate)) if ns_max else 0.0
+    ns_max = min(f_sample.max_frequency, k_max)
+    # near rate 0 the in-range pmf can underflow to 0/0; only its tail is read here
+    with np.errstate(invalid="ignore"):
+        tail = negbinom_complete_model(ns_max, rate, k_max).metadata["truncation_mass"] if ns_max else 0.0
     return InversionResult(f_hat, float(residual), tail, float(clamped))
 
 

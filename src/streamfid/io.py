@@ -83,7 +83,7 @@ def read_bundle(path) -> StreamBundle:
     events, messages = [], []
     for rec in iter_records(path):
         (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
-    return StreamBundle.build(events, messages, {"source": str(path)})
+    return StreamBundle.build(events, messages)
 
 
 def write_bundle(path, bundle: StreamBundle) -> None:

@@ -94,7 +94,6 @@ class StreamBundle:
 
     events: tuple[Event, ...] = ()
     messages: tuple[RateLimitMessage, ...] = ()
-    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
@@ -116,12 +115,11 @@ class StreamBundle:
         return len(self.events)
 
     @classmethod
-    def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = (),
-              meta: Optional[Mapping] = None) -> "StreamBundle":
+    def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
         """Sort inputs and construct a bundle (ids must already be unique)."""
         evs = sorted(events, key=lambda e: e.sort_key)
         msgs = sorted(messages, key=lambda m: m.timestamp_ms)
-        return cls(tuple(evs), tuple(msgs), dict(meta or {}))
+        return cls(tuple(evs), tuple(msgs))
 
 
 @dataclass(frozen=True)
@@ -265,12 +263,7 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
             if n > msg_counts[msg]:
                 msg_counts[msg] = n
     messages = sorted(msg_counts.elements(), key=lambda m: (m.timestamp_ms, m.cumulative_missed))
-    meta = dict(bundles[0].meta)
-    for b in bundles[1:]:
-        for k, v in b.meta.items():
-            meta.setdefault(k, v)
     return StreamBundle(
         tuple(sorted(by_id.values(), key=lambda e: e.sort_key)),
         tuple(messages),
-        meta,
     )

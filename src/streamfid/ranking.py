@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-# scipy is imported inside the functions that call it: importing streamfid,
-# and every CLI command that never calls scipy, then skips its ~1 s load
 
 from .model import Event, StreamBundle, TemporalRateProfile, bucket_of, missed_increments
 
@@ -50,7 +48,8 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
 
     rate(bucket) = delivered / (delivered + missed), where each message's
     counter increment is attributed to the bucket containing the message
-    timestamp.  Buckets that saw neither events nor messages default to 1.
+    timestamp.  Buckets without a delivered event are left out of the
+    profile, so they read its default rate 1 rather than rate 0.
     """
     delivered: Counter = Counter()
     for ev in sample.events:
@@ -58,10 +57,7 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
     missed: Counter = Counter()
     for msg, inc in zip(sample.messages, missed_increments(sample.messages)):
         missed[bucket_of(msg.timestamp_ms, granularity)] += inc
-    rates = {}
-    for b in set(delivered) | set(missed):
-        d, m = delivered[b], missed[b]
-        rates[b] = d / (d + m) if d + m else 1.0
+    rates = {b: d / (d + missed[b]) for b, d in delivered.items()}
     return TemporalRateProfile(granularity, rates, default_rate=1.0)
 
 
@@ -74,13 +70,20 @@ def corrected_volume(user_events: Sequence[Event], profile: TemporalRateProfile)
 
 
 def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
-    """Tie-corrected Kendall tau-b between two orderings of one element set."""
-    from scipy.stats import kendalltau
+    """Kendall tau-b between two orderings of one element set.
 
-    if set(rank_a) != set(rank_b) or len(rank_a) != len(rank_b):
+    Two orderings of one set have no ties, so tau-b is
+    1 - 4 * discordant / (n * (n - 1)).
+    """
+    n = len(rank_a)
+    if set(rank_a) != set(rank_b) or n != len(rank_b):
         raise ValueError("rankings must order the same element set")
+    if n < 2:
+        raise ValueError(f"Kendall tau needs at least 2 elements, got {n}")
     pos_b = {e: i for i, e in enumerate(rank_b)}
-    return float(kendalltau(np.arange(len(rank_a)), [pos_b[e] for e in rank_a]).statistic)
+    x = np.array([pos_b[e] for e in rank_a])
+    discordant = sum(int(np.count_nonzero(x[i + 1:] < x[i])) for i in range(n - 1))
+    return 1.0 - 4.0 * discordant / (n * (n - 1))
 
 
 def _rank_by(users: Sequence[int], score: Mapping[int, float]) -> dict[int, int]:
@@ -101,8 +104,8 @@ def top_k_rank_table(
     permutations of 1..k over that selection.  Both Kendall tau values are
     measured against the true (complete-count) ranks.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 2:
+        raise ValueError("k must be >= 2")
     n_s = Counter(ev.user_id for ev in sample.events)
     n_c = Counter(ev.user_id for ev in complete.events)
     by_user: dict[int, list[Event]] = defaultdict(list)
@@ -129,6 +132,13 @@ def top_k_rank_table(
     return RankReport(rows, tau_obs, tau_est)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n in ascending order, tied values sharing their mean rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2)[inverse]
+
+
 @dataclass(frozen=True)
 class PercentileRow:
     n_c: int
@@ -147,16 +157,14 @@ def rank_percentiles(
     Percentile = rank / population with average ranks over ties; smaller
     means higher ranked.  Entities absent from the sample count as 0.
     """
-    from scipy.stats import rankdata
-
     if not complete_counts:
         raise ValueError("no entities")
     entities = sorted(complete_counts)
     nc = np.array([complete_counts[e] for e in entities], dtype=float)
     ns = np.array([sample_counts.get(e, 0) for e in entities], dtype=float)
     n = len(entities)
-    true_pct = rankdata(-nc, method="average") / n
-    obs_pct = rankdata(-ns, method="average") / n
+    true_pct = _average_ranks(-nc) / n
+    obs_pct = _average_ranks(-ns) / n
     rows = []
     for value in sorted(set(nc.astype(int))):
         mask = nc == value

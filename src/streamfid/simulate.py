@@ -11,7 +11,7 @@ hashtag populations, and bursty retweet cascades.  Two samplers thin it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -231,8 +231,7 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
         )
         for i, d in enumerate(drafts)
     ]
-    meta = {"generator": asdict(config), "seed": config.seed}
-    return StreamBundle(tuple(events), (), meta)
+    return StreamBundle(tuple(events))
 
 
 def rate_limited_sample(
@@ -292,9 +291,7 @@ def rate_limited_bundle(
     anchor_ms: int = DEFAULT_ANCHOR_MS,
 ) -> StreamBundle:
     events, messages = rate_limited_sample(complete.events, threshold, anchor_ms)
-    meta = dict(complete.meta)
-    meta["sampler"] = {"mode": "ratelimit", "threshold": threshold, "anchor_ms": anchor_ms}
-    return StreamBundle(tuple(events), tuple(messages), meta)
+    return StreamBundle(tuple(events), tuple(messages))
 
 
 def bernoulli_sample(events: Sequence[Event], rate: float, seed: int = 0) -> list[Event]:
@@ -308,6 +305,4 @@ def bernoulli_sample(events: Sequence[Event], rate: float, seed: int = 0) -> lis
 
 
 def bernoulli_bundle(complete: StreamBundle, rate: float, seed: int = 0) -> StreamBundle:
-    meta = dict(complete.meta)
-    meta["sampler"] = {"mode": "bernoulli", "rate": rate, "seed": seed}
-    return StreamBundle(tuple(bernoulli_sample(complete.events, rate, seed)), (), meta)
+    return StreamBundle(tuple(bernoulli_sample(complete.events, rate, seed)))

@@ -1,10 +1,11 @@
 """Cold start: which scipy modules a fresh interpreter loads.
 
 ``import streamfid`` and ``import streamfid.cli`` load no scipy at all;
-scipy is imported inside the functions that call it.  So the CLI commands
-that never call scipy must not load it, and the graph commands that need
-``scipy.sparse`` or ``scipy.cluster`` must not drag in ``scipy.stats`` or
-``scipy.optimize``.  Each check runs in a subprocess, because this test
+scipy is imported inside the functions that call it, and the package
+computes its statistics in numpy.  So the CLI commands that never call
+scipy must not load it, the graph commands that need ``scipy.sparse`` or
+``scipy.cluster`` must not drag in ``scipy.stats`` or ``scipy.optimize``,
+and ``estimate-missing`` loads ``scipy.optimize`` but not ``scipy.stats``.  Each check runs in a subprocess, because this test
 process has scipy loaded already.  They check imports, not wall time.
 """
 
@@ -80,6 +81,7 @@ SCIPY_FREE = {
     "graph-flow": ["graph", "flow", "--kind", "bowtie", "-i", "bowtie_complete.csv",
                    "-i", "bowtie_sample.csv", "-o", "flow.csv"],
     "cascade": ["cascade", "-i", "complete.jsonl", "-i", "sample.jsonl", "-o", "cascade.json"],
+    "rank": ["rank", "-i", "complete.jsonl", "-i", "sample.jsonl", "--k", "10", "-o", "rank.csv"],
 }
 
 
@@ -100,3 +102,10 @@ def test_graph_command_loads_no_stats_or_optimize(workdir, name):
     loaded = scipy_modules_after(SCIPY_SPARSE[name], workdir)
     assert loaded, "the command should have run scipy code"
     assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.optimize"))]
+
+
+def test_estimate_missing_loads_optimize_but_no_stats(workdir):
+    loaded = scipy_modules_after(["estimate-missing", "-i", "sample.jsonl", "--key", "user",
+                                  "--k-max", "20"], workdir)
+    assert "scipy.optimize" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.stats")]

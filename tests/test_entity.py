@@ -1,8 +1,10 @@
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import binom, nbinom
 
 from streamfid.entity import (
     DiscreteDistribution,
@@ -123,6 +125,41 @@ class TestNegbinomCompleteModel:
         assert d.support[0] == 7
 
 
+ORACLE_RATES = (1e-3, 0.05, 0.3, 0.5272, 0.9, 1.0)
+ORACLE_K_MAX = (1, 10, 100, 250)
+
+
+@pytest.mark.parametrize("k_max", ORACLE_K_MAX)
+@pytest.mark.parametrize("rate", ORACLE_RATES)
+class TestScipyOracle:
+    """Every binomial model agrees with scipy.stats to 1e-12 absolute."""
+
+    def test_sample_model(self, rate, k_max):
+        d = binomial_sample_model(k_max, rate)
+        np.testing.assert_allclose(d.probabilities, binom.pmf(np.arange(k_max + 1), k_max, rate),
+                                   rtol=0, atol=1e-12)
+
+    def test_kernel(self, rate, k_max):
+        i = np.arange(1, k_max + 1)
+        np.testing.assert_allclose(binomial_kernel(k_max, rate),
+                                   binom.pmf(i[:, None], i[None, :], rate), rtol=0, atol=1e-12)
+
+    def test_mixture_model(self, rate, k_max):
+        fv = FrequencyVector({1: 7, max(k_max // 3, 1): 2.5, k_max: 1})
+        ns = np.arange(k_max + 1)
+        mix = sum(v * binom.pmf(ns, k, rate) for k, v in fv.counts.items())
+        d = binomial_mixture_model(fv, rate)
+        np.testing.assert_allclose(d.probabilities, mix / mix.sum(), rtol=0, atol=1e-12)
+
+    def test_complete_model_and_truncation_mass(self, rate, k_max):
+        for n_s in (n for n in (1, 3, 10) if n <= k_max):
+            d = negbinom_complete_model(n_s, rate, k_max)
+            pmf = nbinom.pmf(np.arange(k_max - n_s + 1), n_s, rate)
+            np.testing.assert_allclose(d.probabilities, pmf / pmf.sum(), rtol=0, atol=1e-12)
+            tail = nbinom.sf(k_max - n_s, n_s, rate)
+            assert d.metadata["truncation_mass"] == pytest.approx(tail, rel=0, abs=1e-12)
+
+
 class TestFrequencyInversion:
     def test_identity_at_rate_one(self):
         fv = FrequencyVector({1: 10, 2: 4, 3: 1})
@@ -156,6 +193,18 @@ class TestFrequencyInversion:
             got = result.as_array(k_max)
             rel = np.abs(got - x) / np.maximum(x, 1.0)
             assert rel.max() <= 0.01
+
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            estimate_complete_frequency_vector(FrequencyVector({1: 3}), 0.5, k_max=k_max)
+
+    def test_tail_at_tiny_rate_without_warning(self):
+        # every in-range complete-frequency mass of the 150-times entity underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate_complete_frequency_vector(FrequencyVector({1: 50, 150: 1}), 1e-3, k_max=200)
+        assert result.truncation_mass == 1.0
 
     def test_keys_above_k_max_clamped_with_warning(self):
         fv = FrequencyVector({1: 10, 55: 2})

@@ -142,11 +142,11 @@ GOLDEN = {
     "entity-stats-user:stdout":
         "10773ea3df4093513ff133428bb14b9bbe9857c56401b7e4564b2da49144ffde",
     "estimate-missing-hashtag:stdout":
-        "aa4e15c804352d7221294a49d670a7005c15a69a91ecd7b3c02334c109602f59",
+        "a5fc47a80616938ea94e49eb1167c49552f5c240bb25da5c672172b888a94a4d",
     "estimate-missing-url-rate:stdout":
-        "8e095c937b6fe710066362b820f995bbf9d085376014d1eea0c195585ff9643f",
+        "69d7c9ea672176d53bfaa388d9ac6fa541e56ebef0f8d29ed8dd94394f3b7667",
     "estimate-missing-user:stdout":
-        "5e4fa60def640826d2198eab58a006004e4c74c0d73e329bcbf380439a0e5d6c",
+        "70f789069e2f7cf792e86cbe25ca5a2929ef10edefa565c75c94e3353f5ef861",
     "flow-bowtie:stdout":
         "41d4ed0518518a6adaff9904773c04f2b420c9eb6852818f8e408d7cbc1b1a16",
     "flow_cluster.csv":
@@ -160,11 +160,11 @@ GOLDEN = {
     "missing_user.csv":
         "b860dafdcc26aebf3e2d7a663dae358e27c246d0ab44ab297d5862305b13b99c",
     "rank-millisecond:stdout":
-        "5c6897fb66759794a190de91443e82c2b2f8786b37083261ca0507679c6e4555",
+        "9b66656fb76fe6514eeb04cfab9d19e84b85516e110b6ac22fd0a423b62b421e",
     "rank.csv":
         "98e169e7a0dc7901a3ed5c228751973c729d6c6c936570b31beda8370386da23",
     "rank:stdout":
-        "ae33aff844e0b58e0afc500845dbc00b798502e27d5161f07f303fdac00e2175",
+        "abd7333c3330b80a57aca7a087905bf49e04942c4580a432d4ebe1e9a0c0f7cf",
     "retweets.csv":
         "73197c11cb75f90946ca4a1dd689bb8dcae8e3ed0857fac54672bea06b047d62",
     "sample.jsonl":

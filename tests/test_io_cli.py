@@ -163,6 +163,15 @@ class TestCliEntity:
         assert exc.value.code == 2
         assert "non-monotone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_estimate_missing_rejects_k_max_below_one(self, tmp_path, capsys, k_max):
+        s = tmp_path / "s.jsonl"
+        write_bundle(s, StreamBundle.build([ev(0, 0, user=1), ev(1, 1, user=2)]))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate-missing", "-i", s, "--key", "user", "--rate", 0.5, "--k-max", k_max)
+        assert exc.value.code == 2
+        assert "--k-max" in capsys.readouterr().err
+
     def test_entity_stats_csv(self, tmp_path, capsys):
         s = tmp_path / "s.jsonl"
         write_bundle(s, StreamBundle.build([ev(0, 0, user=1), ev(1, 1, user=1), ev(2, 2, user=2)]))
@@ -191,6 +200,32 @@ class TestCliRankGraphCascade:
         assert -1.0 <= payload["kendall_observed"] <= 1.0
         data_rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(data_rows) == 21  # header + k rows
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_rank_rejects_k_below_two(self, tmp_path, capsys, k):
+        c, s = self._stream_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rank", "-i", c, "-i", s, "--k", k)
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
+    def test_rank_with_one_observed_user_fails_without_nan(self, tmp_path, capsys):
+        c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+        write_bundle(c, StreamBundle.build([ev(i, i, user=i % 2) for i in range(6)]))
+        write_bundle(s, StreamBundle.build([ev(0, 0, user=0), ev(2, 2, user=0)]))
+        with pytest.warns(UserWarning, match="shrinking"):
+            assert run_cli("rank", "-i", c, "-i", s, "--k", 5) == 1
+        out, err = capsys.readouterr()
+        assert "NaN" not in out
+        assert "at least 2" in err
+
+    def test_json_reports_refuse_non_finite_numbers(self, capsys):
+        from streamfid.cli import _write_json
+
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                _write_json(None, {"x": value}, {})
+        assert capsys.readouterr().out == ""
 
     def test_graph_pipeline(self, tmp_path):
         events = [ev(0, 0, user=1, hashtags=("a",)), ev(1, 1, user=2, hashtags=("a", "b"))]

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from scipy.stats import kendalltau, rankdata
 
 from streamfid.model import RateLimitMessage, StreamBundle, TemporalRateProfile
 from streamfid.ranking import (
+    _average_ranks,
     corrected_volume,
     kendall_tau,
     rank_percentiles,
@@ -22,6 +25,14 @@ class TestTemporalRates:
         sample = StreamBundle.build(events, msgs)
         profile = temporal_rates_from_messages(sample, "hour")
         assert profile.rates[0] == pytest.approx(50 / 60)
+
+    def test_bucket_with_only_a_message_left_out(self):
+        # the window's message is stamped in hour 1, which holds no event
+        events = [ev(i, 3_599_700 + i) for i in range(3)]
+        sample = StreamBundle.build(events, [RateLimitMessage(3_600_656, 4)])
+        profile = temporal_rates_from_messages(sample, "hour")
+        assert profile.rates == {0: 1.0}
+        assert profile.rate_at(3_600_656) == 1.0
 
     def test_no_messages_all_ones(self, simple_bundle):
         profile = temporal_rates_from_messages(simple_bundle, "hour")
@@ -77,6 +88,18 @@ class TestKendallTau:
         with pytest.raises(ValueError):
             kendall_tau([1, 2], [1, 3])
 
+    @pytest.mark.parametrize("ranking", [[], [7]])
+    def test_fewer_than_two_elements_rejected(self, ranking):
+        with pytest.raises(ValueError, match="at least 2"):
+            kendall_tau(ranking, ranking)
+
+    def test_matches_scipy_on_random_permutations(self, rng):
+        for n in range(2, 501):
+            a, b = rng.permutation(n), rng.permutation(n)
+            pos_b = np.argsort(b)
+            expected = kendalltau(np.arange(n), pos_b[a]).statistic
+            assert kendall_tau(list(a), list(b)) == pytest.approx(expected, rel=0, abs=1e-15)
+
 
 class TestTopKRankTable:
     def _uniform_pair(self):
@@ -126,6 +149,10 @@ class TestTopKRankTable:
         for col in ("observed_rank", "true_rank", "estimated_rank"):
             assert sorted(getattr(r, col) for r in report.rows) == list(range(1, k + 1))
 
+    def test_k_below_two_rejected(self, simple_bundle):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            top_k_rank_table(simple_bundle, simple_bundle, TemporalRateProfile.constant(1.0), k=1)
+
     def test_shrinks_below_k_with_warning(self):
         events = [ev(i, i, user=i % 3) for i in range(9)]
         bundle = StreamBundle.build(events)
@@ -145,6 +172,12 @@ class TestTopKRankTable:
 
 
 class TestRankPercentiles:
+    def test_average_ranks_equal_rankdata_on_ties(self, rng):
+        for n in (1, 2, 7, 100, 1000):
+            values = rng.integers(0, max(n // 4, 1), size=n).astype(float)
+            assert _average_ranks(values).tolist() == rankdata(values, method="average").tolist()
+            assert _average_ranks(-values).tolist() == rankdata(-values, method="average").tolist()
+
     def test_single_entity(self):
         rows = rank_percentiles({7: 5}, {7: 3})
         assert len(rows) == 1

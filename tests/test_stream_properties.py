@@ -3,8 +3,7 @@
 The threshold sampler must account for every input event: what it delivers
 plus the final cumulative missed counter is the input count, for every
 threshold and window anchor.  ``merge_streams`` must be idempotent and must
-not depend on the order of its bundles (apart from ``meta``, where the
-first bundle's keys win by design).
+not depend on the order of its bundles.
 """
 
 from hypothesis import given, settings
