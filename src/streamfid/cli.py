@@ -34,7 +34,6 @@ from .entity import (
     frequency_vector_of,
 )
 from .graphs import (
-    BipartiteGraph,
     Digraph,
     bowtie_decompose,
     bowtie_flow,
@@ -43,7 +42,7 @@ from .graphs import (
     cluster_flow,
     spectral_cocluster,
 )
-from .io import iter_records, read_bundle, write_bundle
+from .io import LineFormatError, iter_records, read_bundle, write_bundle
 from .model import GRANULARITIES, Event, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
@@ -295,21 +294,30 @@ def cmd_rank(args, parser):
     return 0
 
 
-def _csv_rows(path, header: str):
-    """Data rows of a CSV: manifest comment lines and the header row skipped."""
+def _read_assignment(path) -> dict:
+    out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if row and row[0] != header:
-                yield row
-
-
-def _read_assignment(path) -> dict:
-    return {row[0]: row[1] for row in _csv_rows(path, "node")}
+            if not row or row[0] == "node":
+                continue
+            out[row[0]] = row[1]
+    return out
 
 
 def _read_edge_csv(path) -> dict:
     """Weighted edge list from a (src, dst, weight) CSV."""
-    return {(row[0], row[1]): int(row[2]) if len(row) > 2 else 1 for row in _csv_rows(path, "src")}
+    edges = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for row in csv.reader(line for line in fh if not line.startswith("#")):
+            if not row or row[0] == "src":
+                continue
+            edges[(row[0], row[1])] = int(row[2]) if len(row) > 2 else 1
+    return edges
+
+
+def _digraph_from_csv(path):
+    edges = {(int(a), int(b)): w for (a, b), w in _read_edge_csv(path).items()}
+    return Digraph.from_edges(edges)
 
 
 def cmd_graph(args, parser):
@@ -339,6 +347,8 @@ def cmd_graph(args, parser):
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "cocluster":
         if str(src).endswith(".csv"):
+            from .graphs import BipartiteGraph
+
             weights = {(int(u), h): w for (u, h), w in _read_edge_csv(src).items()}
             g = BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
                                tuple(sorted({h for _, h in weights})))
@@ -352,7 +362,7 @@ def cmd_graph(args, parser):
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "bowtie":
         if str(src).endswith(".csv"):
-            g = Digraph.from_edges({(int(a), int(b)): w for (a, b), w in _read_edge_csv(src).items()})
+            g = _digraph_from_csv(src)
         else:
             g = build_retweet_network(read_bundle(src).events, include_quotes=not args.no_quotes)
         assignment = bowtie_decompose(g)
@@ -529,7 +539,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, OSError) as exc:  # LineFormatError is a ValueError
+    except LineFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

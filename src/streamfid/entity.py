@@ -12,9 +12,9 @@ follows.
 from __future__ import annotations
 
 import warnings
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 # scipy is imported inside the function that calls it: importing streamfid,
@@ -49,9 +49,9 @@ class DiscreteDistribution:
             raise ValueError("support and probabilities must be 1-d and same length")
         if np.any(np.diff(s) <= 0):
             raise ValueError("support must be strictly increasing")
-        if np.any(p < 0):
-            raise ValueError("negative probability mass")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if not np.all(p >= 0):
+            raise ValueError("negative or NaN probability mass")
+        if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
         s.setflags(write=False)
         p.setflags(write=False)
@@ -81,28 +81,32 @@ def ks_d_statistic(g: DiscreteDistribution, h: DiscreteDistribution) -> float:
     return float(np.max(np.abs(g.cdf_at(xs) - h.cdf_at(xs))))
 
 
-def _binomial_rows(n: int, rate: float) -> Iterator[np.ndarray]:
-    """Yield P(Binomial(j, rate) = i) for i = 0..n as row j, for j = 0..n.
+def _binomial_pmf(n, i, rate: float) -> np.ndarray:
+    """P(Binomial(n, rate) = i), elementwise over broadcast integer arrays; 0 where i > n.
 
-    Pascal's rule builds each row from the one before, so holding one row
-    costs O(n) memory.
+    Computed in log space from one log-factorial table, so a row of n + 1
+    values costs O(n) time and memory.
     """
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    yield row
-    for _ in range(n):
-        row = row * (1.0 - rate) + np.concatenate(([0.0], row[:-1])) * rate
-        yield row
+    n, i = np.broadcast_arrays(n, i)
+    if rate == 1.0:
+        return (i == n).astype(float)
+    inside = i <= n
+    i = np.minimum(i, n)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, np.max(n, initial=0) + 1)))))
+    log_pmf = log_fact[n] - log_fact[i] - log_fact[n - i] + i * np.log(rate) + (n - i) * np.log1p(-rate)
+    return np.where(inside, np.exp(log_pmf), 0.0)
+
+
+def _truncation_mass(n_s: int, rate: float, k_max: int) -> float:
+    """P(complete > k_max | sample = n_s): fewer than n_s of the first k_max events were sampled."""
+    return min(float(_binomial_pmf(k_max, np.arange(n_s), rate).sum()), 1.0)
 
 
 def binomial_sample_model(n_c: int, rate: float) -> DiscreteDistribution:
     """Distribution of the sample frequency of an entity seen n_c times."""
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0,1]")
-    (pmf,) = deque(_binomial_rows(n_c, rate), maxlen=1)
-    return DiscreteDistribution(np.arange(0, n_c + 1), pmf / pmf.sum())
+    return binomial_mixture_model(FrequencyVector({n_c: 1}), rate)
 
 
 def negbinom_complete_model(n_s: int, rate: float, k_max: int = DEFAULT_K_MAX) -> DiscreteDistribution:
@@ -119,17 +123,12 @@ def negbinom_complete_model(n_s: int, rate: float, k_max: int = DEFAULT_K_MAX) -
         raise ValueError("rate must be in (0,1]")
     if k_max < n_s:
         raise ValueError("k_max must be >= n_s")
-    at_n_s = np.empty(k_max + 1)
-    for k, row in enumerate(_binomial_rows(k_max, rate)):
-        at_n_s[k] = row[n_s]
     nc = np.arange(n_s, k_max + 1)
-    pmf = n_s / nc * at_n_s[n_s:]
-    # row is now the k_max row: complete > k_max iff fewer than n_s of the first k_max were sampled
-    tail = min(float(row[:n_s].sum()), 1.0)
+    tail = _truncation_mass(n_s, rate, k_max)
     meta = {"truncation_mass": tail, "untruncated_mean": n_s / rate}
     if tail > 0.01:
         meta["warning"] = f"truncation mass {tail:.4f} exceeds 0.01; increase k_max"
-    return DiscreteDistribution(nc, pmf / pmf.sum(), meta)
+    return DiscreteDistribution.from_weights(nc, n_s / nc * _binomial_pmf(nc, n_s, rate), meta)
 
 
 def binomial_mixture_model(f_complete: FrequencyVector, rate: float) -> DiscreteDistribution:
@@ -144,15 +143,17 @@ def binomial_mixture_model(f_complete: FrequencyVector, rate: float) -> Discrete
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
     kmax = f_complete.max_frequency
+    ns = np.arange(0, kmax + 1)
     mix = np.zeros(kmax + 1)
-    for k, row in enumerate(_binomial_rows(kmax, rate)):
-        mix += f_complete[k] * row
-    return DiscreteDistribution.from_weights(np.arange(0, kmax + 1), mix)
+    for k, count in f_complete.counts.items():
+        mix[: k + 1] += count * _binomial_pmf(k, ns[: k + 1], rate)
+    return DiscreteDistribution.from_weights(ns, mix)
 
 
 def binomial_kernel(k_max: int, rate: float) -> np.ndarray:
     """Matrix A with A[i-1, j-1] = P(sample freq = i | complete freq = j)."""
-    return np.column_stack([row[1:] for row in _binomial_rows(k_max, rate)][1:])
+    i = np.arange(1, k_max + 1)
+    return _binomial_pmf(i[None, :], i[:, None], rate)
 
 
 @dataclass(frozen=True)
@@ -208,10 +209,7 @@ def estimate_complete_frequency_vector(
 
     f_hat = FrequencyVector({k: float(v) for k, v in zip(range(1, k_max + 1), x) if v > 0})
     # chance the most frequent observed entity truly sits beyond k_max
-    ns_max = min(f_sample.max_frequency, k_max)
-    # near rate 0 the in-range pmf can underflow to 0/0; only its tail is read here
-    with np.errstate(invalid="ignore"):
-        tail = negbinom_complete_model(ns_max, rate, k_max).metadata["truncation_mass"] if ns_max else 0.0
+    tail = _truncation_mass(min(f_sample.max_frequency, k_max), rate, k_max)
     return InversionResult(f_hat, float(residual), tail, float(clamped))
 
 

@@ -81,9 +81,27 @@ def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
     if n < 2:
         raise ValueError(f"Kendall tau needs at least 2 elements, got {n}")
     pos_b = {e: i for i, e in enumerate(rank_b)}
-    x = np.array([pos_b[e] for e in rank_a])
-    discordant = sum(int(np.count_nonzero(x[i + 1:] < x[i])) for i in range(n - 1))
-    return 1.0 - 4.0 * discordant / (n * (n - 1))
+    return 1.0 - 4.0 * _inversions(np.array([pos_b[e] for e in rank_a])) / (n * (n - 1))
+
+
+def _inversions(x: np.ndarray) -> int:
+    """Pairs i < j with x[i] > x[j] in a permutation x of 0..n-1, in O(n log^2 n).
+
+    Bottom-up merge sort: each element of a right run is counted against
+    the larger elements of the sorted left run beside it.  Adding block * n
+    keeps the blocks apart, so one searchsorted per width serves them all.
+    """
+    n, idx = len(x), np.arange(len(x))
+    count, width = 0, 1
+    while width < n:
+        offset = idx // (2 * width) * n
+        right = idx // width % 2 == 1
+        keys = x + offset
+        left = keys[~right]
+        count += int((np.searchsorted(left, offset[right] + n) - np.searchsorted(left, keys[right])).sum())
+        x = np.sort(keys) - offset
+        width *= 2
+    return count
 
 
 def _rank_by(users: Sequence[int], score: Mapping[int, float]) -> dict[int, int]:

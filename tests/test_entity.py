@@ -37,6 +37,10 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([0, 1]), np.array([-0.1, 1.1]))
 
+    def test_no_nan_mass(self):
+        with pytest.raises(ValueError, match="NaN"):
+            DiscreteDistribution(np.array([0, 1]), np.array([np.nan, np.nan]))
+
     def test_models_sum_to_one(self):
         for dist in (
             binomial_sample_model(17, 0.3),
@@ -158,6 +162,23 @@ class TestScipyOracle:
             np.testing.assert_allclose(d.probabilities, pmf / pmf.sum(), rtol=0, atol=1e-12)
             tail = nbinom.sf(k_max - n_s, n_s, rate)
             assert d.metadata["truncation_mass"] == pytest.approx(tail, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rate", (0.05, 0.5, 0.9))
+def test_models_match_scipy_at_corpus_scale(rate):
+    # the top user of a 54,000-event Zipf(1.5) stream is seen about 20,000 times
+    n = 20_000
+    np.testing.assert_allclose(binomial_sample_model(n, rate).probabilities,
+                               binom.pmf(np.arange(n + 1), n, rate), rtol=0, atol=1e-11)
+    pmf = nbinom.pmf(np.arange(n - 9), 10, rate)
+    np.testing.assert_allclose(negbinom_complete_model(10, rate, n).probabilities, pmf / pmf.sum(),
+                               rtol=0, atol=1e-11)
+
+
+def test_complete_model_with_no_representable_mass_raises():
+    # every in-range mass of a 150-times entity at rate 1e-3 underflows to 0
+    with pytest.raises(ValueError, match="positive total mass"):
+        negbinom_complete_model(150, 1e-3, k_max=200)
 
 
 class TestFrequencyInversion:

@@ -142,11 +142,11 @@ GOLDEN = {
     "entity-stats-user:stdout":
         "10773ea3df4093513ff133428bb14b9bbe9857c56401b7e4564b2da49144ffde",
     "estimate-missing-hashtag:stdout":
-        "a5fc47a80616938ea94e49eb1167c49552f5c240bb25da5c672172b888a94a4d",
+        "15e83c960d7cccb6571c2afe15cd1201a1a396c2bba04e7100cbbe58bd5c2dbd",
     "estimate-missing-url-rate:stdout":
-        "69d7c9ea672176d53bfaa388d9ac6fa541e56ebef0f8d29ed8dd94394f3b7667",
+        "741d21d6865b2416185ee7333d0b1150b819cf79de3652c496fd18c3e0ede18d",
     "estimate-missing-user:stdout":
-        "70f789069e2f7cf792e86cbe25ca5a2929ef10edefa565c75c94e3353f5ef861",
+        "d57e2b4d235c01513b88f08d6c0bdd81e3f4aa26706b08625893fba27991d93d",
     "flow-bowtie:stdout":
         "41d4ed0518518a6adaff9904773c04f2b420c9eb6852818f8e408d7cbc1b1a16",
     "flow_cluster.csv":

@@ -100,6 +100,12 @@ class TestKendallTau:
             expected = kendalltau(np.arange(n), pos_b[a]).statistic
             assert kendall_tau(list(a), list(b)) == pytest.approx(expected, rel=0, abs=1e-15)
 
+    def test_matches_scipy_at_large_n(self, rng):
+        n = 100_000
+        a, b = rng.permutation(n), rng.permutation(n)
+        expected = kendalltau(np.arange(n), np.argsort(b)[a]).statistic
+        assert kendall_tau(list(a), list(b)) == pytest.approx(expected, rel=0, abs=1e-15)
+
 
 class TestTopKRankTable:
     def _uniform_pair(self):
