@@ -47,7 +47,7 @@ class Cascade:
         return (0 if self.root is None else 1) + len(self.retweets)
 
     def events(self) -> tuple[Event, ...]:
-        return ((self.root,) if self.root else ()) + self.retweets
+        return ((self.root,) if self.root is not None else ()) + self.retweets
 
 
 def reconstruct_cascades(events: Iterable[Event], include_quotes: bool = False) -> list[Cascade]:

@@ -42,7 +42,7 @@ from .graphs import (
     cluster_flow,
     spectral_cocluster,
 )
-from .io import LineFormatError, iter_records, read_bundle, write_bundle
+from .io import iter_records, read_bundle, write_bundle
 from .model import GRANULARITIES, Event, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
@@ -539,9 +539,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except LineFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,12 +9,20 @@ line is a message iff it has the key "rl_ts_ms".
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
+from sys import intern
 from typing import Iterator, Union
 
 from .model import Event, RateLimitMessage, StreamBundle
 
 Record = Union[Event, RateLimitMessage]
+
+# one C scanner call per line, and one encoder: json.loads wraps the scanner
+# in Python-level checks, and json.dumps with separators builds an encoder
+# per call
+_scan = json.JSONDecoder().scan_once
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class LineFormatError(ValueError):
@@ -50,16 +58,18 @@ def message_to_obj(msg: RateLimitMessage) -> dict:
 def _record_from_obj(obj: dict) -> Record:
     if "rl_ts_ms" in obj:
         return RateLimitMessage(int(obj["rl_ts_ms"]), int(obj["missed"]))
+    # interned: a stream repeats a handful of types and languages and a
+    # skewed set of entities, which would otherwise be one string per use
     return Event(
-        id=int(obj["id"]),
-        timestamp_ms=int(obj["ts_ms"]),
-        user_id=int(obj["user"]),
-        event_type=str(obj["type"]),
-        root_id=int(obj["root_id"]) if obj.get("root_id") is not None else None,
-        hashtags=tuple(obj.get("hashtags") or ()),
-        urls=tuple(obj.get("urls") or ()),
-        follower_count=int(obj.get("followers", 0)),
-        lang=str(obj.get("lang", "en")),
+        int(obj["id"]),
+        int(obj["ts_ms"]),
+        int(obj["user"]),
+        intern(str(obj["type"])),
+        int(obj["root_id"]) if obj.get("root_id") is not None else None,
+        tuple(map(intern, obj.get("hashtags") or ())),
+        tuple(map(intern, obj.get("urls") or ())),
+        int(obj.get("followers", 0)),
+        intern(str(obj.get("lang", "en"))),
     )
 
 
@@ -71,9 +81,15 @@ def iter_records(path) -> Iterator[Record]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                try:
+                    obj, end = _scan(line, 0)
+                except (StopIteration, ValueError):
+                    end = None
+                if end != len(line):
+                    # not one JSON value: json.loads raises the error it names
+                    obj = json.loads(line)
                 yield _record_from_obj(obj)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 reason = exc.reason if isinstance(exc, LineFormatError) else str(exc)
                 raise LineFormatError(path, lineno, reason) from None
 
@@ -88,16 +104,13 @@ def read_bundle(path) -> StreamBundle:
 
 def write_bundle(path, bundle: StreamBundle) -> None:
     """Write events and messages interleaved chronologically."""
-    records: list[tuple[tuple, dict]] = []
-    for ev in bundle.events:
-        records.append(((ev.timestamp_ms, 0, ev.id), event_to_obj(ev)))
-    for msg in bundle.messages:
-        records.append(((msg.timestamp_ms, 1, msg.cumulative_missed), message_to_obj(msg)))
-    records.sort(key=lambda r: r[0])
+    records = [((ev.timestamp_ms, 0, ev.id), _encode(event_to_obj(ev))) for ev in bundle.events]
+    records += [((msg.timestamp_ms, 1, msg.cumulative_missed), _encode(message_to_obj(msg)))
+                for msg in bundle.messages]
+    records.sort(key=itemgetter(0))
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for _, obj in records:
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        fh.writelines(line + "\n" for _, line in records)
 

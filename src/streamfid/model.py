@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from itertools import pairwise
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 EVENT_TYPES = ("root", "retweet", "quote", "reply")
 
@@ -40,52 +42,69 @@ def bucket_of(timestamp_ms: int, granularity: str, tz_offset_hours: int = 0,
     return (ts // width) % cycle
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One timestamped stream record.
-
-    ``root_id`` is present exactly when the event interacts with an earlier
-    root event (retweet/quote/reply).  ``follower_count`` is frozen at
-    creation time; there is no user-profile table.
-    """
-
+class _EventFields(NamedTuple):
     id: int
     timestamp_ms: int
     user_id: int
     event_type: str
-    root_id: Optional[int] = None
-    hashtags: tuple[str, ...] = ()
-    urls: tuple[str, ...] = ()
-    follower_count: int = 0
-    lang: str = "en"
+    root_id: Optional[int]
+    hashtags: tuple[str, ...]
+    urls: tuple[str, ...]
+    follower_count: int
+    lang: str
 
-    def __post_init__(self):
-        if self.event_type not in EVENT_TYPES:
-            raise ValueError(f"unknown event type {self.event_type!r}")
-        if (self.root_id is None) != (self.event_type == "root"):
+
+class Event(_EventFields):
+    """One timestamped stream record.
+
+    ``root_id`` is present exactly when the event interacts with an earlier
+    root event (retweet/quote/reply).  ``follower_count`` is frozen at
+    creation time; there is no user-profile table.  A validated named tuple:
+    streams hold hundreds of thousands of events, and a tuple is the
+    cheapest immutable record to build and to hold.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, timestamp_ms: int, user_id: int, event_type: str,
+                root_id: Optional[int] = None, hashtags: tuple[str, ...] = (),
+                urls: tuple[str, ...] = (), follower_count: int = 0, lang: str = "en"):
+        if event_type not in EVENT_TYPES:
+            raise ValueError(f"unknown event type {event_type!r}")
+        if (root_id is None) != (event_type == "root"):
             raise ValueError("root_id present iff event_type != root")
-        if self.id < 0 or self.timestamp_ms < 0 or self.follower_count < 0:
+        if id < 0 or timestamp_ms < 0 or follower_count < 0:
             raise ValueError("id, timestamp_ms and follower_count must be non-negative")
+        return tuple.__new__(cls, (id, timestamp_ms, user_id, event_type, root_id, hashtags,
+                                   urls, follower_count, lang))
 
     @property
     def sort_key(self) -> tuple[int, int]:
         return (self.timestamp_ms, self.id)
 
 
-@dataclass(frozen=True, slots=True)
-class RateLimitMessage:
+# Event.sort_key as a C-level key function, for sorting and order checks
+_SORT_KEY = itemgetter(1, 0)
+
+
+class _MessageFields(NamedTuple):
+    timestamp_ms: int
+    cumulative_missed: int
+
+
+class RateLimitMessage(_MessageFields):
     """Sampler-emitted (timestamp, cumulative missed count) record.
 
     The counter is cumulative since the stream/connection started, so it is
     non-decreasing within one sampler thread.
     """
 
-    timestamp_ms: int
-    cumulative_missed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cumulative_missed < 0 or self.timestamp_ms < 0:
+    def __new__(cls, timestamp_ms: int, cumulative_missed: int):
+        if cumulative_missed < 0 or timestamp_ms < 0:
             raise ValueError("timestamp and counter must be non-negative")
+        return tuple.__new__(cls, (timestamp_ms, cumulative_missed))
 
 
 @dataclass(frozen=True)
@@ -100,14 +119,14 @@ class StreamBundle:
         object.__setattr__(self, "messages", tuple(self.messages))
         seen: set[int] = set()
         prev = None
-        for ev in self.events:
-            if prev is not None and ev.sort_key <= prev:
+        for key in map(_SORT_KEY, self.events):
+            if prev is not None and key <= prev:
                 raise ValueError("events must be strictly sorted by (timestamp_ms, id)")
-            prev = ev.sort_key
-            if ev.id in seen:
-                raise ValueError(f"duplicate event id {ev.id}")
-            seen.add(ev.id)
-        for a, b in zip(self.messages, self.messages[1:]):
+            prev = key
+            if key[1] in seen:
+                raise ValueError(f"duplicate event id {key[1]}")
+            seen.add(key[1])
+        for a, b in pairwise(self.messages):
             if b.timestamp_ms < a.timestamp_ms:
                 raise ValueError("messages must be sorted by timestamp_ms")
 
@@ -117,7 +136,7 @@ class StreamBundle:
     @classmethod
     def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
         """Sort inputs and construct a bundle (ids must already be unique)."""
-        evs = sorted(events, key=lambda e: e.sort_key)
+        evs = sorted(events, key=_SORT_KEY)
         msgs = sorted(messages, key=lambda m: m.timestamp_ms)
         return cls(tuple(evs), tuple(msgs))
 
@@ -262,8 +281,6 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
         for msg, n in here.items():
             if n > msg_counts[msg]:
                 msg_counts[msg] = n
-    messages = sorted(msg_counts.elements(), key=lambda m: (m.timestamp_ms, m.cumulative_missed))
-    return StreamBundle(
-        tuple(sorted(by_id.values(), key=lambda e: e.sort_key)),
-        tuple(messages),
-    )
+    # a message is its own (timestamp_ms, cumulative_missed) sort key
+    messages = sorted(msg_counts.elements())
+    return StreamBundle(tuple(sorted(by_id.values(), key=_SORT_KEY)), tuple(messages))

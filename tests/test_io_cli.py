@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamfid.cli import main
 from streamfid.io import LineFormatError, iter_records, read_bundle, write_bundle
@@ -43,6 +45,112 @@ class TestJsonlRoundTrip:
         with pytest.raises(LineFormatError) as err:
             list(iter_records(path))
         assert err.value.lineno == 1
+
+
+GOOD_LINE = '{"id":0,"ts_ms":1,"user":2,"type":"root"}'
+
+# (malformed line, LineFormatError.reason): the reasons are the json module's
+# and the record constructors' own messages, so they stay as users see them
+MALFORMED = [
+    pytest.param('{"id":1} x', "Extra data: line 1 column 10 (char 9)", id="trailing-data"),
+    pytest.param("]", "Expecting value: line 1 column 1 (char 0)", id="bare-bracket"),
+    pytest.param("[1,2]", "list indices must be integers or slices, not str", id="non-object"),
+    pytest.param('{"id":3,"ts_ms":4,"user":', "Expecting value: line 1 column 26 (char 25)",
+                 id="truncated-object"),
+    pytest.param('{"id":3,"ts_ms":4,"user":"x', "Unterminated string starting at: line 1 "
+                 "column 26 (char 25)", id="unterminated-string"),
+    pytest.param('{"id":3,"user":2,"type":"root"}', "'ts_ms'", id="missing-ts_ms"),
+    pytest.param('{"rl_ts_ms":5}', "'missed'", id="missing-missed"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","followers":"x"}',
+                 "invalid literal for int() with base 10: 'x'", id="followers-string"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"tweet"}', "unknown event type 'tweet'",
+                 id="unknown-type"),
+    pytest.param('{"id":3,"ts_ms":NaN,"user":2,"type":"root"}',
+                 "cannot convert float NaN to integer", id="nan-field"),
+    pytest.param('{"id":3,"ts_ms":-4,"user":2,"type":"root"}',
+                 "id, timestamp_ms and follower_count must be non-negative", id="negative-ts"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"retweet"}',
+                 "root_id present iff event_type != root", id="retweet-without-root"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":5}',
+                 "'int' object is not iterable", id="hashtags-not-a-list"),
+    pytest.param("7", "argument of type 'int' is not iterable", id="bare-number"),
+    pytest.param("null", "argument of type 'NoneType' is not iterable", id="null"),
+    pytest.param('"abc"', "string indices must be integers, not 'str'", id="bare-string"),
+    pytest.param('\ufeff{"id":3}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 "
+                 "column 1 (char 0)", id="byte-order-mark"),
+]
+
+
+class TestReaderErrors:
+    @staticmethod
+    def write(path, *lines):
+        # CRLF endings, with a blank and a whitespace-only line after the first record
+        body = lines[0] + "\r\n\r\n \t \r\n" + "\r\n".join(lines[1:]) + "\r\n"
+        path.write_bytes(body.encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("bad, reason", MALFORMED)
+    def test_malformed_line_number_and_reason(self, tmp_path, bad, reason):
+        path = self.write(tmp_path / "bad.jsonl", GOOD_LINE, bad, GOOD_LINE)
+        with pytest.raises(LineFormatError) as err:
+            list(iter_records(path))
+        assert (err.value.lineno, err.value.reason) == (4, reason)
+        assert str(err.value) == f"{path}:4: {reason}"
+
+    # an infinite number escaped as OverflowError, and non-string entities
+    # were read as they came
+    @pytest.mark.parametrize("bad, reason", [
+        ('{"id":3,"ts_ms":Infinity,"user":2,"type":"root"}',
+         "cannot convert float infinity to integer"),
+        ('{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":["a",1]}',
+         "intern() argument must be str, not int"),
+        ('{"id":3,"ts_ms":4,"user":2,"type":"root","urls":[null]}',
+         "intern() argument must be str, not None"),
+    ], ids=["infinite-ts", "numeric-hashtag", "null-url"])
+    def test_unrepresentable_values_report_line_number(self, tmp_path, bad, reason):
+        path = self.write(tmp_path / "bad.jsonl", GOOD_LINE, bad)
+        with pytest.raises(LineFormatError) as err:
+            list(iter_records(path))
+        assert (err.value.lineno, err.value.reason) == (4, reason)
+
+    def test_infinite_number_exits_one(self, tmp_path, capsys):
+        path = self.write(tmp_path / "bad.jsonl", GOOD_LINE,
+                          '{"rl_ts_ms":5,"missed":-Infinity}')
+        assert run_cli("sample", "--mode", "ratelimit", "-i", path, "-o", tmp_path / "s.jsonl") == 1
+        assert "bad.jsonl:4: cannot convert float infinity to integer" in capsys.readouterr().err
+
+    def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
+        path = self.write(tmp_path / "ok.jsonl", GOOD_LINE, '{"rl_ts_ms":5,"missed":2}',
+                          '  {"id":1,"ts_ms":6,"user":2,"type":"retweet","root_id":0}\t')
+        assert list(iter_records(path)) == [
+            ev(0, 1, user=2), RateLimitMessage(5, 2), ev(1, 6, user=2, kind="retweet", root_id=0)]
+
+
+@st.composite
+def bundles(draw):
+    # non-ASCII text, control characters and line separators all survive the encoder
+    text = st.text(min_size=1, max_size=6)
+    stamps = sorted(draw(st.lists(st.integers(0, 10_000), max_size=12)))
+    events = []
+    for i, t in enumerate(stamps):
+        kind = "root" if i == 0 else draw(st.sampled_from(("root", "retweet", "quote", "reply")))
+        events.append(ev(i, t, user=draw(st.integers(0, 5)), kind=kind,
+                         root_id=None if kind == "root" else draw(st.integers(0, i - 1)),
+                         hashtags=draw(st.lists(text, max_size=3)),
+                         urls=draw(st.lists(text, max_size=2)),
+                         followers=draw(st.integers(0, 10**12)), lang=draw(text)))
+    msg_stamps = sorted(draw(st.lists(st.integers(0, 10_000), max_size=4)))
+    counters = sorted(draw(st.lists(st.integers(0, 99), min_size=len(msg_stamps),
+                                    max_size=len(msg_stamps))))
+    return StreamBundle.build(events, [RateLimitMessage(t, c) for t, c in zip(msg_stamps, counters)])
+
+
+@settings(derandomize=True, deadline=None)
+@given(bundles())
+def test_read_inverts_write(tmp_path_factory, bundle):
+    path = tmp_path_factory.mktemp("round_trip") / "b.jsonl"
+    write_bundle(path, bundle)
+    assert read_bundle(path) == bundle
 
 
 def run_cli(*argv):

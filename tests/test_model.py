@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from streamfid.cascades import Cascade
 from streamfid.model import (
     Event,
     FrequencyVector,
@@ -31,6 +34,71 @@ class TestEvent:
             ev(0, 0, followers=-1)
         with pytest.raises(ValueError):
             Event(id=0, timestamp_ms=-5, user_id=0, event_type="root")
+
+
+EVENT_FIELDS = ("id", "timestamp_ms", "user_id", "event_type", "root_id", "hashtags", "urls",
+                "follower_count", "lang")
+
+
+class TestRecordContract:
+    @pytest.mark.parametrize("name", EVENT_FIELDS)
+    def test_event_fields_cannot_be_assigned(self, name):
+        e = ev(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(e, name, 5)
+        assert e == ev(1, 2)
+
+    @pytest.mark.parametrize("name", ("timestamp_ms", "cumulative_missed"))
+    def test_message_fields_cannot_be_assigned(self, name):
+        m = RateLimitMessage(3, 4)
+        with pytest.raises(AttributeError):
+            setattr(m, name, 5)
+        assert m == RateLimitMessage(3, 4)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Event(0, 0, 0, "tweet"), "unknown event type 'tweet'"),
+        (lambda: Event(0, 0, 0, "root", root_id=3), "root_id present iff event_type != root"),
+        (lambda: Event(0, 0, 0, "reply"), "root_id present iff event_type != root"),
+        (lambda: Event(-1, 0, 0, "root"), "id, timestamp_ms and follower_count must be non-negative"),
+        (lambda: Event(0, -1, 0, "root"), "id, timestamp_ms and follower_count must be non-negative"),
+        (lambda: Event(0, 0, 0, "root", follower_count=-1),
+         "id, timestamp_ms and follower_count must be non-negative"),
+        (lambda: RateLimitMessage(-1, 0), "timestamp and counter must be non-negative"),
+        (lambda: RateLimitMessage(0, -1), "timestamp and counter must be non-negative"),
+    ])
+    def test_validation_messages(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_keyword_positional_and_default_construction(self):
+        by_position = Event(7, 30, 2, "quote", 5, ("a",), ("u",), 9, "ja")
+        by_keyword = Event(lang="ja", follower_count=9, urls=("u",), hashtags=("a",), root_id=5,
+                           event_type="quote", user_id=2, timestamp_ms=30, id=7)
+        assert by_position == by_keyword
+        assert (by_keyword.id, by_keyword.timestamp_ms, by_keyword.user_id) == (7, 30, 2)
+        assert by_keyword.sort_key == (30, 7)
+        default = Event(id=1, timestamp_ms=2, user_id=3, event_type="root")
+        assert (default.root_id, default.hashtags, default.urls, default.follower_count,
+                default.lang) == (None, (), (), 0, "en")
+        assert RateLimitMessage(4, 5) == RateLimitMessage(cumulative_missed=5, timestamp_ms=4)
+        assert RateLimitMessage(4, 5).cumulative_missed == 5
+
+    def test_equal_fields_give_equal_hashable_records(self):
+        a = ev(1, 2, hashtags=("x",), lang="de")
+        b = ev(1, 2, hashtags=("x",), lang="de")
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != ev(1, 2, hashtags=("y",), lang="de")
+        assert Counter([a, b, ev(2, 3)]) == Counter({a: 2, ev(2, 3): 1})
+        assert {a: "first", b: "second"} == {a: "second"}
+        m = RateLimitMessage(3, 4)
+        assert Counter([m, RateLimitMessage(3, 4)])[m] == 2
+
+    def test_cascade_events_include_observed_root(self):
+        root = ev(0, 10)
+        rts = (ev(1, 20, kind="retweet", root_id=0), ev(2, 30, kind="retweet", root_id=0))
+        assert Cascade(0, root, rts).events() == (root,) + rts
+        assert Cascade(0, None, rts).events() == rts
 
 
 class TestStreamBundle:

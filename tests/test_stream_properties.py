@@ -1,15 +1,19 @@
-"""Property tests for the threshold sampler and the stream merge.
+"""Property tests for the threshold sampler, segments, thread mapping and the merge.
 
 The threshold sampler must account for every input event: what it delivers
 plus the final cumulative missed counter is the input count, for every
-threshold and window anchor.  ``merge_streams`` must be idempotent and must
-not depend on the order of its bundles.
+threshold and window anchor.  Its messages bound segments whose counter
+difference is exactly the volume dropped inside them.  ``map_threads``
+must separate interleaved counters of parallel sampler threads.
+``merge_streams`` must be idempotent and must not depend on the order of
+its bundles.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfid.model import RateLimitMessage, StreamBundle, merge_streams
+from streamfid.ratelimit import estimate_missing, map_threads, segment_stream
 from streamfid.simulate import rate_limited_sample
 
 from conftest import ev
@@ -28,6 +32,56 @@ def test_delivered_plus_final_missed_equals_input(events, threshold, anchor_ms):
     delivered, messages = rate_limited_sample(events, threshold, anchor_ms)
     missed = messages[-1].cumulative_missed if messages else 0
     assert len(delivered) + missed == len(events)
+
+
+@st.composite
+def threshold_samples(draw):
+    threshold, anchor_ms = draw(st.integers(1, 6)), draw(st.integers(0, 999))
+    # the first and last millisecond of a window are where an event is most
+    # easily counted in the wrong segment, so they are drawn often
+    edge = st.builds(lambda w, d: max(anchor_ms + 1000 * w + d, 0),
+                     st.integers(-1, 5), st.sampled_from((-1, 0)))
+    ts = sorted(draw(st.lists(st.one_of(st.integers(0, 6_000), edge), max_size=200)))
+    events = [ev(i, t) for i, t in enumerate(ts)]
+    return events, *rate_limited_sample(events, threshold, anchor_ms)
+
+
+@settings(derandomize=True, deadline=None)
+@given(threshold_samples())
+def test_segment_counters_are_exact(case):
+    events, delivered, messages = case
+    segments = segment_stream(StreamBundle.build(events), StreamBundle.build(delivered, messages))
+    # the complete stream has no messages, so every consecutive pair bounds a segment
+    assert len(segments) == max(len(messages) - 1, 0)
+    for s in segments:
+        assert estimate_missing(s) == s.true_missing
+
+
+@st.composite
+def thread_interleavings(draw):
+    """Interleaved cumulative counters of k threads, and the per-thread lists.
+
+    Each thread counts in its own value band.  Threads start in descending
+    band order, as when parallel counters are observed mid-stream; after
+    that the interleaving is arbitrary.
+    """
+    k = draw(st.integers(1, 4))
+    steps = [draw(st.lists(st.integers(1, 50), min_size=1, max_size=25)) for _ in range(k)]
+    order = draw(st.permutations([t for t in range(k) for _ in steps[t]]))
+    starts = list(dict.fromkeys(order))
+    counters = {}
+    for rank, t in enumerate(starts):
+        total = (k - rank) * 10_000
+        counters[t] = [total := total + inc for inc in steps[t]]
+    pending = {t: iter(c) for t, c in counters.items()}
+    return [next(pending[t]) for t in order], [counters[t] for t in starts]
+
+
+@settings(derandomize=True, deadline=None)
+@given(thread_interleavings())
+def test_map_threads_recovers_interleaved_counters(case):
+    values, threads = case
+    assert map_threads(values, max_threads=len(threads)) == threads
 
 
 @st.composite
