@@ -65,9 +65,9 @@ def _record_from_obj(obj: dict) -> Record:
         int(obj["ts_ms"]),
         int(obj["user"]),
         intern(str(obj["type"])),
-        int(obj["root_id"]) if obj.get("root_id") is not None else None,
-        tuple(map(intern, obj.get("hashtags") or ())),
-        tuple(map(intern, obj.get("urls") or ())),
+        None if (root_id := obj.get("root_id")) is None else int(root_id),
+        tuple(map(intern, hashtags)) if (hashtags := obj.get("hashtags")) else (),
+        tuple(map(intern, urls)) if (urls := obj.get("urls")) else (),
         int(obj.get("followers", 0)),
         intern(str(obj.get("lang", "en"))),
     )

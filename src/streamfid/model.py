@@ -42,6 +42,8 @@ def bucket_of(timestamp_ms: int, granularity: str, tz_offset_hours: int = 0,
     return (ts // width) % cycle
 
 
+# NamedTuple refuses a __new__ of its own, so the checked constructors of
+# Event and RateLimitMessage live on subclasses of these field tuples
 class _EventFields(NamedTuple):
     id: int
     timestamp_ms: int

@@ -97,8 +97,7 @@ class TestReaderErrors:
         assert (err.value.lineno, err.value.reason) == (4, reason)
         assert str(err.value) == f"{path}:4: {reason}"
 
-    # an infinite number escaped as OverflowError, and non-string entities
-    # were read as they came
+    # values JSON can carry but a record cannot hold
     @pytest.mark.parametrize("bad, reason", [
         ('{"id":3,"ts_ms":Infinity,"user":2,"type":"root"}',
          "cannot convert float infinity to integer"),
