@@ -90,8 +90,7 @@ def iter_records(path) -> Iterator[Record]:
                     obj = json.loads(line)
                 yield _record_from_obj(obj)
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                reason = exc.reason if isinstance(exc, LineFormatError) else str(exc)
-                raise LineFormatError(path, lineno, reason) from None
+                raise LineFormatError(path, lineno, str(exc)) from None
 
 
 def read_bundle(path) -> StreamBundle:
