@@ -5,14 +5,18 @@ scipy is imported inside the functions that call it, and the package
 computes its statistics in numpy.  So the CLI commands that never call
 scipy must not load it, the graph commands that need ``scipy.sparse`` or
 ``scipy.cluster`` must not drag in ``scipy.stats`` or ``scipy.optimize``,
-and ``estimate-missing`` loads ``scipy.optimize`` but not ``scipy.stats``.  Each check runs in a subprocess, because this test
-process has scipy loaded already.  They check imports, not wall time.
+and ``estimate-missing`` loads ``scipy.optimize`` but not ``scipy.stats``.
+The scipy-free commands run twice, so that the second run reads its JSONL
+through the sidecars the first one wrote.  Each check runs in a subprocess,
+because this test process has scipy loaded already.  They check imports,
+not wall time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,9 +89,22 @@ SCIPY_FREE = {
 }
 
 
+# these stream their input through iter_records, which keeps no sidecar
+STREAMING = {"breakdown", "entity-stats"}
+
+
 @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
-def test_command_loads_no_scipy(workdir, name):
-    assert scipy_modules_after(SCIPY_FREE[name], workdir) == []
+def test_command_loads_no_scipy(workdir, tmp_path, name):
+    # the first run parses and writes the sidecars, the second reads through them
+    for src in workdir.iterdir():
+        if src.suffix in (".jsonl", ".csv"):
+            shutil.copyfile(src, tmp_path / src.name)
+    argv = SCIPY_FREE[name]
+    assert scipy_modules_after(argv, tmp_path) == []
+    read = {b for a, b in zip(argv, argv[1:]) if a == "-i" and b.endswith(".jsonl")}
+    expected = set() if name in STREAMING else {a + ".streamfid.npz" for a in read}
+    assert {p.name for p in tmp_path.glob("*.streamfid.npz")} == expected
+    assert scipy_modules_after(argv, tmp_path) == []
 
 
 SCIPY_SPARSE = {

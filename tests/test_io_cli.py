@@ -73,6 +73,13 @@ MALFORMED = [
                  "root_id present iff event_type != root", id="retweet-without-root"),
     pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":5}',
                  "'int' object is not iterable", id="hashtags-not-a-list"),
+    # a string or an object iterates too: it must not be read as its items
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":"ab"}',
+                 "hashtags must be a list, not str", id="hashtags-string"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","urls":{"u":1}}',
+                 "urls must be a list, not dict", id="urls-object"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":null}',
+                 "'NoneType' object is not iterable", id="hashtags-null"),
     pytest.param("7", "argument of type 'int' is not iterable", id="bare-number"),
     pytest.param("null", "argument of type 'NoneType' is not iterable", id="null"),
     pytest.param('"abc"', "string indices must be integers, not 'str'", id="bare-string"),
@@ -117,6 +124,22 @@ class TestReaderErrors:
                           '{"rl_ts_ms":5,"missed":-Infinity}')
         assert run_cli("sample", "--mode", "ratelimit", "-i", path, "-o", tmp_path / "s.jsonl") == 1
         assert "bad.jsonl:4: cannot convert float infinity to integer" in capsys.readouterr().err
+
+    def test_string_hashtags_exit_one(self, tmp_path, capsys):
+        path = self.write(tmp_path / "bad.jsonl", GOOD_LINE,
+                          '{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":"ab"}')
+        assert run_cli("sample", "--mode", "ratelimit", "-i", path, "-o", tmp_path / "s.jsonl") == 1
+        assert "bad.jsonl:4: hashtags must be a list, not str" in capsys.readouterr().err
+
+    def test_deeply_nested_line_exits_one(self, tmp_path, capsys):
+        # deeper than the JSON scanner's recursion limit, which raises RecursionError
+        path = self.write(tmp_path / "deep.jsonl", GOOD_LINE, "[" * 100_000)
+        with pytest.raises(LineFormatError) as err:
+            list(iter_records(path))
+        assert err.value.lineno == 4
+        assert run_cli("sample", "--mode", "ratelimit", "-i", path, "-o", tmp_path / "s.jsonl") == 1
+        assert "deep.jsonl:4: maximum recursion depth exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
         path = self.write(tmp_path / "ok.jsonl", GOOD_LINE, '{"rl_ts_ms":5,"missed":2}',
