@@ -202,7 +202,7 @@ _TYPE_CODE = {t: code for code, t in enumerate(EVENT_TYPES)}
 
 # what np.load and the column checks raise on a truncated, foreign or
 # tampered file (a lone .npy loads as an array, which is no context manager)
-_UNREADABLE = (OSError, EOFError, zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError)
+_UNREADABLE = (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError, ValueError)
 
 
 def _codes(strings: Iterable[str], table: dict) -> Iterator[int]:
@@ -268,7 +268,7 @@ def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
 def _int_column(z, name: str, length: Optional[int] = None) -> np.ndarray:
     col = z[name]
     if col.dtype != np.int64 or col.ndim != 1 or (length is not None and len(col) != length):
-        raise ValueError(f"sidecar column {name} is not {length or 'some'} int64 values")
+        raise ValueError(f"sidecar column {name} is not a 1-d int64 column of the rows' length")
     return col
 
 
