@@ -9,6 +9,7 @@ served.
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
 from unittest import mock
@@ -263,3 +264,21 @@ def test_stale_sidecar_of_a_now_malformed_file_is_not_served(cached):
     with pytest.raises(LineFormatError) as err:
         read_bundle(path)
     assert err.value.lineno == 5
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_read_restores_the_cycle_collector(tmp_path, enabled):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_bundle(good, StreamBundle.build([ev(0, 1)]))
+    bad.write_text("not json\n")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        read_bundle(good)   # parses
+        read_bundle(good)   # through the sidecar
+        assert gc.isenabled() == enabled
+        with pytest.raises(LineFormatError):
+            read_bundle(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
