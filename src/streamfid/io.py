@@ -18,6 +18,7 @@ import gc
 import io
 import json
 import os
+import stat
 import tempfile
 import zipfile
 from contextlib import suppress
@@ -165,23 +166,27 @@ def _read_bundle(path) -> StreamBundle:
     from hashlib import blake2b
 
     sidecar = Path(f"{path}{SIDECAR_SUFFIX}")
-    digest = blake2b()
-    with open(path, "rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 20), b""):
-            digest.update(chunk)
-    bundle = _load_sidecar(sidecar, digest.hexdigest())
-    if bundle is not None:
-        return bundle
-    # parse the bytes that the digest covers, so a file rewritten since it
-    # was hashed never gets a sidecar that does not match it
-    digest = blake2b()
-    events, messages = [], []
-    with open(path, "rb", buffering=0) as raw, \
-            io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)), encoding="utf-8") as fh:
-        for rec in _records(fh, path):
-            (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
+    with open(path, "rb", buffering=0) as raw:
+        # a pipe can be read only once, and a sidecar could never match it
+        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        if regular:
+            digest = blake2b()
+            for chunk in iter(partial(raw.read, 1 << 20), b""):
+                digest.update(chunk)
+            bundle = _load_sidecar(sidecar, digest.hexdigest())
+            if bundle is not None:
+                return bundle
+            raw.seek(0)
+        # parse the bytes that the digest covers, so a file rewritten since it
+        # was hashed never gets a sidecar that does not match it
+        digest = blake2b()
+        events, messages = [], []
+        with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)), encoding="utf-8") as fh:
+            for rec in _records(fh, path):
+                (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
     bundle = StreamBundle.build(events, messages)
-    _save_sidecar(sidecar, digest.hexdigest(), bundle)
+    if regular:
+        _save_sidecar(sidecar, digest.hexdigest(), bundle)
     return bundle
 
 

@@ -282,3 +282,18 @@ def test_read_restores_the_cycle_collector(tmp_path, enabled):
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_read_once_and_gets_no_sidecar(tmp_path):
+    bundle = StreamBundle.build([ev(0, 1, hashtags=("x",)), ev(2, 3)], [RateLimitMessage(2, 1)])
+    write_bundle(tmp_path / "b.jsonl", bundle)
+    r, w = os.pipe()
+    try:
+        os.write(w, (tmp_path / "b.jsonl").read_bytes())   # far below the pipe's buffer
+        os.close(w)
+        with mock.patch.object(sio, "_save_sidecar") as save:
+            assert read_bundle(f"/dev/fd/{r}") == bundle
+        save.assert_not_called()
+    finally:
+        os.close(r)
