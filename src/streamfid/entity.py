@@ -11,14 +11,13 @@ follows.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
-# scipy is imported inside the function that calls it: importing streamfid,
-# and every CLI command that never calls scipy, then skips its load
 
 from .model import Event, FrequencyVector
 
@@ -28,6 +27,10 @@ ENTITY_KEYS = ("user", "hashtag", "url")
 
 # iteration cap of the NNLS solver in estimate_complete_frequency_vector
 NNLS_MAX_ITER = 10_000
+
+# a column joins the passive set only if its new diagonal element adds this
+# fraction of its above-diagonal norm in floating point (Lawson & Hanson's FACTOR)
+_NNLS_INDEPENDENCE = 0.01
 
 
 class SolverError(RuntimeError):
@@ -167,6 +170,141 @@ class InversionResult:
         return np.array([self.f_hat[k] for k in range(1, k_max + 1)])
 
 
+def _householder(u: np.ndarray, p: int) -> Optional[float]:
+    """Build the Householder reflection that zeros u[p+1:] into u[p] (H12, mode 1).
+
+    Overwrites u[p] with the new diagonal element and returns the pivot
+    component of the reflection vector; None, leaving u as it is, when p is
+    the last row or u[p:] is zero.
+    """
+    if p + 1 >= len(u):
+        return None
+    cl = float(np.max(np.abs(u[p:])))
+    if cl <= 0:
+        return None
+    v = u[p:] * (1.0 / cl)
+    cl *= math.sqrt(v @ v)
+    if u[p] > 0:
+        cl = -cl
+    up = float(u[p]) - cl
+    u[p] = cl
+    return up
+
+
+def _reflect(u: np.ndarray, up: Optional[float], p: int, c: np.ndarray) -> None:
+    """Apply the reflection of _householder(u, p) to c's rows, in place (H12, mode 2)."""
+    if up is None:
+        return
+    b = up * float(u[p])
+    if b >= 0:
+        return
+    sm = (c[p] * up + u[p + 1:] @ c[p + 1:]) * (1.0 / b)
+    c[p] += sm * up
+    c[p + 1:] += np.multiply.outer(u[p + 1:], sm)
+
+
+def _givens(a: float, b: float) -> tuple[float, float, float]:
+    """Rotation (c, s) with [c s; -s c] @ [a, b] = [sig, 0] (G1)."""
+    if abs(a) > abs(b):
+        xr = b / a
+        yr = math.sqrt(1.0 + xr * xr)
+        c = math.copysign(1.0 / yr, a)
+        return c, c * xr, abs(a) * yr
+    if b != 0:
+        xr = a / b
+        yr = math.sqrt(1.0 + xr * xr)
+        s = math.copysign(1.0 / yr, b)
+        return s * xr, s, abs(b) * yr
+    return 0.0, 1.0, 0.0
+
+
+def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+    """min ||a x - b|| subject to x >= 0, by Lawson & Hanson's NNLS.
+
+    Lawson & Hanson, "Solving Least Squares Problems" (1974), ch. 23.  The
+    passive set P grows by the column with the largest dual value while that
+    value is positive.  A column joins only if it is numerically independent
+    of P and its trial value is positive; its Householder reflection keeps
+    Q^T a upper triangular on P.  When a P value would turn non-positive,
+    the step is cut at the boundary, the columns that reach it leave P, and
+    Givens rotations restore the triangle.  Returns x and ||a x - b||;
+    raises SolverError after ``max_iter`` inner iterations.
+    """
+    m, n = a.shape
+    # Q^T [a | b], updated in place.  Columns are kept in working order: P is
+    # ab[:, :nsetp] in triangle order, Z is ab[:, nsetp:n], and perm maps a
+    # working column to its column of a.
+    ab = np.column_stack((a, b)).astype(float)
+    rhs = ab[:, n]
+    x = np.zeros(n)
+    perm = np.arange(n)
+    nsetp = 0
+    iterations = 0
+    while nsetp < n and nsetp < m:
+        w = rhs[nsetp:] @ ab[nsetp:, nsetp:n]  # dual values of Z
+        while True:
+            iz = int(np.argmax(w))
+            if w[iz] <= 0:
+                break
+            col = ab[:, nsetp + iz]
+            saved = col[nsetp]
+            up = _householder(col, nsetp)
+            unorm = math.sqrt(col[:nsetp] @ col[:nsetp])
+            if (unorm + abs(col[nsetp]) * _NNLS_INDEPENDENCE) - unorm > 0:
+                zz = rhs.copy()
+                _reflect(col, up, nsetp, zz)
+                if zz[nsetp] / col[nsetp] > 0:
+                    break
+            col[nsetp] = saved
+            w[iz] = 0.0
+        if w[iz] <= 0:
+            break
+        # the column joins P: swap it to the front of Z, reflect the rest of Z
+        j = nsetp + iz
+        ab[:, [nsetp, j]] = ab[:, [j, nsetp]]
+        perm[[nsetp, j]] = perm[[j, nsetp]]
+        nsetp += 1
+        _reflect(ab[:, nsetp - 1], up, nsetp - 1, ab[:, nsetp:n])
+        ab[nsetp:, nsetp - 1] = 0.0
+        rhs[:] = zz
+        zz = np.linalg.solve(ab[:nsetp, :nsetp], rhs[:nsetp])
+        while True:
+            iterations += 1
+            if iterations > max_iter:
+                raise SolverError(f"inversion failed after {max_iter} iterations")
+            xp = x[perm[:nsetp]]
+            t = np.full(nsetp, 2.0)
+            bad = zz <= 0
+            with np.errstate(invalid="ignore"):
+                t[bad] = -xp[bad] / (zz[bad] - xp[bad])
+            t[np.isnan(t)] = 2.0
+            jj = int(np.argmin(t))
+            if t[jj] >= 2.0:
+                break
+            # step to the boundary, then move every P value it zeros to Z
+            x[perm[:nsetp]] = xp + t[jj] * (zz - xp)
+            while True:
+                x[perm[jj]] = 0.0
+                # column jj goes to the front of Z, the later P columns move up
+                order = np.r_[jj + 1:nsetp, jj]
+                ab[:, jj:nsetp] = ab[:, order]
+                perm[jj:nsetp] = perm[order]
+                for k in range(jj + 1, nsetp):
+                    c, s, sig = _givens(ab[k - 1, k - 1], ab[k, k - 1])
+                    rows = ab[k - 1:k + 1, k:]
+                    rows[...] = np.array(((c, s), (-s, c))) @ rows
+                    ab[k - 1, k - 1], ab[k, k - 1] = sig, 0.0
+                nsetp -= 1
+                # round-off can leave other P values non-positive: they leave too
+                nonpos = np.flatnonzero(x[perm[:nsetp]] <= 0)
+                if not len(nonpos):
+                    break
+                jj = int(nonpos[0])
+            zz = np.linalg.solve(ab[:nsetp, :nsetp], rhs[:nsetp])
+        x[perm[:nsetp]] = zz
+    return x, math.sqrt(rhs[nsetp:] @ rhs[nsetp:])
+
+
 def estimate_complete_frequency_vector(
     f_sample: FrequencyVector,
     rate: float,
@@ -177,13 +315,12 @@ def estimate_complete_frequency_vector(
     Solves ``min ||A f_hat - f_sample||`` subject to f_hat >= 0 and f_hat
     non-increasing.  The constraint set is exactly {T u : u >= 0} for the
     upper-triangular ones matrix T (u holds the non-negative bin-to-bin
-    decrements), so the problem is a plain non-negative least squares in u
-    and is solved by an active-set NNLS method; first-order projected
-    gradient stalls here because the kernel's conditioning degrades like
-    rate**-k_max.
+    decrements), so the problem is a plain non-negative least squares in u,
+    solved by the active-set NNLS of Lawson & Hanson ("Solving Least Squares
+    Problems", 1974, ch. 23); first-order projected gradient stalls here
+    because the kernel's conditioning degrades like rate**-k_max.  Raises
+    SolverError when NNLS needs more than NNLS_MAX_ITER inner iterations.
     """
-    from scipy.optimize import nnls as scipy_nnls
-
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
     if k_max < 1:
@@ -201,10 +338,7 @@ def estimate_complete_frequency_vector(
 
     A = binomial_kernel(k_max, rate)
     T = np.triu(np.ones((k_max, k_max)))
-    try:
-        u, residual = scipy_nnls(A @ T, b, maxiter=NNLS_MAX_ITER)
-    except RuntimeError as exc:
-        raise SolverError(f"inversion failed after {NNLS_MAX_ITER} iterations: {exc}") from exc
+    u, residual = _nnls(A @ T, b, NNLS_MAX_ITER)
     x = T @ u
 
     f_hat = FrequencyVector({k: float(v) for k, v in zip(range(1, k_max + 1), x) if v > 0})

@@ -12,16 +12,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-# scipy is imported inside the functions that call it: importing streamfid,
-# and every CLI command that never calls scipy, then skips its ~1 s load
 
 from .model import Event
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 LSCC = "LSCC"
 IN = "IN"
@@ -36,6 +31,13 @@ MISSING = "missing"
 # randomized SVD stop rule: relative residual target and iteration cap
 _SVD_TOL = 1e-6
 _MAX_POWER_ITERS = 200
+
+# k-means: Lloyd steps after the k-means++ seeding, the warning an empty
+# cluster raises, and the dimension from which point-to-centre distances
+# come from one matrix product (the rules of scipy's kmeans2 and vq)
+_KMEANS_STEPS = 10
+_EMPTY_CLUSTER = "One of the clusters is empty. Re-run kmeans with a different initialization."
+_PRODUCT_DISTANCE_DIMS = 5
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,25 @@ def spectral_cocluster(g: BipartiteGraph, k: int, seed: int = 0) -> dict[str, in
     return out
 
 
-def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence) -> csr_matrix:
-    """CSR matrix of a {(row, col): weight} mapping, indexed by position in the orders."""
-    from scipy.sparse import csr_matrix
-
+def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence):
+    """Row positions, column positions and values of a {(row, col): weight} mapping,
+    indexed by position in the orders."""
     rpos = {r: i for i, r in enumerate(row_order)}
     cpos = {c: j for j, c in enumerate(col_order)}
     n = len(weights)
     rows = np.fromiter((rpos[r] for r, _ in weights), dtype=np.int64, count=n)
     cols = np.fromiter((cpos[c] for _, c in weights), dtype=np.int64, count=n)
     vals = np.fromiter(weights.values(), dtype=float, count=n)
-    return csr_matrix((vals, (rows, cols)), shape=(len(row_order), len(col_order)))
+    return rows, cols, vals
 
 
 def _normalized_weights(g: BipartiteGraph):
     """D_u^-1/2 W D_h^-1/2 as a CSC matrix, with the two scaling vectors."""
-    w = _sparse(g.weights, g.users, g.hashtags)
+    # the one scipy import of the package: numpy has no sparse products
+    from scipy.sparse import csr_matrix
+
+    rows, cols, vals = _sparse(g.weights, g.users, g.hashtags)
+    w = csr_matrix((vals, (rows, cols)), shape=(len(g.users), len(g.hashtags)))
     du = np.asarray(w.sum(axis=1)).ravel()
     dh = np.asarray(w.sum(axis=0)).ravel()
     su = 1.0 / np.sqrt(np.maximum(du, 1e-12))
@@ -165,12 +170,52 @@ def _truncated_svd(m, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _seeded_kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
-    from scipy.cluster.vq import kmeans2
+def _sq_distances(centres: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared distance of every centre (rows) to every point (columns).
 
+    Summed one dimension at a time below _PRODUCT_DISTANCE_DIMS dimensions,
+    and as |x|^2 - 2 x.c + |c|^2 from one matrix product from there on.
+    """
+    if points.shape[1] < _PRODUCT_DISTANCE_DIMS:
+        d2 = np.zeros((len(centres), len(points)))
+        for j in range(points.shape[1]):
+            diff = centres[:, j, None] - points[None, :, j]
+            d2 += diff * diff
+        return d2
+    p2 = np.zeros(len(points))
+    c2 = np.zeros(len(centres))
+    for j in range(points.shape[1]):
+        p2 += points[:, j] * points[:, j]
+        c2 += centres[:, j] * centres[:, j]
+    return ((-2 * (points @ centres.T) + p2[:, None]) + c2[None, :]).T
+
+
+def _seeded_kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Labels of k-means++ seeding (Arthur & Vassilvitskii 2007) and 10 Lloyd steps.
+
+    The draws, distances and updates are those of scipy's
+    ``kmeans2(points, k, minit="++", seed=seed, missing="warn")``, so the
+    labels are too: a legacy RandomState(seed) picks the first centre with
+    randint and each later one with uniform() on the cumulated D^2.  A
+    cluster left empty keeps its centre, with a warning.
+    """
     if k == 1:
         return np.zeros(len(points), dtype=int)
-    _, labels = kmeans2(points, k, minit="++", seed=seed, missing="warn")
+    rng = np.random.RandomState(seed)
+    centres = np.empty((k, points.shape[1]))
+    centres[0] = points[rng.randint(0, len(points))]
+    for i in range(1, k):
+        d2 = _sq_distances(centres[:i], points).min(axis=0)
+        cum = (d2 / d2.sum()).cumsum()
+        centres[i] = points[int(np.searchsorted(cum, rng.uniform()))]
+    for _ in range(_KMEANS_STEPS):
+        labels = _sq_distances(centres, points).argmin(axis=0)
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            warnings.warn(_EMPTY_CLUSTER, stacklevel=3)
+        for j in range(points.shape[1]):
+            sums = np.bincount(labels, weights=points[:, j], minlength=k)
+            centres[:, j] = np.where(counts > 0, sums / np.maximum(counts, 1), centres[:, j])
     return labels
 
 
@@ -313,11 +358,69 @@ class BowtieAssignment:
         return {name: c.get(name, 0) for name in BOWTIE_COMPONENTS}
 
 
-def _reach(adj, starts) -> np.ndarray:
-    """Mask of the nodes reachable along ``adj`` from any start (starts included)."""
-    from scipy.sparse.csgraph import dijkstra
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR row pointer and column indices of the n x n pattern of (rows, cols)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows, kind="stable")]
 
-    return np.isfinite(dijkstra(adj, indices=starts, unweighted=True, min_only=True))
+
+def _strong_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Strongly connected component label of each node (Tarjan 1972, without recursion)."""
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    n = len(ptr) - 1
+    order, low, label = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    visited = components = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, ptr[root])]
+        while work:
+            v, i = work[-1]
+            end = ptr[v + 1]
+            while i < end:
+                w = nbr[i]
+                i += 1
+                if order[w] < 0:
+                    work[-1] = (v, i)
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append((w, ptr[w]))
+                    break
+                if label[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]  # w is still on the stack
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = components
+                        if w == v:
+                            break
+                    components += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return np.array(label, dtype=np.int64)
+
+
+def _reach(indptr: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mask of the nodes reachable along the CSR edges from any start (starts included)."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[starts] = True
+    frontier = np.asarray(starts, dtype=np.int64)
+    while len(frontier):
+        lo, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        # positions lo[f] .. lo[f] + counts[f] - 1 of every frontier node f
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        nxt = indices[np.repeat(lo, counts) + offsets]
+        frontier = np.unique(nxt[~seen[nxt]])
+        seen[frontier] = True
+    return seen
 
 
 def bowtie_decompose(g: Digraph) -> BowtieAssignment:
@@ -329,20 +432,20 @@ def bowtie_decompose(g: Digraph) -> BowtieAssignment:
     reaching OUT are Tubes, nodes with exactly one of those properties are
     Tendrils, and the rest are Disconnected.
     """
-    from scipy.sparse.csgraph import connected_components
-
     if not g.nodes:
         return BowtieAssignment({})
     nodes = sorted(g.nodes)
-    adj = _sparse(g.edges, nodes, nodes)
-    _, scc = connected_components(adj, directed=True, connection="strong")
+    rows, cols, _ = _sparse(g.edges, nodes, nodes)
+    fwd = _csr(rows, cols, len(nodes))
+    rev = _csr(cols, rows, len(nodes))
+    scc = _strong_components(*fwd)
     # nodes are sorted, so the first node in a largest SCC has the smallest id
     core = int(np.argmax(np.bincount(scc)[scc]))
     lscc = scc == scc[core]
-    out = _reach(adj, [core]) & ~lscc
-    in_ = _reach(adj.T, [core]) & ~lscc
-    from_in = _reach(adj, np.flatnonzero(in_))
-    to_out = _reach(adj.T, np.flatnonzero(out))
+    out = _reach(*fwd, [core]) & ~lscc
+    in_ = _reach(*rev, [core]) & ~lscc
+    from_in = _reach(*fwd, np.flatnonzero(in_))
+    to_out = _reach(*rev, np.flatnonzero(out))
     code = np.select([lscc, in_, out, from_in & to_out, from_in | to_out], range(5), default=5)
     # BOWTIE_COMPONENTS lists LSCC, IN, OUT, Tubes, Tendrils, Disconnected in that order
     return BowtieAssignment({v: BOWTIE_COMPONENTS[c] for v, c in zip(nodes, code)})

@@ -81,25 +81,47 @@ def _not_a_list(name: str, value):
     raise TypeError(f"{name} must be a list, not {type(value).__name__}")
 
 
+def _wrong_type(obj: dict):
+    """Raise the TypeError that names the first field of ``obj`` whose JSON
+    type a record cannot hold: a number that is not an integer (a float or a
+    boolean), a numeric string, or a lang that is not a string."""
+    names = ("rl_ts_ms", "missed") if "rl_ts_ms" in obj else ("id", "ts_ms", "user", "root_id", "followers")
+    for name in names:
+        value = obj.get(name, 0) if name in ("root_id", "followers") else obj[name]
+        if value.__class__ is not int and (value is not None or name != "root_id"):
+            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    raise TypeError(f"lang must be a string, not {type(obj['lang']).__name__}")
+
+
 def _record_from_obj(obj: dict) -> Record:
+    # JSON integers only: int() would truncate 4.9 and read "12" or true.
+    # The checks are inline, as a call per field would slow every line.
     if "rl_ts_ms" in obj:
-        return RateLimitMessage(int(obj["rl_ts_ms"]), int(obj["missed"]))
+        if (ts := obj["rl_ts_ms"]).__class__ is not int or (missed := obj["missed"]).__class__ is not int:
+            _wrong_type(obj)
+        return RateLimitMessage(ts, missed)
+    if ((id_ := obj["id"]).__class__ is not int or (ts := obj["ts_ms"]).__class__ is not int
+            or (user := obj["user"]).__class__ is not int
+            or ((root_id := obj.get("root_id")) is not None and root_id.__class__ is not int)
+            or (followers := obj.get("followers", 0)).__class__ is not int
+            or (lang := obj.get("lang", "en")).__class__ is not str):
+        _wrong_type(obj)
     # interned: a stream repeats a handful of types and languages and a
     # skewed set of entities, which would otherwise be one string per use
     return Event(
-        int(obj["id"]),
-        int(obj["ts_ms"]),
-        int(obj["user"]),
+        id_,
+        ts,
+        user,
         intern(str(obj["type"])),
-        None if (root_id := obj.get("root_id")) is None else int(root_id),
+        root_id,
         (tuple(map(intern, tags)) if tags else ())
         if (tags := obj.get("hashtags", _NO_STRINGS)).__class__ is list
         else _not_a_list("hashtags", tags),
         (tuple(map(intern, urls)) if urls else ())
         if (urls := obj.get("urls", _NO_STRINGS)).__class__ is list
         else _not_a_list("urls", urls),
-        int(obj.get("followers", 0)),
-        intern(str(obj.get("lang", "en"))),
+        followers,
+        intern(lang),
     )
 
 
@@ -214,7 +236,7 @@ def write_bundle(path, bundle: StreamBundle) -> None:
 # characters.  Messages are the columns msg_ts and msg_missed.
 
 SIDECAR_SUFFIX = ".streamfid.npz"
-SIDECAR_FORMAT = "streamfid-event-columns/1"
+SIDECAR_FORMAT = "streamfid-event-columns/2"
 
 _TYPE_CODE = {t: code for code, t in enumerate(EVENT_TYPES)}
 

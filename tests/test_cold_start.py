@@ -1,11 +1,11 @@
 """Cold start: which scipy modules a fresh interpreter loads.
 
-``import streamfid`` and ``import streamfid.cli`` load no scipy at all;
-scipy is imported inside the functions that call it, and the package
-computes its statistics in numpy.  So the CLI commands that never call
-scipy must not load it, the graph commands that need ``scipy.sparse`` or
-``scipy.cluster`` must not drag in ``scipy.stats`` or ``scipy.optimize``,
-and ``estimate-missing`` loads ``scipy.optimize`` but not ``scipy.stats``.
+``import streamfid`` and ``import streamfid.cli`` load no scipy at all.
+The package computes its statistics, its NNLS, its k-means and its bow-tie
+search in numpy; its one scipy import is ``scipy.sparse``, inside the
+function that builds the co-clustering matrix.  So every command but
+``graph cocluster`` must not load scipy, and ``graph cocluster`` loads
+``scipy.sparse`` and none of the scipy packages the numpy code replaced.
 The scipy-free commands run twice, so that the second run reads its JSONL
 through the sidecars the first one wrote.  Each check runs in a subprocess,
 because this test process has scipy loaded already.  They check imports,
@@ -14,6 +14,7 @@ not wall time.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -71,6 +72,23 @@ def workdir(tmp_path_factory):
     return d
 
 
+def scipy_imports() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(module, imported module, names) of every scipy import statement in the package."""
+    found = []
+    for path in sorted(Path(streamfid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name, ()) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found.append((path.stem, node.module, tuple(a.name for a in node.names)))
+    return found
+
+
+def test_only_scipy_import_is_csr_matrix():
+    # covers the library paths no CLI run below reaches
+    assert scipy_imports() == [("graphs", "scipy.sparse", ("csr_matrix",))]
+
+
 def test_import_loads_no_scipy(tmp_path):
     assert scipy_modules_after([], tmp_path) == []
 
@@ -86,6 +104,8 @@ SCIPY_FREE = {
                    "-i", "bowtie_sample.csv", "-o", "flow.csv"],
     "cascade": ["cascade", "-i", "complete.jsonl", "-i", "sample.jsonl", "-o", "cascade.json"],
     "rank": ["rank", "-i", "complete.jsonl", "-i", "sample.jsonl", "--k", "10", "-o", "rank.csv"],
+    "estimate-missing": ["estimate-missing", "-i", "sample.jsonl", "--key", "user", "--k-max", "20"],
+    "graph-bowtie": ["graph", "bowtie", "-i", "complete.jsonl", "-o", "bowtie.csv"],
 }
 
 
@@ -107,22 +127,10 @@ def test_command_loads_no_scipy(workdir, tmp_path, name):
     assert scipy_modules_after(argv, tmp_path) == []
 
 
-SCIPY_SPARSE = {
-    "graph-bowtie": ["graph", "bowtie", "-i", "complete.jsonl", "-o", "bowtie.csv"],
-    "graph-cocluster": ["graph", "cocluster", "-i", "complete.jsonl", "--k", "4", "--seed", "1",
-                        "-o", "clusters.csv"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(SCIPY_SPARSE))
-def test_graph_command_loads_no_stats_or_optimize(workdir, name):
-    loaded = scipy_modules_after(SCIPY_SPARSE[name], workdir)
-    assert loaded, "the command should have run scipy code"
-    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.optimize"))]
-
-
-def test_estimate_missing_loads_optimize_but_no_stats(workdir):
-    loaded = scipy_modules_after(["estimate-missing", "-i", "sample.jsonl", "--key", "user",
-                                  "--k-max", "20"], workdir)
-    assert "scipy.optimize" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.stats")]
+def test_cocluster_loads_only_scipy_sparse(workdir):
+    loaded = scipy_modules_after(["graph", "cocluster", "-i", "complete.jsonl", "--k", "4",
+                                  "--seed", "1", "-o", "clusters.csv"], workdir)
+    assert "scipy.sparse" in loaded
+    replaced = ("scipy.optimize", "scipy.cluster", "scipy.sparse.csgraph", "scipy.stats",
+                "scipy.spatial")
+    assert not [m for m in loaded if m.startswith(replaced)]

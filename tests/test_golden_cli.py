@@ -142,11 +142,11 @@ GOLDEN = {
     "entity-stats-user:stdout":
         "10773ea3df4093513ff133428bb14b9bbe9857c56401b7e4564b2da49144ffde",
     "estimate-missing-hashtag:stdout":
-        "15e83c960d7cccb6571c2afe15cd1201a1a396c2bba04e7100cbbe58bd5c2dbd",
+        "f90ab34f8867e8ec17e8528ea94cfa1a19ace27a5b7546887940ddb63c145490",
     "estimate-missing-url-rate:stdout":
-        "741d21d6865b2416185ee7333d0b1150b819cf79de3652c496fd18c3e0ede18d",
+        "eeebf840f0f94c48b6c3496185a8c25298534a72464a9414fd52b3ecb574a2d7",
     "estimate-missing-user:stdout":
-        "d57e2b4d235c01513b88f08d6c0bdd81e3f4aa26706b08625893fba27991d93d",
+        "05ff58f7f98df2e079c17e298f9ab6ae872a70070e0b2b6d82ab4168a4d45c5d",
     "flow-bowtie:stdout":
         "41d4ed0518518a6adaff9904773c04f2b420c9eb6852818f8e408d7cbc1b1a16",
     "flow_cluster.csv":

@@ -50,7 +50,8 @@ class TestJsonlRoundTrip:
 GOOD_LINE = '{"id":0,"ts_ms":1,"user":2,"type":"root"}'
 
 # (malformed line, LineFormatError.reason): the reasons are the json module's
-# and the record constructors' own messages, so they stay as users see them
+# and the record constructors' own messages, so they stay as users see them,
+# or the reader's, which names the field whose JSON type a record cannot hold
 MALFORMED = [
     pytest.param('{"id":1} x', "Extra data: line 1 column 10 (char 9)", id="trailing-data"),
     pytest.param("]", "Expecting value: line 1 column 1 (char 0)", id="bare-bracket"),
@@ -62,11 +63,11 @@ MALFORMED = [
     pytest.param('{"id":3,"user":2,"type":"root"}', "'ts_ms'", id="missing-ts_ms"),
     pytest.param('{"rl_ts_ms":5}', "'missed'", id="missing-missed"),
     pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","followers":"x"}',
-                 "invalid literal for int() with base 10: 'x'", id="followers-string"),
+                 "followers must be an integer, not str", id="followers-string"),
     pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"tweet"}', "unknown event type 'tweet'",
                  id="unknown-type"),
     pytest.param('{"id":3,"ts_ms":NaN,"user":2,"type":"root"}',
-                 "cannot convert float NaN to integer", id="nan-field"),
+                 "ts_ms must be an integer, not float", id="nan-field"),
     pytest.param('{"id":3,"ts_ms":-4,"user":2,"type":"root"}',
                  "id, timestamp_ms and follower_count must be non-negative", id="negative-ts"),
     pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"retweet"}',
@@ -85,6 +86,36 @@ MALFORMED = [
     pytest.param('"abc"', "string indices must be integers, not 'str'", id="bare-string"),
     pytest.param('\ufeff{"id":3}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 "
                  "column 1 (char 0)", id="byte-order-mark"),
+    # int() would truncate a fraction and read a numeric string or a boolean
+    pytest.param('{"id":3.0,"ts_ms":4,"user":2,"type":"root"}',
+                 "id must be an integer, not float", id="integral-float-id"),
+    pytest.param('{"id":3,"ts_ms":4.9,"user":2,"type":"root"}',
+                 "ts_ms must be an integer, not float", id="fractional-ts"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2.5,"type":"root"}',
+                 "user must be an integer, not float", id="fractional-user"),
+    pytest.param('{"id":3,"ts_ms":4,"user":true,"type":"root"}',
+                 "user must be an integer, not bool", id="boolean-user"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"retweet","root_id":"1"}',
+                 "root_id must be an integer, not str", id="numeric-string-root"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"retweet","root_id":1.5}',
+                 "root_id must be an integer, not float", id="fractional-root"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","followers":"12"}',
+                 "followers must be an integer, not str", id="numeric-string-followers"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","followers":false}',
+                 "followers must be an integer, not bool", id="boolean-followers"),
+    pytest.param('{"rl_ts_ms":5.5,"missed":1}', "rl_ts_ms must be an integer, not float",
+                 id="fractional-message-ts"),
+    pytest.param('{"rl_ts_ms":5,"missed":"1"}', "missed must be an integer, not str",
+                 id="numeric-string-missed"),
+    pytest.param('{"rl_ts_ms":5,"missed":true}', "missed must be an integer, not bool",
+                 id="boolean-missed"),
+    # str() would turn any value into a language name
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","lang":null}',
+                 "lang must be a string, not NoneType", id="null-lang"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","lang":["en"]}',
+                 "lang must be a string, not list", id="list-lang"),
+    pytest.param('{"id":3,"ts_ms":4,"user":2,"type":"root","lang":7}',
+                 "lang must be a string, not int", id="number-lang"),
 ]
 
 
@@ -107,7 +138,7 @@ class TestReaderErrors:
     # values JSON can carry but a record cannot hold
     @pytest.mark.parametrize("bad, reason", [
         ('{"id":3,"ts_ms":Infinity,"user":2,"type":"root"}',
-         "cannot convert float infinity to integer"),
+         "ts_ms must be an integer, not float"),
         ('{"id":3,"ts_ms":4,"user":2,"type":"root","hashtags":["a",1]}',
          "intern() argument must be str, not int"),
         ('{"id":3,"ts_ms":4,"user":2,"type":"root","urls":[null]}',
@@ -123,7 +154,7 @@ class TestReaderErrors:
         path = self.write(tmp_path / "bad.jsonl", GOOD_LINE,
                           '{"rl_ts_ms":5,"missed":-Infinity}')
         assert run_cli("sample", "--mode", "ratelimit", "-i", path, "-o", tmp_path / "s.jsonl") == 1
-        assert "bad.jsonl:4: cannot convert float infinity to integer" in capsys.readouterr().err
+        assert "bad.jsonl:4: missed must be an integer, not float" in capsys.readouterr().err
 
     def test_string_hashtags_exit_one(self, tmp_path, capsys):
         path = self.write(tmp_path / "bad.jsonl", GOOD_LINE,

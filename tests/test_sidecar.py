@@ -10,6 +10,7 @@ served.
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import tempfile
 from unittest import mock
@@ -272,6 +273,18 @@ def test_stale_sidecar_of_a_now_malformed_file_is_not_served(cached):
     with pytest.raises(LineFormatError) as err:
         read_bundle(path)
     assert err.value.lineno == 5
+
+
+def test_sidecar_of_an_older_reader_is_not_served(tmp_path):
+    # the reader before format 2 loaded "ts_ms":1.5 as 1; its sidecar, keyed
+    # by the digest of these very bytes, must not bring that row back
+    path = tmp_path / "b.jsonl"
+    path.write_text('{"id":0,"ts_ms":1.5,"user":2,"type":"root"}\n')
+    digest = hashlib.blake2b(path.read_bytes()).hexdigest()
+    sio._save_sidecar(sidecar_of(path), digest, StreamBundle.build([ev(0, 1, user=2)]))
+    rewrite(sidecar_of(path), format=np.array("streamfid-event-columns/1"))
+    with pytest.raises(LineFormatError, match="ts_ms must be an integer, not float"):
+        read_bundle(path)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
