@@ -33,8 +33,9 @@ _SVD_TOL = 1e-6
 _MAX_POWER_ITERS = 200
 
 # k-means: Lloyd steps after the k-means++ seeding, the warning an empty
-# cluster raises, and the dimension from which point-to-centre distances
-# come from one matrix product (the rules of scipy's kmeans2 and vq)
+# cluster raises, and the dimension from which the nearest-centre step
+# takes its distances from one matrix product (the rules of scipy's kmeans2
+# and vq; the seeding sums one dimension at a time, as cdist does)
 _KMEANS_STEPS = 10
 _EMPTY_CLUSTER = "One of the clusters is empty. Re-run kmeans with a different initialization."
 _PRODUCT_DISTANCE_DIMS = 5
@@ -170,13 +171,13 @@ def _truncated_svd(m, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _sq_distances(centres: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _sq_distances(centres: np.ndarray, points: np.ndarray, product: bool = False) -> np.ndarray:
     """Squared distance of every centre (rows) to every point (columns).
 
-    Summed one dimension at a time below _PRODUCT_DISTANCE_DIMS dimensions,
-    and as |x|^2 - 2 x.c + |c|^2 from one matrix product from there on.
+    Summed one dimension at a time, or with ``product`` as
+    |x|^2 - 2 x.c + |c|^2 from one matrix product.
     """
-    if points.shape[1] < _PRODUCT_DISTANCE_DIMS:
+    if not product:
         d2 = np.zeros((len(centres), len(points)))
         for j in range(points.shape[1]):
             diff = centres[:, j, None] - points[None, :, j]
@@ -208,8 +209,9 @@ def _seeded_kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
         d2 = _sq_distances(centres[:i], points).min(axis=0)
         cum = (d2 / d2.sum()).cumsum()
         centres[i] = points[int(np.searchsorted(cum, rng.uniform()))]
+    product = points.shape[1] >= _PRODUCT_DISTANCE_DIMS
     for _ in range(_KMEANS_STEPS):
-        labels = _sq_distances(centres, points).argmin(axis=0)
+        labels = _sq_distances(centres, points, product).argmin(axis=0)
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
             warnings.warn(_EMPTY_CLUSTER, stacklevel=3)

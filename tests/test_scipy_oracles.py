@@ -119,8 +119,13 @@ def recorded(call):
 @st.composite
 def point_sets(draw):
     dims = draw(st.integers(1, 6))
+    # grid values make exact ties, which only the very same distance
+    # arithmetic as scipy's (per dimension below 5 dimensions, one matrix
+    # product from 5 on) breaks the same way
+    step = draw(st.sampled_from([0.1, 1 / 3, 0.7, 1.0]))
+    grid = st.integers(-3, 3).map(lambda i: i * step)
     base = draw(hnp.arrays(float, (draw(st.integers(1, 30)), dims),
-                           elements=st.floats(-10, 10, width=32)))
+                           elements=grid | st.floats(-10, 10, width=32)))
     # repeated rows: tied distances and zero D^2 in the k-means++ draws
     points = base[draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=60))]
     return points, draw(st.integers(2, min(len(points), 8))), draw(st.integers(0, 2 ** 32 - 1))
@@ -137,6 +142,19 @@ def test_kmeans_labels_equal_kmeans2(case):
     else:
         np.testing.assert_array_equal(got, ref)
     assert got_warnings == ref_warnings
+
+
+def test_kmeans_breaks_ties_as_kmeans2():
+    # small grids put points at exactly equal distances from two centres
+    rng = np.random.default_rng(5)
+    for _ in range(600):
+        dims = int(rng.integers(1, 7))
+        points = rng.integers(-3, 4, size=(int(rng.integers(4, 12)), dims)) * rng.choice([0.3, 1 / 3, 0.7])
+        k, seed = int(rng.integers(2, 4)), int(rng.integers(0, 1000))
+        got, got_warnings = recorded(lambda: _seeded_kmeans(points, k, seed))
+        ref, ref_warnings = recorded(lambda: kmeans2(points, k, minit="++", seed=seed, missing="warn")[1])
+        np.testing.assert_array_equal(got, ref)
+        assert got_warnings == ref_warnings
 
 
 def test_empty_cluster_warns_with_kmeans2_text():
