@@ -7,11 +7,12 @@ of hour, second of minute, millisecond of second).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .model import Event, StreamBundle, bucket_of
+import numpy as np
+
+from .model import EVENT_TYPES, Event, StreamBundle, bucket_of, event_columns
 
 BREAKDOWN_KEYS = ("hour", "minute", "second", "millisecond", "lang", "type")
 
@@ -24,12 +25,16 @@ class BreakdownRow:
     rate: float
 
 
-def _bucket_counts(events: Iterable[Event], key: str, tz_offset_hours: int) -> Counter:
+def _bucket_counts(side: Union[StreamBundle, Iterable[Event]], key: str, tz_offset_hours: int) -> dict:
     if key == "lang":
-        return Counter(ev.lang for ev in events)
-    if key == "type":
-        return Counter(ev.event_type for ev in events)
-    return Counter(bucket_of(ev.timestamp_ms, key, tz_offset_hours, band_ms=1) for ev in events)
+        codes, labels = event_columns(side, "lang", "lang_table")
+    elif key == "type":
+        (codes,), labels = event_columns(side, "type"), EVENT_TYPES
+    else:
+        (ts,), labels = event_columns(side, "ts"), None
+        codes = bucket_of(ts, key, tz_offset_hours, band_ms=1)
+    counts = np.bincount(codes).tolist()   # time buckets and codes are small non-negative ints
+    return {b if labels is None else labels[b]: n for b, n in enumerate(counts) if n}
 
 
 def sampling_rate_breakdown(
@@ -40,17 +45,15 @@ def sampling_rate_breakdown(
 ) -> list[BreakdownRow]:
     """Per-bucket (complete count, sample count, rate) table.
 
-    Either side may be a bundle or any iterable of events; each is counted
-    in one pass, so memory is bounded by the bucket count.  Buckets with
-    zero complete count are omitted; the complete-count weighted mean of
-    the rates equals the stream-wide mean rate exactly.
+    Either side may be a bundle or any iterable of events.  Each is counted
+    over its columns (an iterable's are built for the call), so memory
+    grows with the event count.  Buckets with zero complete count are
+    omitted; the complete-count weighted mean of the rates equals the
+    stream-wide mean rate exactly.
     """
     if key not in BREAKDOWN_KEYS:
         raise ValueError(f"key must be one of {BREAKDOWN_KEYS}")
-    c_counts, s_counts = (
-        _bucket_counts(side.events if isinstance(side, StreamBundle) else side, key, tz_offset_hours)
-        for side in (complete, sample)
-    )
+    c_counts, s_counts = (_bucket_counts(side, key, tz_offset_hours) for side in (complete, sample))
     rows = []
     for bucket in sorted(c_counts, key=lambda b: (str(type(b)), b)):
         c = c_counts[bucket]

@@ -42,8 +42,10 @@ from .graphs import (
     cluster_flow,
     spectral_cocluster,
 )
-from .io import iter_records, read_bundle, write_bundle
-from .model import GRANULARITIES, Event, empirical_mean_rate, mean_rate_from_messages, merge_streams
+# iter_records is bound here, though no command streams a file, for the
+# callers that wrap this module's names (bench/cli_trace.py)
+from .io import iter_records, read_bundle, write_bundle  # noqa: F401
+from .model import GRANULARITIES, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
 from .simulate import (
@@ -111,10 +113,14 @@ def _write_json(path, payload, manifest):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _read_two_bundles(args, parser):
+def _two_inputs(args, parser):
     if len(args.input) != 2:
         parser.error(f"{args.command} needs exactly two -i inputs: complete then sample")
-    return read_bundle(args.input[0]), read_bundle(args.input[1])
+    return args.input
+
+
+def _read_two_bundles(args, parser):
+    return tuple(map(read_bundle, _two_inputs(args, parser)))
 
 
 def _one_input(args, parser):
@@ -197,20 +203,10 @@ def cmd_validate_ratelimit(args, parser):
     return 0
 
 
-def _stream_events(path):
-    """Events from a JSONL file, one at a time (messages skipped)."""
-    for rec in iter_records(path):
-        if isinstance(rec, Event):
-            yield rec
-
-
 def cmd_breakdown(args, parser):
-    # single pass per file; memory bounded by bucket count, not event count
-    if len(args.input) != 2:
-        parser.error("breakdown needs exactly two -i inputs: complete then sample")
-    breakdown = sampling_rate_breakdown(
-        _stream_events(args.input[0]), _stream_events(args.input[1]), args.key, args.tz_offset
-    )
+    # both streams are held whole, as columns when their sidecars serve them
+    complete, sample = _read_two_bundles(args, parser)
+    breakdown = sampling_rate_breakdown(complete, sample, args.key, args.tz_offset)
     rows = [(r.bucket, r.complete_count, r.sample_count, round(r.rate, 6)) for r in breakdown]
     _write_table(
         args.output,
@@ -223,7 +219,7 @@ def cmd_breakdown(args, parser):
 
 
 def cmd_entity_stats(args, parser):
-    fv = frequency_vector_of(_stream_events(_one_input(args, parser)), args.key)
+    fv = frequency_vector_of(read_bundle(_one_input(args, parser)), args.key)
     rows = [(k, fv.counts[k]) for k in sorted(fv.counts)]
     _write_table(args.output, ("k", "F_sample"), rows, _manifest(args), args.format)
     return 0
@@ -233,7 +229,7 @@ def cmd_estimate_missing(args, parser):
     if args.k_max < 1:
         parser.error("--k-max must be >= 1")
     sample = read_bundle(_one_input(args, parser))
-    fv = frequency_vector_of(sample.events, args.key)
+    fv = frequency_vector_of(sample, args.key)
     if args.rate is not None:
         rate = args.rate
     elif not sample.messages:
@@ -342,7 +338,7 @@ def cmd_graph(args, parser):
 
     src = _one_input(args, parser)
     if sub == "bipartite":
-        g = build_bipartite(read_bundle(src).events)
+        g = build_bipartite(read_bundle(src))
         rows = [(u, h, w) for (u, h), w in sorted(g.weights.items())]
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "cocluster":
@@ -353,18 +349,18 @@ def cmd_graph(args, parser):
             g = BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
                                tuple(sorted({h for _, h in weights})))
         else:
-            g = build_bipartite(read_bundle(src).events)
+            g = build_bipartite(read_bundle(src))
         labels = spectral_cocluster(g, args.k, _resolve_seed(args))
         _write_csv(args.output, ("node", "cluster"), sorted(labels.items()), manifest)
     elif sub == "retweet":
-        g = build_retweet_network(read_bundle(src).events, include_quotes=not args.no_quotes)
+        g = build_retweet_network(read_bundle(src), include_quotes=not args.no_quotes)
         rows = [(a, b, w) for (a, b), w in sorted(g.edges.items())]
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "bowtie":
         if str(src).endswith(".csv"):
             g = _digraph_from_csv(src)
         else:
-            g = build_retweet_network(read_bundle(src).events, include_quotes=not args.no_quotes)
+            g = build_retweet_network(read_bundle(src), include_quotes=not args.no_quotes)
         assignment = bowtie_decompose(g)
         _write_csv(
             args.output,
@@ -376,9 +372,10 @@ def cmd_graph(args, parser):
 
 
 def cmd_cascade(args, parser):
-    complete_bundle, sample_bundle = _read_two_bundles(args, parser)
-    complete = reconstruct_cascades(complete_bundle.events, include_quotes=args.include_quotes)
-    sample = reconstruct_cascades(sample_bundle.events, include_quotes=args.include_quotes)
+    # one stream at a time, so that one's columns are dropped before the
+    # other's are read
+    complete, sample = (reconstruct_cascades(read_bundle(p).events, include_quotes=args.include_quotes)
+                        for p in _two_inputs(args, parser))
     windows = ([(float("inf") if w == "inf" else float(w)) for w in args.window_s]
                or DEFAULT_REACH_WINDOWS_S)
     rows, summary = compare_cascades(complete, sample, args.retweet_threshold, windows)

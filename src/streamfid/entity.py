@@ -15,11 +15,11 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .model import Event, FrequencyVector
+from .model import Event, FrequencyVector, StreamBundle, distinct_per_event, event_columns
 
 DEFAULT_K_MAX = 100
 
@@ -354,25 +354,19 @@ def estimate_missing_entities(f_hat: FrequencyVector, rate: float) -> float:
     return sum((1.0 - rate) ** k * v for k, v in f_hat.counts.items())
 
 
-def entity_occurrences(events: Iterable[Event], key: str) -> Counter:
+def entity_occurrences(events: Union[StreamBundle, Iterable[Event]], key: str) -> Counter:
     """Occurrence count per entity; hashtags/urls are deduped within an event."""
     if key not in ENTITY_KEYS:
         raise ValueError(f"key must be one of {ENTITY_KEYS}")
-    counts: Counter = Counter()
     if key == "user":
-        for ev in events:
-            counts[ev.user_id] += 1
-    elif key == "hashtag":
-        for ev in events:
-            for h in set(ev.hashtags):
-                counts[h] += 1
+        entities, counts = np.unique(event_columns(events, "user")[0], return_counts=True)
+        entities = entities.tolist()
     else:
-        for ev in events:
-            for u in set(ev.urls):
-                counts[u] += 1
-    return counts
+        bounds, codes, entities = event_columns(events, f"{key}_bounds", f"{key}_codes", f"{key}_table")
+        counts = np.bincount(distinct_per_event(bounds, codes, len(entities))[1], minlength=len(entities))
+    return Counter({e: n for e, n in zip(entities, counts.tolist()) if n})
 
 
-def frequency_vector_of(events: Iterable[Event], key: str) -> FrequencyVector:
+def frequency_vector_of(events: Union[StreamBundle, Iterable[Event]], key: str) -> FrequencyVector:
     """Histogram of per-entity occurrence counts for one entity kind."""
     return FrequencyVector.from_occurrences(entity_occurrences(events, key).values())

@@ -12,11 +12,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Event
+from .model import EVENT_TYPES, Event, StreamBundle, distinct_per_event, event_columns
 
 LSCC = "LSCC"
 IN = "IN"
@@ -58,14 +58,16 @@ class BipartiteGraph:
         return len(self.users) + len(self.hashtags)
 
 
-def build_bipartite(events: Iterable[Event]) -> BipartiteGraph:
-    weights: Counter = Counter()
-    for ev in events:
-        for h in set(ev.hashtags):
-            weights[(ev.user_id, h)] += 1
-    users = tuple(sorted({u for u, _ in weights}))
-    hashtags = tuple(sorted({h for _, h in weights}))
-    return BipartiteGraph(dict(weights), users, hashtags)
+def build_bipartite(events: Union[StreamBundle, Iterable[Event]]) -> BipartiteGraph:
+    user, bounds, codes, table = event_columns(events, "user", "hashtag_bounds", "hashtag_codes",
+                                               "hashtag_table")
+    rows, codes = distinct_per_event(bounds, codes, len(table))
+    users, user_codes = np.unique(user, return_inverse=True)
+    # one int object per user, shared by its edges
+    weights = Counter(zip(map(users.tolist().__getitem__, user_codes[rows].tolist()),
+                          map(table.__getitem__, codes.tolist())))
+    return BipartiteGraph(dict(weights), tuple(sorted({u for u, _ in weights})),
+                          tuple(sorted({h for _, h in weights})))
 
 
 def user_node(user_id) -> str:
@@ -316,26 +318,22 @@ class Digraph:
         return cls(dict(weighted_edges), frozenset(nodes))
 
 
-def build_retweet_network(events: Sequence[Event], include_quotes: bool = True) -> Digraph:
+def build_retweet_network(events: Union[StreamBundle, Iterable[Event]], include_quotes: bool = True) -> Digraph:
     """Digraph of retweeter -> retweeted author, weighted by retweet count.
 
     Events whose root cannot be resolved to an author within the list are
     skipped and counted in ``skipped_unresolvable``.
     """
-    kinds = {"retweet", "quote"} if include_quotes else {"retweet"}
-    author_of = {ev.id: ev.user_id for ev in events if ev.event_type == "root"}
-    weights: Counter = Counter()
-    skipped = 0
-    for ev in events:
-        if ev.event_type not in kinds:
-            continue
-        author = author_of.get(ev.root_id)
-        if author is None:
-            skipped += 1
-            continue
-        weights[(ev.user_id, author)] += 1
+    ids, user, kind, root = event_columns(events, "id", "user", "type", "root")
+    roots = kind == EVENT_TYPES.index("root")
+    author_of = dict(zip(ids[roots].tolist(), user[roots].tolist()))
+    sharing = kind == EVENT_TYPES.index("retweet")
+    if include_quotes:
+        sharing |= kind == EVENT_TYPES.index("quote")
+    authors = list(map(author_of.get, root[sharing].tolist()))
+    weights = Counter((u, a) for u, a in zip(user[sharing].tolist(), authors) if a is not None)
     nodes = {n for e in weights for n in e}
-    return Digraph(dict(weights), frozenset(nodes), skipped)
+    return Digraph(dict(weights), frozenset(nodes), authors.count(None))
 
 
 @dataclass(frozen=True)

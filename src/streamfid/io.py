@@ -7,14 +7,14 @@ line is a message iff it has the key "rl_ts_ms".
 
 ``read_bundle`` keeps what it parsed in a sidecar ``<input>.streamfid.npz``
 beside the input: the bundle as numpy columns, keyed by the blake2b digest
-of the file's bytes.  A later read of the same bytes loads the columns
-instead of parsing the lines again; any other read parses.  The JSONL stays
-the one source of truth, and a sidecar is safe to delete.
+of the file's bytes.  A later read of the same bytes returns a bundle held
+as those columns instead of parsing the lines again; any other read
+parses.  The JSONL stays the one source of truth, and a sidecar is safe to
+delete.
 """
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 import os
@@ -23,15 +23,16 @@ import tempfile
 import zipfile
 from contextlib import suppress
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, Event, RateLimitMessage, StreamBundle
+from .model import (INT32_COLUMNS, Event, EventTable, RateLimitMessage, StreamBundle, check_bounds,
+                    collector_paused, event_columns)
 
 Record = Union[Event, RateLimitMessage]
 
@@ -168,18 +169,11 @@ class _HashingReader(io.RawIOBase):
 def read_bundle(path) -> StreamBundle:
     """Load a JSONL file into a StreamBundle (re-sorting if needed).
 
-    Loads the sidecar instead when it holds the columns of these exact
-    bytes; after a parse, writes it (a failed write is ignored).
+    Returns the bundle held as the sidecar's columns when it holds those of
+    these exact bytes; after a parse, writes it (a failed write is ignored).
     """
-    # records hold no reference cycles, and the cycle collector's passes
-    # over a heap that grows by a record per line took a third of a parse
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _read_bundle(path)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _read_bundle(path) -> StreamBundle:
@@ -227,31 +221,23 @@ def write_bundle(path, bundle: StreamBundle) -> None:
 
 # ---------------------------------------------------------------- sidecar
 #
-# One int64 column per event field: id, ts, user, type (index into
-# EVENT_TYPES), root (-1 for none), followers and lang (a code into the
-# lang table).  Hashtags and urls are CSR: <name>_bounds holds each event's
-# start into <name>_codes plus the end, and the codes index the name's
-# table.  A table of strings is CSR too: <name>_table_text holds the UTF-8
-# of the strings joined, <name>_table_bounds where each starts, in
-# characters.  Messages are the columns msg_ts and msg_missed.
+# The sidecar holds the columns that ``StreamBundle.from_columns`` takes:
+# the ``EventTable`` fields (int32 where allowed and the values fit), then
+# msg_ts and msg_missed.  A string table
+# <name> is stored as <name>_text, the UTF-8 of its strings joined, and
+# <name>_bounds, where each string starts, in characters, plus the end.
 
 SIDECAR_SUFFIX = ".streamfid.npz"
-SIDECAR_FORMAT = "streamfid-event-columns/2"
+SIDECAR_FORMAT = "streamfid-event-columns/3"
 
-_TYPE_CODE = {t: code for code, t in enumerate(EVENT_TYPES)}
+_COLUMNS = (*EventTable._fields, "msg_ts", "msg_missed")
 
 # what np.load and the column checks raise on a truncated, foreign or
 # tampered file (a lone .npy loads as an array, which is no context manager)
 _UNREADABLE = (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError, ValueError)
 
 
-def _codes(strings: Iterable[str], table: dict) -> Iterator[int]:
-    """Each string's code: its index in ``table``, which a new string joins."""
-    return (table.setdefault(s, len(table)) for s in strings)
-
-
-def _pack(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    strings = list(strings)
+def _pack(strings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     # surrogatepass: a JSON string may hold a lone surrogate, which plain
     # UTF-8 cannot encode; each stays one character on the way back
     text = "".join(strings).encode("utf-8", "surrogatepass")
@@ -259,36 +245,35 @@ def _pack(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(text, np.uint8), bounds
 
 
+def _unpack(z, name: str) -> list[str]:
+    raw = z[f"{name}_text"]
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise ValueError(f"sidecar column {name}_text is not UTF-8 bytes")
+    text = raw.tobytes().decode("utf-8", "surrogatepass")
+    bounds = z[f"{name}_bounds"]
+    check_bounds(bounds, None, len(text), f"{name}_bounds")
+    b = bounds.tolist()
+    return list(map(text.__getitem__, map(slice, b, b[1:])))
+
+
 def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
-    events, n = bundle.events, len(bundle.events)
-
-    def field(i: int) -> Iterator:
-        return map(itemgetter(i), events)
-
-    tables = {"lang": {}, "hashtag": {}, "url": {}}
     try:
-        cols = {
-            "id": np.fromiter(field(0), np.int64, n),
-            "ts": np.fromiter(field(1), np.int64, n),
-            "user": np.fromiter(field(2), np.int64, n),
-            "type": np.fromiter(map(_TYPE_CODE.__getitem__, field(3)), np.int64, n),
-            "root": np.fromiter((-1 if r is None else r for r in field(4)), np.int64, n),
-            "followers": np.fromiter(field(7), np.int64, n),
-            "lang": np.fromiter(_codes(field(8), tables["lang"]), np.int64, n),
-            "msg_ts": np.fromiter(map(itemgetter(0), bundle.messages), np.int64),
-            "msg_missed": np.fromiter(map(itemgetter(1), bundle.messages), np.int64),
-        }
-        for name, i in (("hashtag", 5), ("url", 6)):
-            bounds = np.fromiter(accumulate(map(len, field(i)), initial=0), np.int64, n + 1)
-            cols[f"{name}_bounds"] = bounds
-            cols[f"{name}_codes"] = np.fromiter(_codes(chain.from_iterable(field(i)), tables[name]),
-                                                np.int64, bounds[-1])
-    except OverflowError:
-        return  # a number beyond int64: such a file is parsed on every read
-    if np.count_nonzero(cols["root"] < 0) != np.count_nonzero(cols["type"] == _TYPE_CODE["root"]):
-        return  # a negative root id would come back as none
-    for name, table in tables.items():
-        cols[f"{name}_table_text"], cols[f"{name}_table_bounds"] = _pack(table)
+        cols = dict(zip(EventTable._fields, event_columns(bundle, *EventTable._fields)))
+        for name, i in (("msg_ts", 0), ("msg_missed", 1)):
+            cols[name] = np.fromiter(map(itemgetter(i), bundle.messages), np.int64, len(bundle.messages))
+        StreamBundle.from_columns(cols)
+    except (OverflowError, ValueError):
+        # a number beyond int64, or a negative root id, which would come
+        # back as none: such a file is parsed on every read
+        return
+    for name in INT32_COLUMNS:
+        # int32 where the values fit: a smaller file, and a smaller table in
+        # memory for each bundle it serves
+        if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
+            cols[name] = cols[name].astype(np.int32)
+    for name in EventTable._fields:
+        if name.endswith("_table"):
+            cols[f"{name}_text"], cols[f"{name}_bounds"] = _pack(cols.pop(name))
     try:
         fd, tmp = tempfile.mkstemp(prefix=f"{sidecar.name}.", suffix=".tmp", dir=sidecar.parent)
     except OSError:
@@ -305,67 +290,16 @@ def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
             os.unlink(tmp)  # left only when the write failed
 
 
-def _int_column(z, name: str, length: Optional[int] = None) -> np.ndarray:
-    col = z[name]
-    if col.dtype != np.int64 or col.ndim != 1 or (length is not None and len(col) != length):
-        raise ValueError(f"sidecar column {name} is not a 1-d int64 column of the rows' length")
-    return col
-
-
-def _bounds(z, name: str, rows: Optional[int], total: int) -> list[int]:
-    """CSR row bounds: ``rows + 1`` non-decreasing offsets from 0 to ``total``."""
-    bounds = _int_column(z, name, None if rows is None else rows + 1)
-    if len(bounds) == 0 or bounds[0] != 0 or bounds[-1] != total or np.any(np.diff(bounds) < 0):
-        raise ValueError(f"sidecar column {name} holds no CSR bounds")
-    return bounds.tolist()
-
-
-def _table(z, name: str) -> list[str]:
-    raw = z[f"{name}_table_text"]
-    if raw.dtype != np.uint8 or raw.ndim != 1:
-        raise ValueError(f"sidecar column {name}_table_text is not UTF-8 bytes")
-    text = raw.tobytes().decode("utf-8", "surrogatepass")
-    bounds = _bounds(z, f"{name}_table_bounds", None, len(text))
-    return [intern(text[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def _decoded(codes: np.ndarray, table) -> list[str]:
-    if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
-        raise ValueError("a sidecar code lies outside its table")
-    return np.array(table, dtype=object)[codes].tolist()
-
-
-def _entity_tuples(z, name: str, n: int) -> list[tuple[str, ...]]:
-    codes = _int_column(z, f"{name}_codes")
-    bounds = _bounds(z, f"{name}_bounds", n, len(codes))
-    flat = tuple(_decoded(codes, _table(z, name)))
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _load_sidecar(sidecar: Path, digest: str) -> Optional[StreamBundle]:
-    """The bundle a sidecar keeps for ``digest``; None when it is missing,
-    stale or invalid.  Every row goes through the record constructors and
-    the bundle's order and uniqueness checks, as a parsed row does."""
+    """The bundle a sidecar keeps for ``digest``, held as columns; None when
+    the sidecar is missing, stale or fails the checks of ``from_columns``."""
     try:
         # opened here: np.load leaks the file it opens when the zip is damaged
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if z["format"].tolist() != SIDECAR_FORMAT or z["digest"].tolist() != digest:
                 return None
-            ids = _int_column(z, "id")
-            n = len(ids)
-
-            def column(name: str) -> np.ndarray:
-                return _int_column(z, name, n)
-
-            events = list(map(
-                Event, ids.tolist(), column("ts").tolist(), column("user").tolist(),
-                _decoded(column("type"), EVENT_TYPES),
-                [None if r < 0 else r for r in column("root").tolist()],
-                _entity_tuples(z, "hashtag", n), _entity_tuples(z, "url", n),
-                column("followers").tolist(), _decoded(column("lang"), _table(z, "lang"))))
-            msg_ts = _int_column(z, "msg_ts")
-            messages = list(map(RateLimitMessage, msg_ts.tolist(),
-                                _int_column(z, "msg_missed", len(msg_ts)).tolist()))
-        return StreamBundle(events, messages)
+            columns = {name: _unpack(z, name) if name.endswith("_table") else z[name]
+                       for name in _COLUMNS}
+        return StreamBundle.from_columns(columns)
     except _UNREADABLE:
         return None

@@ -7,11 +7,16 @@ are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import pairwise
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional
+from contextlib import contextmanager
+from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import accumulate, chain, islice, pairwise, repeat
+from operator import eq, ge, itemgetter
+from sys import intern
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 EVENT_TYPES = ("root", "retweet", "quote", "reply")
 
@@ -24,13 +29,14 @@ MILLISECOND_BAND_MS = 50
 _CYCLES = {"hour": (3_600_000, 24), "minute": (60_000, 60), "second": (1_000, 60)}
 
 
-def bucket_of(timestamp_ms: int, granularity: str, tz_offset_hours: int = 0,
-              band_ms: int = MILLISECOND_BAND_MS) -> int:
+def bucket_of(timestamp_ms, granularity: str, tz_offset_hours: int = 0,
+              band_ms: int = MILLISECOND_BAND_MS):
     """Cyclic time bucket of a timestamp shifted by ``tz_offset_hours``.
 
     Hour of day, minute of hour, second of minute, or the millisecond of
     the second divided into bands of ``band_ms`` (1 gives one bucket per
-    millisecond).
+    millisecond).  A numpy array of timestamps gives the array of their
+    buckets.
     """
     ts = timestamp_ms + tz_offset_hours * 3_600_000
     if granularity == "millisecond":
@@ -109,31 +115,82 @@ class RateLimitMessage(_MessageFields):
         return tuple.__new__(cls, (timestamp_ms, cumulative_missed))
 
 
-@dataclass(frozen=True)
+@contextmanager
+def collector_paused():
+    """Pause Python's cycle collector while rows are built: they hold no
+    reference cycles, and the collector's passes over a heap that grows by
+    a row at a time took a third of a parse and half of a columns-to-rows
+    build."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class StreamBundle:
-    """An ordered interleaving of events and rate limit messages."""
+    """An ordered interleaving of events and rate limit messages.
 
-    events: tuple[Event, ...] = ()
-    messages: tuple[RateLimitMessage, ...] = ()
+    A bundle holds its events as ``Event`` rows, or, built by
+    ``from_columns``, as an ``EventTable``.  The counting layers read the
+    table through ``event_columns``; the first read of ``events`` builds
+    the rows and drops the table, so a bundle never holds both.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "messages", tuple(self.messages))
-        seen: set[int] = set()
-        prev = None
-        for key in map(_SORT_KEY, self.events):
-            if prev is not None and key <= prev:
-                raise ValueError("events must be strictly sorted by (timestamp_ms, id)")
-            prev = key
-            if key[1] in seen:
-                raise ValueError(f"duplicate event id {key[1]}")
-            seen.add(key[1])
-        for a, b in pairwise(self.messages):
+    __slots__ = ("_events", "_table", "messages")
+
+    def __init__(self, events: Iterable[Event] = (), messages: Iterable[RateLimitMessage] = ()):
+        events, messages = tuple(events), tuple(messages)
+        # C-level passes that hold no set of the ids: on 10^5 events a set
+        # is megabytes, and the peak memory of a merge
+        later = map(_SORT_KEY, events)
+        next(later, None)
+        if any(map(ge, map(_SORT_KEY, events), later)):
+            raise ValueError("events must be strictly sorted by (timestamp_ms, id)")
+        ids = sorted(map(itemgetter(0), events))
+        if any(map(eq, ids, islice(ids, 1, None))):
+            raise ValueError(f"duplicate event id {next(a for a, b in pairwise(ids) if a == b)}")
+        for a, b in pairwise(messages):
             if b.timestamp_ms < a.timestamp_ms:
                 raise ValueError("messages must be sorted by timestamp_ms")
+        self._hold(events, None, messages)
+
+    def _hold(self, events: tuple, table: Optional["EventTable"], messages: tuple) -> None:
+        object.__setattr__(self, "_events", events)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "messages", messages)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        if self._table is not None:
+            with collector_paused():
+                self._hold(_rows(self._table), None, self.messages)
+        return self._events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events) if self._table is None else len(self._table.id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.events == other.events and self.messages == other.messages
+
+    def __hash__(self) -> int:
+        return hash((self.events, self.messages))
+
+    def __repr__(self) -> str:
+        return f"StreamBundle(events={self.events!r}, messages={self.messages!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.events, self.messages)
 
     @classmethod
     def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
@@ -141,6 +198,202 @@ class StreamBundle:
         evs = sorted(events, key=_SORT_KEY)
         msgs = sorted(messages, key=lambda m: m.timestamp_ms)
         return cls(tuple(evs), tuple(msgs))
+
+    @classmethod
+    def from_columns(cls, columns: Mapping) -> "StreamBundle":
+        """The bundle held as ``columns``: every ``EventTable`` field plus the
+        message columns ``msg_ts`` and ``msg_missed``.
+
+        The columns are checked whole, in numpy, for their shapes and for
+        every rule that ``Event``, ``RateLimitMessage`` and the row
+        constructor enforce; a ValueError, TypeError or KeyError names the
+        first broken one.  No row is built until ``events`` is read.
+        """
+        c = {name: _int_column(columns[name], name) for name in _INT_COLUMNS}
+        n = len(c["id"])
+        short = next((name for name in _EVENT_COLUMNS if len(c[name]) != n), None)
+        if short is not None:
+            raise ValueError(f"column {short} is not as long as column id")
+        tables = {name: _string_table(columns[name], name) for name in _TABLES}
+        for base in ("hashtag", "url"):
+            check_bounds(c[f"{base}_bounds"], n, len(c[f"{base}_codes"]), f"{base}_bounds")
+        for name, size in (("type", len(EVENT_TYPES)), ("lang", len(tables["lang_table"])),
+                           ("hashtag_codes", len(tables["hashtag_table"])),
+                           ("url_codes", len(tables["url_table"]))):
+            if len(c[name]) and (c[name].min() < 0 or c[name].max() >= size):
+                raise ValueError(f"column {name} holds a code outside its table")
+        ids, ts = c["id"], c["ts"]
+        if np.any((c["root"] < 0) != (c["type"] == _TYPE_CODE["root"])):
+            raise ValueError("root_id present iff event_type != root")
+        if np.any(ids < 0) or np.any(ts < 0) or np.any(c["followers"] < 0):
+            raise ValueError("id, timestamp_ms and follower_count must be non-negative")
+        step = np.diff(ts)
+        if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
+            raise ValueError("events must be strictly sorted by (timestamp_ms, id)")
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValueError(f"duplicate event id {repeated[0]}")
+        msg_ts, missed = c["msg_ts"], c["msg_missed"]
+        if len(missed) != len(msg_ts):
+            raise ValueError("column msg_missed is not as long as column msg_ts")
+        if np.any(msg_ts < 0) or np.any(missed < 0):
+            raise ValueError("timestamp and counter must be non-negative")
+        if np.any(np.diff(msg_ts) < 0):
+            raise ValueError("messages must be sorted by timestamp_ms")
+        bundle = cls.__new__(cls)
+        messages = tuple(map(tuple.__new__, repeat(RateLimitMessage), zip(msg_ts.tolist(), missed.tolist())))
+        bundle._hold((), EventTable(**{name: tables[name] if name in tables else c[name]
+                                       for name in EventTable._fields}), messages)
+        return bundle
+
+
+# EventTable's columns: one integer entry per event for id, ts, user, type
+# (an index into EVENT_TYPES), root (the root id, -1 for none), followers
+# and lang (a code into lang_table).  Hashtags and urls are CSR:
+# <name>_bounds holds each event's start into <name>_codes plus the end,
+# and the codes index <name>_table, a tuple of distinct interned strings.
+# Columns are int64, but those in INT32_COLUMNS may be int32: no layer adds
+# to or multiplies their values in their own width.
+class EventTable(NamedTuple):
+    """The events of a bundle as numpy columns (see above); read-only."""
+
+    id: np.ndarray
+    ts: np.ndarray
+    user: np.ndarray
+    type: np.ndarray
+    root: np.ndarray
+    followers: np.ndarray
+    lang: np.ndarray
+    lang_table: tuple[str, ...]
+    hashtag_bounds: np.ndarray
+    hashtag_codes: np.ndarray
+    hashtag_table: tuple[str, ...]
+    url_bounds: np.ndarray
+    url_codes: np.ndarray
+    url_table: tuple[str, ...]
+
+
+INT32_COLUMNS = ("id", "user", "type", "root", "followers", "lang", "hashtag_bounds", "hashtag_codes",
+                 "url_bounds", "url_codes")
+_TABLES = ("lang_table", "hashtag_table", "url_table")
+_EVENT_COLUMNS = ("id", "ts", "user", "type", "root", "followers", "lang")
+_INT_COLUMNS = (*_EVENT_COLUMNS, "hashtag_bounds", "hashtag_codes", "url_bounds", "url_codes",
+                "msg_ts", "msg_missed")
+_TYPE_CODE = {t: code for code, t in enumerate(EVENT_TYPES)}
+# the Event field behind each column name, up to its "_"
+_FIELD = {"id": 0, "ts": 1, "user": 2, "type": 3, "root": 4, "hashtag": 5, "url": 6,
+          "followers": 7, "lang": 8}
+
+
+def _int_column(col, name: str) -> np.ndarray:
+    if (col.__class__ is not np.ndarray or col.ndim != 1
+            or col.dtype not in ((np.int64, np.int32) if name in INT32_COLUMNS else (np.int64,))):
+        raise ValueError(f"column {name} is not a 1-d integer array of a width it may have")
+    col = col.view()
+    col.setflags(write=False)
+    return col
+
+
+def check_bounds(bounds: np.ndarray, rows: Optional[int], total: int, name: str) -> None:
+    """Raise unless ``bounds`` is a 1-d int64 or int32 array of CSR row
+    bounds: ``rows + 1`` (any number when None) non-decreasing offsets from
+    0 to ``total``."""
+    if (bounds.__class__ is not np.ndarray or bounds.dtype not in (np.int64, np.int32) or bounds.ndim != 1
+            or (rows is not None and len(bounds) != rows + 1) or len(bounds) == 0 or bounds[0] != 0
+            or bounds[-1] != total or np.any(np.diff(bounds) < 0)):
+        raise ValueError(f"column {name} holds no CSR bounds")
+
+
+def _string_table(table, name: str) -> tuple[str, ...]:
+    table = tuple(map(intern, table))   # a TypeError for anything but a str
+    if len(set(table)) != len(table):
+        raise ValueError(f"column {name} repeats a string")
+    return table
+
+
+def _decoded(codes: np.ndarray, table: Sequence[str]) -> list[str]:
+    return np.array(table, dtype=object)[codes].tolist()
+
+
+def _tuples(bounds: np.ndarray, codes: np.ndarray, table: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The string tuples of the rows whose CSR bounds are ``bounds``."""
+    flat = tuple(_decoded(codes[bounds[0]:bounds[-1]], table))
+    b = (bounds - bounds[0]).tolist()
+    return map(flat.__getitem__, map(slice, b, b[1:]))
+
+
+# rows are built a block at a time, so that the lists feeding them stay
+# small: whole-column lists raised the peak memory of a process that
+# builds rows while it holds other data
+_ROW_BLOCK = 4096
+
+
+def _rows(t: EventTable) -> tuple[Event, ...]:
+    """The events of a table, built at C level: ``from_columns`` checked the
+    columns whole, so no row goes through ``Event``'s checks again."""
+    return tuple(chain.from_iterable(_row_block(t, a, a + _ROW_BLOCK)
+                                     for a in range(0, len(t.id), _ROW_BLOCK)))
+
+
+def _row_block(t: EventTable, a: int, b: int) -> Iterator[Event]:
+    root = t.root[a:b].astype(object)
+    root[t.root[a:b] < 0] = None
+    return map(tuple.__new__, repeat(Event), zip(
+        t.id[a:b].tolist(), t.ts[a:b].tolist(), t.user[a:b].tolist(), _decoded(t.type[a:b], EVENT_TYPES),
+        root.tolist(), _tuples(t.hashtag_bounds[a:b + 1], t.hashtag_codes, t.hashtag_table),
+        _tuples(t.url_bounds[a:b + 1], t.url_codes, t.url_table), t.followers[a:b].tolist(),
+        _decoded(t.lang[a:b], t.lang_table)))
+
+
+def _row_column(rows: Sequence[Event], name: str):
+    """The ``EventTable`` field ``name`` of event rows.  A table lists each
+    string where it is first used.  A number beyond int64 raises
+    OverflowError."""
+    base, _, part = name.partition("_")
+    n = len(rows)
+
+    def values() -> Iterator:
+        field = map(itemgetter(_FIELD[base]), rows)
+        return chain.from_iterable(field) if base in ("hashtag", "url") else field
+
+    if part == "bounds":
+        return np.fromiter(accumulate(map(len, map(itemgetter(_FIELD[base]), rows)), initial=0),
+                           np.int64, n + 1)
+    if base in ("lang", "hashtag", "url"):
+        table = tuple(dict.fromkeys(values()))
+        if part == "table":
+            return table
+        return np.fromiter(map(dict(zip(table, range(len(table)))).__getitem__, values()), np.int64)
+    if base == "type":
+        return np.fromiter(map(_TYPE_CODE.__getitem__, values()), np.int64, n)
+    if base == "root":
+        return np.fromiter((-1 if r is None else r for r in values()), np.int64, n)
+    return np.fromiter(values(), np.int64, n)
+
+
+def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Event positions and codes of a CSR code column (codes below
+    ``size``), each code kept once per event, in the order of first use."""
+    events = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    _, first = np.unique(events * max(size, 1) + codes, return_index=True)
+    first.sort()
+    return events[first], codes[first]
+
+
+def event_columns(source: Union[StreamBundle, Iterable[Event]], *names: str) -> tuple:
+    """The ``EventTable`` fields ``names`` of a bundle or of events.
+
+    A bundle held as columns serves its own.  Rows, a bundle's or given as
+    events, are converted on each call, and nothing is kept.
+    """
+    if isinstance(source, StreamBundle):
+        if (table := source._table) is not None:
+            return tuple(getattr(table, name) for name in names)
+        source = source.events
+    elif not isinstance(source, (tuple, list)):
+        source = tuple(source)
+    return tuple(_row_column(source, name) for name in names)
 
 
 @dataclass(frozen=True)
@@ -219,12 +472,12 @@ class TemporalRateProfile:
 def empirical_mean_rate(complete: StreamBundle, sample: StreamBundle) -> float:
     """Mean sampling rate measured against a reference stream.
 
-    Returns ``len(sample.events) / len(complete.events)``; the sample is
-    expected to be an id-subset of the complete bundle.
+    Returns ``len(sample) / len(complete)``; the sample is expected to be an
+    id-subset of the complete bundle.
     """
-    if not complete.events:
+    if not len(complete):
         raise ValueError("empty reference stream")
-    return len(sample.events) / len(complete.events)
+    return len(sample) / len(complete)
 
 
 def missed_increments(messages: Iterable[RateLimitMessage]) -> list[int]:
@@ -252,10 +505,10 @@ def mean_rate_from_messages(sample: StreamBundle) -> float:
     cumulative counter of the sample's rate limit messages.  This is the
     estimate available when no complete stream was collected.
     """
-    if not sample.events and not sample.messages:
+    if not len(sample) and not sample.messages:
         raise ValueError("empty sample stream")
     missed = sum(missed_increments(sample.messages))
-    delivered = len(sample.events)
+    delivered = len(sample)
     return delivered / (delivered + missed) if delivered + missed else 1.0
 
 
@@ -283,6 +536,7 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
         for msg, n in here.items():
             if n > msg_counts[msg]:
                 msg_counts[msg] = n
+    events = sorted(by_id.values(), key=_SORT_KEY)
+    del by_id   # freed before the bundle checks its events
     # a message is its own (timestamp_ms, cumulative_missed) sort key
-    messages = sorted(msg_counts.elements())
-    return StreamBundle(tuple(sorted(by_id.values(), key=_SORT_KEY)), tuple(messages))
+    return StreamBundle(events, sorted(msg_counts.elements()))

@@ -14,13 +14,13 @@ lowered Kendall tau against the true ranks instead of raising it.
 from __future__ import annotations
 
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .model import Event, StreamBundle, TemporalRateProfile, bucket_of, missed_increments
+from .model import Event, StreamBundle, TemporalRateProfile, bucket_of, event_columns, missed_increments
 
 ZERO_RATE_FLOOR = 1e-3
 
@@ -51,22 +51,29 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
     timestamp.  Buckets without a delivered event are left out of the
     profile, so they read its default rate 1 rather than rate 0.
     """
-    delivered: Counter = Counter()
-    for ev in sample.events:
-        delivered[bucket_of(ev.timestamp_ms, granularity)] += 1
+    buckets, delivered = np.unique(bucket_of(event_columns(sample, "ts")[0], granularity),
+                                   return_counts=True)
     missed: Counter = Counter()
     for msg, inc in zip(sample.messages, missed_increments(sample.messages)):
         missed[bucket_of(msg.timestamp_ms, granularity)] += inc
-    rates = {b: d / (d + missed[b]) for b, d in delivered.items()}
+    rates = {b: d / (d + missed[b]) for b, d in zip(buckets.tolist(), delivered.tolist())}
     return TemporalRateProfile(granularity, rates, default_rate=1.0)
 
 
-def corrected_volume(user_events: Sequence[Event], profile: TemporalRateProfile) -> float:
+def _corrected_volumes(groups: np.ndarray, ts: np.ndarray, profile: TemporalRateProfile) -> np.ndarray:
+    """Sum of 1/rate over the events of each group (the rate floored at
+    ZERO_RATE_FLOOR), added in event order."""
+    buckets, inverse = np.unique(bucket_of(ts, profile.granularity), return_inverse=True)
+    rates = np.array([profile.rates.get(b, profile.default_rate) for b in buckets.tolist()], float)
+    # bincount adds each group's weights one by one in array order
+    return np.bincount(groups, (1.0 / np.maximum(rates, ZERO_RATE_FLOOR))[inverse],
+                       minlength=int(groups.max(initial=0)) + 1)
+
+
+def corrected_volume(user_events: Union[StreamBundle, Iterable[Event]], profile: TemporalRateProfile) -> float:
     """Expected complete volume: sum of 1/rate over observed events."""
-    total = 0.0
-    for ev in user_events:
-        total += 1.0 / max(profile.rate_at(ev.timestamp_ms), ZERO_RATE_FLOOR)
-    return total
+    ts = event_columns(user_events, "ts")[0]
+    return float(_corrected_volumes(np.zeros(len(ts), np.intp), ts, profile)[0])
 
 
 def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
@@ -124,18 +131,20 @@ def top_k_rank_table(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    n_s = Counter(ev.user_id for ev in sample.events)
-    n_c = Counter(ev.user_id for ev in complete.events)
-    by_user: dict[int, list[Event]] = defaultdict(list)
-    for ev in sample.events:
-        by_user[ev.user_id].append(ev)
+    s_user, s_ts = event_columns(sample, "user", "ts")
+    users, groups, counts = np.unique(s_user, return_inverse=True, return_counts=True)
+    users = users.tolist()
+    n_s = dict(zip(users, counts.tolist()))
+    c_users, c_counts = np.unique(event_columns(complete, "user")[0], return_counts=True)
+    n_c = dict(zip(c_users.tolist(), c_counts.tolist()))
+    volumes = dict(zip(users, _corrected_volumes(groups, s_ts, profile).tolist()))
 
     if len(n_s) < k:
         warnings.warn(f"only {len(n_s)} users observed, shrinking top-k from {k}", stacklevel=2)
         k = len(n_s)
     selected = sorted(n_s, key=lambda u: (-n_s[u], u))[:k]
 
-    est_vol = {u: corrected_volume(by_user[u], profile) for u in selected}
+    est_vol = {u: volumes[u] for u in selected}
     observed = _rank_by(selected, {u: n_s[u] for u in selected})
     true = _rank_by(selected, {u: n_c.get(u, 0) for u in selected})
     estimated = _rank_by(selected, est_vol)

@@ -12,12 +12,14 @@ cumulative counter.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from statistics import mean, median
 from typing import Sequence
 
-from .model import RateLimitMessage, StreamBundle, missed_increments
+import numpy as np
+
+from .model import RateLimitMessage, StreamBundle, event_columns, missed_increments
 
 DEFAULT_MAX_THREADS = 4
 
@@ -54,11 +56,6 @@ class ValidationReport:
     mean_ape: float
 
 
-def _count_in(timestamps: Sequence[int], start_ms: int, end_ms: int) -> int:
-    # events with start < ts <= end
-    return bisect_right(timestamps, end_ms) - bisect_right(timestamps, start_ms)
-
-
 def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment]:
     """Maximal spans between consecutive sample messages with a clean reference.
 
@@ -70,25 +67,27 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
     msgs = sample.messages
     if len(msgs) < 2:
         return []
-    complete_ts = [e.timestamp_ms for e in complete.events]
-    sample_ts = [e.timestamp_ms for e in sample.events]
-    complete_msg_ts = [m.timestamp_ms for m in complete.messages]
-    segments = []
-    for lo, hi in zip(msgs, msgs[1:]):
-        if lo.timestamp_ms >= hi.timestamp_ms:
-            continue
-        if _count_in(complete_msg_ts, lo.timestamp_ms, hi.timestamp_ms) > 0:
-            continue
-        segments.append(
-            Segment(
-                start_ms=lo.timestamp_ms,
-                end_ms=hi.timestamp_ms,
-                bounding_messages=(lo, hi),
-                sample_event_count=_count_in(sample_ts, lo.timestamp_ms, hi.timestamp_ms),
-                complete_event_count=_count_in(complete_ts, lo.timestamp_ms, hi.timestamp_ms),
-            )
+    stamps = np.fromiter(map(itemgetter(0), msgs), np.int64, len(msgs))
+    lo, hi = stamps[:-1], stamps[1:]
+
+    def count_in(timestamps: np.ndarray) -> np.ndarray:
+        # events with lo < ts <= hi
+        return np.searchsorted(timestamps, hi, "right") - np.searchsorted(timestamps, lo, "right")
+
+    complete_msg_ts = np.fromiter(map(itemgetter(0), complete.messages), np.int64, len(complete.messages))
+    kept = np.flatnonzero((lo < hi) & (count_in(complete_msg_ts) == 0))
+    sample_counts = count_in(event_columns(sample, "ts")[0])[kept].tolist()
+    complete_counts = count_in(event_columns(complete, "ts")[0])[kept].tolist()
+    return [
+        Segment(
+            start_ms=msgs[i].timestamp_ms,
+            end_ms=msgs[i + 1].timestamp_ms,
+            bounding_messages=(msgs[i], msgs[i + 1]),
+            sample_event_count=n_s,
+            complete_event_count=n_c,
         )
-    return segments
+        for i, n_s, n_c in zip(kept.tolist(), sample_counts, complete_counts)
+    ]
 
 
 def estimate_missing(segment: Segment) -> int:

@@ -109,9 +109,6 @@ SCIPY_FREE = {
 }
 
 
-# these stream their input through iter_records, which keeps no sidecar
-STREAMING = {"breakdown", "entity-stats"}
-
 
 @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
 def test_command_loads_no_scipy(workdir, tmp_path, name):
@@ -122,8 +119,8 @@ def test_command_loads_no_scipy(workdir, tmp_path, name):
     argv = SCIPY_FREE[name]
     assert scipy_modules_after(argv, tmp_path) == []
     read = {b for a, b in zip(argv, argv[1:]) if a == "-i" and b.endswith(".jsonl")}
-    expected = set() if name in STREAMING else {a + ".streamfid.npz" for a in read}
-    assert {p.name for p in tmp_path.glob("*.streamfid.npz")} == expected
+    # every command reads its streams whole, so each keeps a sidecar
+    assert {p.name for p in tmp_path.glob("*.streamfid.npz")} == {a + ".streamfid.npz" for a in read}
     assert scipy_modules_after(argv, tmp_path) == []
 
 

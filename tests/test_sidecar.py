@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from streamfid import io as sio
 from streamfid.io import LineFormatError, read_bundle, write_bundle
-from streamfid.model import RateLimitMessage, StreamBundle
+from streamfid.model import EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, event_columns
 
 from conftest import ev
 
@@ -222,7 +222,29 @@ INVALID = {
     "two-d-column": lambda z: {"ts": z["ts"].reshape(1, 3)},
     "table-bounds-past-text": lambda z: {"lang_table_bounds": np.array([0, 2, 9])},
     "negative-missed": lambda z: {"msg_missed": np.array([-2])},
+    # rows built from columns skip the record constructors, so these rules
+    # hold only through the columns' own checks
+    "negative-id": lambda z: {"id": np.array([-1, 3, 5])},
+    "negative-followers": lambda z: {"followers": np.array([0, -1, 7])},
+    "equal-ts-decreasing-id": lambda z: {"ts": np.array([10, 20, 20]), "id": np.array([0, 5, 3])},
+    "messages-out-of-order": lambda z: {"msg_ts": np.array([25, 5]), "msg_missed": np.array([2, 2])},
+    "negative-message-ts": lambda z: {"msg_ts": np.array([-25])},
+    # times stay int64, since bucketing adds offsets to them
+    "int32-ts": lambda z: {"ts": z["ts"].astype(np.int32)},
+    "int16-user": lambda z: {"user": z["user"].astype(np.int16)},
 }
+
+
+def test_sidecar_narrows_the_columns_whose_values_fit(tmp_path):
+    path = tmp_path / "b.jsonl"
+    bundle = StreamBundle.build([ev(0, 10, user=3), ev(1, 20, user=-4, followers=2 ** 40)])
+    write_bundle(path, bundle)
+    read_bundle(path)
+    with np.load(sidecar_of(path), allow_pickle=False) as z:
+        assert {name: z[name].dtype for name in ("ts", "user", "followers", "type")} == {
+            "ts": np.int64, "user": np.int32, "followers": np.int64, "type": np.int32}
+    with no_parse():
+        assert read_bundle(path) == bundle
 
 
 @pytest.mark.parametrize("change", INVALID.values(), ids=INVALID.keys())
@@ -232,6 +254,76 @@ def test_invalid_rows_are_never_served(cached, change):
     with np.load(sidecar, allow_pickle=False) as z:
         rewrite(sidecar, **change(z))
     assert parsed_read(path) == bundle
+
+
+@st.composite
+def columns(draw):
+    """Columns of well-formed shape (codes inside their tables, CSR bounds)
+    whose values may break any rule of the records and the bundle."""
+    n = draw(st.integers(0, 6))
+    small = st.integers(-2, 8)
+
+    def ints(size, values=small, sort=False):
+        col = draw(st.lists(values, min_size=size, max_size=size))
+        return np.array(sorted(col) if sort and draw(st.booleans()) else col, np.int64)
+
+    def table():
+        return tuple(draw(st.lists(st.text(max_size=3), unique=True, max_size=4)))
+
+    cols = {"id": ints(n, sort=True), "ts": ints(n, sort=True), "user": ints(n, st.integers(-3, 3)),
+            "type": ints(n, st.integers(0, len(EVENT_TYPES) - 1)), "root": ints(n),
+            "followers": ints(n, st.integers(-1, 3))}
+    cols["lang_table"] = table() or ("en",)
+    cols["lang"] = ints(n, st.integers(0, len(cols["lang_table"]) - 1))
+    for name in ("hashtag", "url"):
+        strings = cols[f"{name}_table"] = table()
+        lengths = ints(n, st.integers(0, 3 if strings else 0))
+        cols[f"{name}_bounds"] = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        cols[f"{name}_codes"] = ints(int(lengths.sum()), st.integers(0, max(len(strings) - 1, 0)))
+    m = draw(st.integers(0, 3))
+    cols["msg_ts"], cols["msg_missed"] = ints(m, st.integers(-1, 5), sort=True), ints(m, st.integers(-1, 5))
+    return cols
+
+
+def rows_of(cols):
+    """The bundle of ``cols`` built row by row through the record constructors."""
+    def lists(name):
+        b, codes = cols[f"{name}_bounds"], cols[f"{name}_codes"]
+        return [tuple(cols[f"{name}_table"][c] for c in codes[b[i]:b[i + 1]]) for i in range(len(b) - 1)]
+
+    events = [Event(int(i), int(t), int(u), EVENT_TYPES[k], None if r < 0 else int(r), h, url, int(f),
+                    cols["lang_table"][lang])
+              for i, t, u, k, r, h, url, f, lang in zip(
+                  cols["id"], cols["ts"], cols["user"], cols["type"], cols["root"], lists("hashtag"),
+                  lists("url"), cols["followers"], cols["lang"])]
+    return StreamBundle(events, map(RateLimitMessage, cols["msg_ts"].tolist(), cols["msg_missed"].tolist()))
+
+
+def built(make, cols):
+    try:
+        return make(cols)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(columns())
+def test_columns_are_accepted_exactly_when_their_rows_are(cols):
+    by_rows, by_columns = built(rows_of, cols), built(StreamBundle.from_columns, cols)
+    assert (by_columns is None) == (by_rows is None)
+    if by_columns is not None:
+        assert len(by_columns) == len(cols["id"])
+        assert by_columns.events == by_rows.events and by_columns.messages == by_rows.messages
+        assert typed(by_columns) == typed(by_rows)
+
+
+@pytest.mark.parametrize("table, error", [(("a", "a"), ValueError), (("a", 1), TypeError)],
+                         ids=["repeated-string", "not-a-string"])
+def test_a_string_table_holds_distinct_strings(table, error):
+    cols = dict(zip(EventTable._fields, event_columns([ev(0, 1, hashtags=("a",))], *EventTable._fields)))
+    cols.update(hashtag_table=table, msg_ts=np.array([], np.int64), msg_missed=np.array([], np.int64))
+    with pytest.raises(error):
+        StreamBundle.from_columns(cols)
 
 
 def test_unwritable_directory_reads_and_writes_no_sidecar(tmp_path, monkeypatch):
