@@ -16,17 +16,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
-from .cascades import (
-    DEFAULT_REACH_WINDOWS_S,
-    ccdf,
-    compare_cascades,
-    inter_arrival_distribution,
-    reconstruct_cascades,
-)
+from .cascades import (DEFAULT_REACH_WINDOWS_S, ccdf_tables, compare_cascades,  # noqa: F401
+                       inter_arrival_distribution, reconstruct_cascades)
 from .entity import (
     ENTITY_KEYS,
     estimate_complete_frequency_vector,
@@ -42,8 +35,9 @@ from .graphs import (
     cluster_flow,
     spectral_cocluster,
 )
-# iter_records is bound here, though no command streams a file, for the
-# callers that wrap this module's names (bench/cli_trace.py)
+# iter_records (like inter_arrival_distribution above) is bound here, though
+# no command calls it, for the callers that wrap this module's names
+# (bench/cli_trace.py)
 from .io import iter_records, read_bundle, write_bundle  # noqa: F401
 from .model import GRANULARITIES, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
@@ -371,59 +365,38 @@ def cmd_graph(args, parser):
     return 0
 
 
+def _window_s(text: str, parser) -> float:
+    try:
+        window = float(text)
+    except ValueError:
+        window = math.nan
+    if not window > 0:
+        parser.error(f"--window-s must be a positive number of seconds or inf, not {text!r}")
+    return window
+
+
 def cmd_cascade(args, parser):
-    # one stream at a time, so that one's columns are dropped before the
-    # other's are read
-    complete, sample = (reconstruct_cascades(read_bundle(p).events, include_quotes=args.include_quotes)
+    windows = [_window_s(w, parser) for w in args.window_s] or DEFAULT_REACH_WINDOWS_S
+    if args.retweet_threshold < 0:
+        parser.error("--retweet-threshold must be >= 0")
+    # each stream is read as columns, and its cascades are columns too
+    complete, sample = (reconstruct_cascades(read_bundle(p), include_quotes=args.include_quotes)
                         for p in _two_inputs(args, parser))
-    windows = ([(float("inf") if w == "inf" else float(w)) for w in args.window_s]
-               or DEFAULT_REACH_WINDOWS_S)
     rows, summary = compare_cascades(complete, sample, args.retweet_threshold, windows)
-    manifest = _manifest(args)
-    payload = {
-        "cascades": {
-            "complete": summary.complete_cascades,
-            "sample": summary.sample_cascades,
-            "fully_observed": summary.fully_observed,
-            "fully_observed_fraction": summary.fully_observed_fraction,
-            f"complete_ge_{args.retweet_threshold}_retweets": summary.complete_ge_threshold,
-            f"sample_ge_{args.retweet_threshold}_retweets": summary.sample_ge_threshold,
-        },
-        "mean_retweets": {
-            "complete": summary.mean_retweets_complete,
-            "sample": summary.mean_retweets_sample,
-        },
-        "median_interarrival_s": {
-            "complete": summary.median_interarrival_complete_s,
-            "sample": summary.median_interarrival_sample_s,
-        },
-    }
-    _write_json(args.output, payload, manifest)
+    manifest, s, t = _manifest(args), summary, args.retweet_threshold
+    _write_json(args.output, {
+        "cascades": {"complete": s.complete_cascades, "sample": s.sample_cascades,
+                     "fully_observed": s.fully_observed, "fully_observed_fraction": s.fully_observed_fraction,
+                     f"complete_ge_{t}_retweets": s.complete_ge_threshold,
+                     f"sample_ge_{t}_retweets": s.sample_ge_threshold},
+        "mean_retweets": {"complete": s.mean_retweets_complete, "sample": s.mean_retweets_sample},
+        "median_interarrival_s": {"complete": s.median_interarrival_complete_s,
+                                  "sample": s.median_interarrival_sample_s},
+    }, manifest)
     if args.output:
         stem = Path(args.output).with_suffix("")
-        for name, cascades in (("complete", complete), ("sample", [c for c in sample if not c.is_rootless])):
-            dist = inter_arrival_distribution(cascades) if cascades else None
-            if dist is None or dist.median_s is None:
-                continue
-            _write_csv(
-                f"{stem}_interarrival_{name}.csv",
-                ("x_s", "ccdf"),
-                [(f"{x:.3f}", f"{y:.6f}") for x, y in zip(dist.grid_s, dist.ccdf)],
-                manifest,
-            )
-        for w in windows:
-            tag = "inf" if math.isinf(w) else f"{int(w)}s"
-            ratios = np.sort([r.relative_potential_reach[w] for r in rows
-                              if r.relative_potential_reach[w] is not None])
-            if not len(ratios):
-                continue
-            grid = np.arange(101) / 100.0
-            _write_csv(
-                f"{stem}_reach_{tag}.csv",
-                ("x", "ccdf"),
-                [(f"{x:.2f}", f"{y:.6f}") for x, y in zip(grid, ccdf(ratios, grid))],
-                manifest,
-            )
+        for name, (header, table) in ccdf_tables(complete, sample, rows, windows).items():
+            _write_csv(f"{stem}_{name}.csv", header, table, manifest)
     return 0
 
 

@@ -5,12 +5,14 @@ One JSON object per line.  Event lines carry {"id", "ts_ms", "user",
 message lines carry {"rl_ts_ms", "missed"}.  Mixed files interleave both; a
 line is a message iff it has the key "rl_ts_ms".
 
-``read_bundle`` keeps what it parsed in a sidecar ``<input>.streamfid.npz``
-beside the input: the bundle as numpy columns, keyed by the blake2b digest
-of the file's bytes.  A later read of the same bytes returns a bundle held
-as those columns instead of parsing the lines again; any other read
-parses.  The JSONL stays the one source of truth, and a sidecar is safe to
-delete.
+``read_bundle`` returns the bundle held as numpy columns, and keeps them
+in a sidecar ``<input>.streamfid.npz`` beside the input, keyed by the
+blake2b digest of the file's bytes.  A later read of the same bytes loads
+those columns instead of parsing the lines again; any other read parses,
+and returns the columns of what it parsed.  Only a file holding a number
+beyond int64 or a negative root id, which no table holds, is returned as
+rows, parsed on every read.  The JSONL stays the one source of truth, and
+a sidecar is safe to delete.
 """
 
 from __future__ import annotations
@@ -21,26 +23,26 @@ import os
 import stat
 import tempfile
 import zipfile
+from bisect import bisect_right
 from contextlib import suppress
-from functools import partial
-from itertools import accumulate
+from functools import cache, partial
+from itertools import accumulate, chain, islice
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from .model import (INT32_COLUMNS, Event, EventTable, RateLimitMessage, StreamBundle, check_bounds,
-                    collector_paused, event_columns)
+                    collector_paused, event_columns, field_blocks, message_columns)
 
 Record = Union[Event, RateLimitMessage]
 
-# one C scanner call per line, and one encoder: json.loads wraps the scanner
-# in Python-level checks, and json.dumps with separators builds an encoder
-# per call
+# one C scanner call per line: json.loads wraps the scanner in Python-level
+# checks
 _scan = json.JSONDecoder().scan_once
-_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 # the default of a missing hashtags or urls field; never mutated
 _NO_STRINGS: list = []
@@ -54,26 +56,6 @@ class LineFormatError(ValueError):
         self.path = str(path)
         self.lineno = lineno
         self.reason = reason
-
-
-def event_to_obj(ev: Event) -> dict:
-    obj = {
-        "id": ev.id,
-        "ts_ms": ev.timestamp_ms,
-        "user": ev.user_id,
-        "type": ev.event_type,
-    }
-    if ev.root_id is not None:
-        obj["root_id"] = ev.root_id
-    obj["hashtags"] = list(ev.hashtags)
-    obj["urls"] = list(ev.urls)
-    obj["followers"] = ev.follower_count
-    obj["lang"] = ev.lang
-    return obj
-
-
-def message_to_obj(msg: RateLimitMessage) -> dict:
-    return {"rl_ts_ms": msg.timestamp_ms, "missed": msg.cumulative_missed}
 
 
 def _not_a_list(name: str, value):
@@ -167,10 +149,12 @@ class _HashingReader(io.RawIOBase):
 
 
 def read_bundle(path) -> StreamBundle:
-    """Load a JSONL file into a StreamBundle (re-sorting if needed).
+    """Load a JSONL file into a StreamBundle held as columns (re-sorting if
+    needed).
 
-    Returns the bundle held as the sidecar's columns when it holds those of
-    these exact bytes; after a parse, writes it (a failed write is ignored).
+    Loads the sidecar's columns when it holds those of these exact bytes;
+    after a parse, writes it (a failed write is ignored).  A bundle that no
+    table holds comes back as rows.
     """
     with collector_paused():
         return _read_bundle(path)
@@ -200,23 +184,61 @@ def _read_bundle(path) -> StreamBundle:
         with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)), encoding="utf-8") as fh:
             for rec in _records(fh, path):
                 (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
-    bundle = StreamBundle.build(events, messages)
+    events.sort(key=itemgetter(1, 0))   # by (timestamp_ms, id)
+    messages.sort(key=itemgetter(0))
+    held = _held(events, messages)
+    if held is None:
+        return StreamBundle(events, messages)
+    del events   # before the sidecar is packed
     if regular:
-        _save_sidecar(sidecar, digest.hexdigest(), bundle)
-    return bundle
+        _save_sidecar(sidecar, digest.hexdigest(), held)
+    return held
+
+
+# one template per record kind, in the key order of the format above; a
+# string field is filled with its JSON text (json.dumps's, ASCII-escaped),
+# and root_id with its whole member or nothing
+_EVENT_LINE = ('{"id":%d,"ts_ms":%d,"user":%d,"type":%s,%s"hashtags":[%s],"urls":[%s],'
+               '"followers":%d,"lang":%s}\n')
+_MESSAGE_LINE = '{"rl_ts_ms":%d,"missed":%d}\n'
+_WRITE_BLOCK = 4096   # lines joined per write
+
+
+def _event_lines(fields: Sequence[Iterable], quote) -> Iterator[str]:
+    """The lines of events given as their nine ``Event`` fields."""
+    ids, ts, users, types, roots, tags, urls, followers, langs = fields
+    return map(_EVENT_LINE.__mod__, zip(
+        ids, ts, users, map(quote, types), ("" if r is None else '"root_id":%d,' % r for r in roots),
+        map(",".join, map(partial(map, quote), tags)), map(",".join, map(partial(map, quote), urls)),
+        followers, map(quote, langs)))
 
 
 def write_bundle(path, bundle: StreamBundle) -> None:
-    """Write events and messages interleaved chronologically."""
-    records = [((ev.timestamp_ms, 0, ev.id), _encode(event_to_obj(ev))) for ev in bundle.events]
-    records += [((msg.timestamp_ms, 1, msg.cumulative_missed), _encode(message_to_obj(msg)))
-                for msg in bundle.messages]
-    records.sort(key=itemgetter(0))
+    """Write events and messages interleaved chronologically: each message
+    after the events of its millisecond, and messages of one millisecond in
+    counter order.  Lines are formatted and written a block at a time, with
+    each distinct string encoded once."""
+    quote = cache(encode_basestring_ascii)
+    messages = sorted(bundle.messages)
+    if (table := bundle.table) is None:
+        events = bundle.events   # which may hold numbers beyond int64
+        lines = _event_lines([map(itemgetter(i), events) for i in range(len(Event._fields))], quote)
+        ts = [e.timestamp_ms for e in events]
+        at = [bisect_right(ts, m.timestamp_ms) for m in messages]
+    else:
+        lines = chain.from_iterable(_event_lines(fields, quote) for fields in field_blocks(table))
+        at = np.searchsorted(table.ts, [m.timestamp_ms for m in messages], side="right").tolist()
+    parts, done = [], 0
+    for i, msg in zip(at, messages):
+        parts += (islice(lines, i - done), (_MESSAGE_LINE % msg,))
+        done = i
+    ordered = chain.from_iterable((*parts, lines))
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for _, line in records)
+        for block in iter(lambda: "".join(islice(ordered, _WRITE_BLOCK)), ""):
+            fh.write(block)
 
 
 # ---------------------------------------------------------------- sidecar
@@ -256,21 +278,29 @@ def _unpack(z, name: str) -> list[str]:
     return list(map(text.__getitem__, map(slice, b, b[1:])))
 
 
-def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
+def _held(events: list[Event], messages: list[RateLimitMessage]) -> Optional[StreamBundle]:
+    """Sorted events and messages as a bundle held as checked columns, int32
+    where the values fit; None when they hold a number beyond int64 or a
+    negative root id, which would come back as none: such a file is parsed
+    on every read."""
     try:
-        cols = dict(zip(EventTable._fields, event_columns(bundle, *EventTable._fields)))
-        for name, i in (("msg_ts", 0), ("msg_missed", 1)):
-            cols[name] = np.fromiter(map(itemgetter(i), bundle.messages), np.int64, len(bundle.messages))
-        StreamBundle.from_columns(cols)
+        cols = {**dict(zip(EventTable._fields, event_columns(events, *EventTable._fields))),
+                **message_columns(messages)}
+        for name in INT32_COLUMNS:
+            # int32 where the values fit: a smaller file, and a smaller table
+            # in memory for each bundle it serves
+            if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
+                cols[name] = cols[name].astype(np.int32)
+        return StreamBundle.from_columns(cols)
     except (OverflowError, ValueError):
-        # a number beyond int64, or a negative root id, which would come
-        # back as none: such a file is parsed on every read
+        return None
+
+
+def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
+    held = bundle if bundle.table is not None else _held(bundle.events, bundle.messages)
+    if held is None:
         return
-    for name in INT32_COLUMNS:
-        # int32 where the values fit: a smaller file, and a smaller table in
-        # memory for each bundle it serves
-        if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
-            cols[name] = cols[name].astype(np.int32)
+    cols = {**held.table._asdict(), **message_columns(held.messages)}
     for name in EventTable._fields:
         if name.endswith("_table"):
             cols[f"{name}_text"], cols[f"{name}_bounds"] = _pack(cols.pop(name))

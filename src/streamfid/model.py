@@ -11,7 +11,7 @@ import gc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import accumulate, chain, islice, pairwise, repeat
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import eq, ge, itemgetter
 from sys import intern
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -175,6 +175,11 @@ class StreamBundle:
                 self._hold(_rows(self._table), None, self.messages)
         return self._events
 
+    @property
+    def table(self) -> Optional["EventTable"]:
+        """The columns that hold the events, or None when rows hold them."""
+        return self._table
+
     def __len__(self) -> int:
         return len(self._events) if self._table is None else len(self._table.id)
 
@@ -332,18 +337,21 @@ _ROW_BLOCK = 4096
 def _rows(t: EventTable) -> tuple[Event, ...]:
     """The events of a table, built at C level: ``from_columns`` checked the
     columns whole, so no row goes through ``Event``'s checks again."""
-    return tuple(chain.from_iterable(_row_block(t, a, a + _ROW_BLOCK)
-                                     for a in range(0, len(t.id), _ROW_BLOCK)))
+    return tuple(chain.from_iterable(map(tuple.__new__, repeat(Event), zip(*f)) for f in field_blocks(t)))
 
 
-def _row_block(t: EventTable, a: int, b: int) -> Iterator[Event]:
-    root = t.root[a:b].astype(object)
-    root[t.root[a:b] < 0] = None
-    return map(tuple.__new__, repeat(Event), zip(
-        t.id[a:b].tolist(), t.ts[a:b].tolist(), t.user[a:b].tolist(), _decoded(t.type[a:b], EVENT_TYPES),
-        root.tolist(), _tuples(t.hashtag_bounds[a:b + 1], t.hashtag_codes, t.hashtag_table),
-        _tuples(t.url_bounds[a:b + 1], t.url_codes, t.url_table), t.followers[a:b].tolist(),
-        _decoded(t.lang[a:b], t.lang_table)))
+def field_blocks(t: EventTable) -> Iterator[tuple]:
+    """The nine ``Event`` fields of a table's rows as sequences, a block of
+    rows at a time."""
+    for a in range(0, len(t.id), _ROW_BLOCK):
+        b = a + _ROW_BLOCK
+        root = t.root[a:b].astype(object)
+        root[t.root[a:b] < 0] = None
+        yield (t.id[a:b].tolist(), t.ts[a:b].tolist(), t.user[a:b].tolist(),
+               _decoded(t.type[a:b], EVENT_TYPES), root.tolist(),
+               _tuples(t.hashtag_bounds[a:b + 1], t.hashtag_codes, t.hashtag_table),
+               _tuples(t.url_bounds[a:b + 1], t.url_codes, t.url_table), t.followers[a:b].tolist(),
+               _decoded(t.lang[a:b], t.lang_table))
 
 
 def _row_column(rows: Sequence[Event], name: str):
@@ -388,12 +396,36 @@ def event_columns(source: Union[StreamBundle, Iterable[Event]], *names: str) -> 
     events, are converted on each call, and nothing is kept.
     """
     if isinstance(source, StreamBundle):
-        if (table := source._table) is not None:
+        if (table := source.table) is not None:
             return tuple(getattr(table, name) for name in names)
         source = source.events
     elif not isinstance(source, (tuple, list)):
         source = tuple(source)
     return tuple(_row_column(source, name) for name in names)
+
+
+def take(bundle: StreamBundle, keep: np.ndarray, messages: Sequence[RateLimitMessage] = ()) -> StreamBundle:
+    """The events of ``bundle`` where the boolean mask ``keep`` is set, with
+    ``messages``, held as ``bundle`` holds its events: the kept rows of its
+    table, with the CSR columns re-sliced and the string tables shared, or
+    its kept rows.
+    """
+    if (t := bundle.table) is None:
+        return StreamBundle(compress(bundle.events, keep.tolist()), messages)
+    cols = t._asdict()
+    for name in _EVENT_COLUMNS:
+        cols[name] = cols[name][keep]
+    for base in ("hashtag", "url"):
+        lengths = np.diff(cols[f"{base}_bounds"])
+        cols[f"{base}_codes"] = cols[f"{base}_codes"][np.repeat(keep, lengths)]
+        cols[f"{base}_bounds"] = np.concatenate(([0], np.cumsum(lengths[keep]))).astype(lengths.dtype)
+    return StreamBundle.from_columns({**cols, **message_columns(messages)})
+
+
+def message_columns(messages: Sequence[RateLimitMessage]) -> dict:
+    """The ``from_columns`` columns msg_ts and msg_missed of ``messages``."""
+    return {name: np.fromiter(map(itemgetter(i), messages), np.int64, len(messages))
+            for i, name in enumerate(("msg_ts", "msg_missed"))}
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .model import Event, RateLimitMessage, StreamBundle
+from .model import Event, RateLimitMessage, StreamBundle, event_columns, take
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
@@ -217,21 +218,26 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
 
     drafts.sort(key=lambda d: (d[0], d[1]))
     final_id = {d[1]: i for i, d in enumerate(drafts)}
-    events = [
-        Event(
-            id=i,
-            timestamp_ms=d[0],
-            user_id=d[2],
-            event_type=d[3],
-            root_id=None if d[4] is None else final_id[d[4]],
-            hashtags=d[6],
-            urls=d[7],
-            follower_count=users.followers(d[2]),
-            lang=d[5],
-        )
-        for i, d in enumerate(drafts)
-    ]
-    return StreamBundle(tuple(events))
+    return StreamBundle(Event(i, d[0], d[2], d[3], None if d[4] is None else final_id[d[4]], d[6], d[7],
+                              users.followers(d[2]), d[5]) for i, d in enumerate(drafts))
+
+
+def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[np.ndarray, list]:
+    """Keep mask and messages of the threshold sampler over sorted times
+    ``ts``: an event's rank in its window is its position less that of the
+    window's first event, and messages carry the running sum of drops."""
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    if not 0 <= anchor_ms < 1000:
+        raise ValueError("anchor_ms must be in [0, 1000)")
+    window = (ts - anchor_ms) // 1000
+    first = np.flatnonzero(np.diff(window, prepend=window[:1] - 1))
+    sizes = np.diff(first, append=len(ts))
+    keep = np.arange(len(ts)) - np.repeat(first, sizes) < threshold
+    dropped = np.maximum(sizes - min(threshold, len(ts)), 0)
+    hit = dropped > 0
+    stamps = anchor_ms + (window[first[hit]] + 1) * 1000 - 1
+    return keep, list(map(RateLimitMessage, stamps.tolist(), np.cumsum(dropped)[hit].tolist()))
 
 
 def rate_limited_sample(
@@ -246,43 +252,13 @@ def rate_limited_sample(
     millisecond of that window carrying the cumulative dropped count since
     the start of the stream.
     """
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if not 0 <= anchor_ms < 1000:
-        raise ValueError("anchor_ms must be in [0, 1000)")
-    delivered: list[Event] = []
-    messages: list[RateLimitMessage] = []
-    cum_dropped = 0
-    window = None
-    in_window = 0
-    window_dropped = 0
-    prev_key = None
-
-    def flush(w):
-        if window_dropped:
-            messages.append(RateLimitMessage(anchor_ms + (w + 1) * 1000 - 1, cum_dropped))
-
-    for ev in events:
-        key = ev.sort_key
-        if prev_key is not None and key <= prev_key:
-            raise ValueError("unsorted input")
-        prev_key = key
-        w = (ev.timestamp_ms - anchor_ms) // 1000
-        if w != window:
-            if window is not None:
-                flush(window)
-            window = w
-            in_window = 0
-            window_dropped = 0
-        if in_window < threshold:
-            delivered.append(ev)
-            in_window += 1
-        else:
-            cum_dropped += 1
-            window_dropped += 1
-    if window is not None:
-        flush(window)
-    return delivered, messages
+    events = events if isinstance(events, (tuple, list)) else tuple(events)
+    ids, ts = event_columns(events, "id", "ts")
+    keep, messages = _threshold_sampler(ts, threshold, anchor_ms)
+    step = np.diff(ts)
+    if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
+        raise ValueError("unsorted input")
+    return list(compress(events, keep.tolist())), messages
 
 
 def rate_limited_bundle(
@@ -290,19 +266,22 @@ def rate_limited_bundle(
     threshold: int = DEFAULT_THRESHOLD,
     anchor_ms: int = DEFAULT_ANCHOR_MS,
 ) -> StreamBundle:
-    events, messages = rate_limited_sample(complete.events, threshold, anchor_ms)
-    return StreamBundle(tuple(events), tuple(messages))
+    """``rate_limited_sample`` of a bundle, held as the bundle is (see ``take``)."""
+    return take(complete, *_threshold_sampler(event_columns(complete, "ts")[0], threshold, anchor_ms))
+
+
+def _bernoulli_keep(n: int, rate: float, seed: int) -> np.ndarray:
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must be in [0,1]")
+    return np.random.default_rng(seed).random(n) < rate
 
 
 def bernoulli_sample(events: Sequence[Event], rate: float, seed: int = 0) -> list[Event]:
     """Keep each event independently with probability ``rate`` (order kept)."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0,1]")
-    if not events:
-        return []
-    keep = np.random.default_rng(seed).random(len(events)) < rate
-    return [ev for ev, k in zip(events, keep) if k]
+    events = events if isinstance(events, (tuple, list)) else tuple(events)
+    return list(compress(events, _bernoulli_keep(len(events), rate, seed).tolist()))
 
 
 def bernoulli_bundle(complete: StreamBundle, rate: float, seed: int = 0) -> StreamBundle:
-    return StreamBundle(tuple(bernoulli_sample(complete.events, rate, seed)))
+    """``bernoulli_sample`` of a bundle's events, held as the bundle is (see ``take``)."""
+    return take(complete, _bernoulli_keep(len(complete), rate, seed))

@@ -5,7 +5,6 @@ from streamfid.cascades import (
     Cascade,
     compare_cascades,
     inter_arrival_distribution,
-    potential_reach,
     reconstruct_cascades,
     relative_potential_reach,
 )
@@ -146,16 +145,6 @@ class TestInterArrival:
             assert ds.quantile(q) >= dc.quantile(q)
 
 
-class TestPotentialReach:
-    def test_no_retweets_zero(self):
-        assert potential_reach(make_cascade(gaps_s=())) == 0
-
-    def test_sum_of_followers(self):
-        c = make_cascade(gaps_s=(1, 2), followers=[10, 20])
-        assert potential_reach(c) == 30
-        assert c.root.follower_count == 0  # root never counted
-
-
 class TestRelativePotentialReach:
     def test_identical_is_one(self):
         c = make_cascade(gaps_s=(1, 2), followers=[10, 20])
@@ -172,6 +161,12 @@ class TestRelativePotentialReach:
         # within 600 s only the first retweet exists; the sample missed it
         assert relative_potential_reach(sample, complete, window_s=600) == 0.0
         assert relative_potential_reach(sample, complete) == pytest.approx(0.9)
+
+    def test_window_holds_its_last_millisecond(self):
+        complete = make_cascade(gaps_s=(600, 1), followers=[10, 30])
+        sample = Cascade(complete.root_id, complete.root, complete.retweets[:1])
+        assert relative_potential_reach(sample, complete, window_s=600) == 1.0
+        assert relative_potential_reach(sample, complete, window_s=599.999) is None
 
     def test_zero_over_zero_undefined(self):
         complete = make_cascade(gaps_s=(700,), followers=[10])

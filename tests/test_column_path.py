@@ -1,15 +1,17 @@
 """Bundles held as columns: a sidecar hit builds no ``Event`` rows.
 
-``read_bundle`` returns a bundle held as its sidecar's columns, and the
-counting layers read those columns.  Here the one columns-to-rows function
-raises, so any layer or command that still builds rows fails; each must
-give what it gives on rows, a bundle's or a plain iterable's.
+``read_bundle`` returns a bundle held as columns, and the counting layers,
+the samplers, the writer and the cascade measures read those columns.
+Here the one columns-to-rows function raises, so any layer or command that
+still builds rows fails; each must give what it gives on rows, a bundle's
+or a plain iterable's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import streamfid as sf
 from streamfid import model
 from streamfid.cli import main
-from streamfid.io import iter_records, read_bundle
+from streamfid.io import iter_records, read_bundle, write_bundle
 
 from conftest import ev
 
@@ -39,6 +41,8 @@ def streams(tmp_path_factory):
     assert main(["simulate", "--duration", "120", "--rate", "40", "--seed", "8", "-o", str(complete)]) == 0
     assert main(["sample", "--mode", "ratelimit", "--threshold", "4", "-i", str(complete),
                  "-o", str(sample)]) == 0
+    assert main(["sample", "--mode", "bernoulli", "--rate", "0.5", "--seed", "3", "-i", str(complete),
+                 "-o", str(d / "bernoulli.jsonl")]) == 0
     for p in d.glob("*.streamfid.npz"):
         p.unlink()
     return d
@@ -58,7 +62,18 @@ COMMANDS = {
     "graph-cocluster": ["graph", "cocluster", "-i", "sample.jsonl", "--k", "4", "--seed", "1",
                         "-o", "clusters.csv"],
     "graph-bowtie": ["graph", "bowtie", "-i", "complete.jsonl", "-o", "bowtie.csv"],
+    "sample-ratelimit": ["sample", "--mode", "ratelimit", "--threshold", "3", "--anchor-ms", "250",
+                         "-i", "complete.jsonl", "-o", "sampled.jsonl"],
+    "sample-bernoulli": ["sample", "--mode", "bernoulli", "--rate", "0.4", "--seed", "7",
+                         "-i", "complete.jsonl", "-o", "sampled.jsonl"],
+    # the two cascade commands of tests/test_golden_cli.py
+    "cascade": ["cascade", "-i", "complete.jsonl", "-i", "sample.jsonl", "-o", "cascade.json"],
+    "cascade-quotes-windows": ["cascade", "-i", "complete.jsonl", "-i", "bernoulli.jsonl", "--include-quotes",
+                               "--window-s", "60", "--window-s", "inf", "--retweet-threshold", "5",
+                               "-o", "cascade_q.json"],
 }
+
+INPUTS = ("complete.jsonl", "sample.jsonl", "bernoulli.jsonl")
 
 
 def outputs(argv) -> dict:
@@ -66,7 +81,8 @@ def outputs(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    written = {b: Path(b).read_bytes() for a, b in zip(argv, argv[1:]) if a == "-o"}
+    written = {p.name: p.read_bytes() for p in sorted(Path().iterdir())
+               if p.name not in INPUTS and not p.name.endswith(".streamfid.npz")}
     return {"code": code, "stdout": out.getvalue(), "files": written}
 
 
@@ -76,8 +92,8 @@ def test_command_on_columns_builds_no_rows_and_gives_the_rows_output(streams, tm
         shutil.copyfile(p, tmp_path / p.name)
     monkeypatch.chdir(tmp_path)
     argv = COMMANDS[name]
-    parsed = outputs(argv)   # parses: the bundles hold rows, and the sidecars are written
-    assert parsed["code"] == 0
+    parsed = outputs(argv)   # parses, and writes the sidecars
+    assert parsed["code"] == 0 and (parsed["files"] or parsed["stdout"])
     assert list(tmp_path.glob("*.streamfid.npz"))
     with no_rows():
         assert outputs(argv) == parsed
@@ -106,7 +122,29 @@ EVENT_LAYERS = {
     "retweet": lambda c, s: sf.build_retweet_network(c),
     "retweet-no-quotes": lambda c, s: sf.build_retweet_network(s, include_quotes=False),
     "corrected-volume": lambda c, s: sf.corrected_volume(s, PROFILE),
+    "cascade-columns": lambda c, s: cascade_columns(sf.reconstruct_cascades(c, include_quotes=True)),
+    "compare-cascades": lambda c, s: sf.compare_cascades(sf.reconstruct_cascades(c), sf.reconstruct_cascades(s)),
+    "compare-cascades-quotes-windows": lambda c, s: sf.compare_cascades(
+        sf.reconstruct_cascades(c, True), sf.reconstruct_cascades(s, True), 5, (60.0, 1e9, float("inf"))),
+    "inter-arrival": lambda c, s: distribution(sf.inter_arrival_distribution(sf.reconstruct_cascades(c))),
+    "inter-arrival-no-root": lambda c, s: distribution(
+        sf.inter_arrival_distribution(sf.reconstruct_cascades(s), include_root=False)),
+    "ccdf-tables": lambda c, s: ccdf_tables(sf.reconstruct_cascades(c), sf.reconstruct_cascades(s)),
 }
+
+
+def cascade_columns(cascades):
+    return [col.tolist() for col in (cascades.ids, cascades.root_ts, cascades.bounds, cascades.ts,
+                                     cascades.followers)]
+
+
+def distribution(d):
+    return d.deltas_s.tolist(), d.grid_s.tolist(), d.ccdf.tolist(), d.median_s
+
+
+def ccdf_tables(complete, sample):
+    rows, _ = sf.compare_cascades(complete, sample)
+    return sf.cascades.ccdf_tables(complete, sample, rows, sf.cascades.DEFAULT_REACH_WINDOWS_S)
 
 # layers that take bundles only
 BUNDLE_LAYERS = {
@@ -115,6 +153,10 @@ BUNDLE_LAYERS = {
     "top-k": lambda c, s: sf.top_k_rank_table(c, s, sf.temporal_rates_from_messages(s, "millisecond"), 30),
     "counts-and-mean-rates": lambda c, s: (len(c), len(s), sf.empirical_mean_rate(c, s),
                                            sf.mean_rate_from_messages(s)),
+    "rate-limited": lambda c, s: sf.rate_limited_bundle(c, 3, 250),
+    "rate-limited-threshold-1": lambda c, s: sf.rate_limited_bundle(c, 1, 0),
+    "bernoulli": lambda c, s: sf.bernoulli_bundle(c, 0.4, 7),
+    "samples-of-a-sample": lambda c, s: (sf.rate_limited_bundle(s, 2, 999), sf.bernoulli_bundle(s, 0.5)),
 }
 
 
@@ -214,3 +256,131 @@ def test_column_layers_equal_the_row_loops(events, granularity, rate, include_qu
             truth = Counter(sf.model.bucket_of(e.timestamp_ms, key, -5, band_ms=1) if key not in ("lang", "type")
                             else getattr(e, "lang" if key == "lang" else "event_type") for e in events)
             assert {r.bucket: r.complete_count for r in rows} == truth
+
+
+# the sampler loop and the per-cascade reach sum the column code replaced,
+# kept as references
+def sampler_by_loop(events, threshold, anchor_ms):
+    delivered, messages = [], []
+    cum_dropped, window, in_window, window_dropped = 0, None, 0, 0
+    for e in events:
+        w = (e.timestamp_ms - anchor_ms) // 1000
+        if w != window:
+            if window_dropped:
+                messages.append(sf.RateLimitMessage(anchor_ms + (window + 1) * 1000 - 1, cum_dropped))
+            window, in_window, window_dropped = w, 0, 0
+        if in_window < threshold:
+            delivered.append(e)
+            in_window += 1
+        else:
+            cum_dropped += 1
+            window_dropped += 1
+    if window_dropped:
+        messages.append(sf.RateLimitMessage(anchor_ms + (window + 1) * 1000 - 1, cum_dropped))
+    return delivered, messages
+
+
+def reach_by_loop(cascade, horizon_ms):
+    return sum(e.follower_count for e in cascade.retweets if e.timestamp_ms <= horizon_ms)
+
+
+def as_columns(events, messages=()):
+    return sf.StreamBundle.from_columns({
+        **dict(zip(model.EventTable._fields, model.event_columns(events, *model.EventTable._fields))),
+        **model.message_columns(messages)})
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 3_000), max_size=60), st.integers(1, 4), st.integers(0, 999),
+       st.floats(0, 1), st.integers(0, 3))
+def test_samplers_equal_the_loop(stamps, threshold, anchor_ms, rate, seed):
+    # events before the anchor, several events in one millisecond, threshold 1
+    events = [ev(i * 2 + 1, t, user=i % 5, hashtags=("a", "b")[: i % 3], urls=("u",) * (i % 2))
+              for i, t in enumerate(sorted(stamps))]
+    delivered, messages = sampler_by_loop(events, threshold, anchor_ms)
+    assert sf.rate_limited_sample(events, threshold, anchor_ms) == (delivered, messages)
+    assert sf.rate_limited_sample(iter(events), threshold, anchor_ms) == (delivered, messages)
+    kept = sf.bernoulli_sample(events, rate, seed)
+    for source in (sf.StreamBundle(events), as_columns(events)):
+        with no_rows():
+            by_threshold, by_rate = sf.rate_limited_bundle(source, threshold, anchor_ms), sf.bernoulli_bundle(
+                source, rate, seed)
+        assert (by_threshold.events, by_threshold.messages) == (tuple(delivered), tuple(messages))
+        assert by_rate.events == tuple(kept) and by_rate.messages == ()
+
+
+def jsonl_by_json(bundle):
+    """The JSONL of a bundle as json.dumps writes each record, sorted by
+    (time, events before messages, id or counter)."""
+    def event(e):
+        return {"id": e.id, "ts_ms": e.timestamp_ms, "user": e.user_id, "type": e.event_type,
+                **({} if e.root_id is None else {"root_id": e.root_id}), "hashtags": list(e.hashtags),
+                "urls": list(e.urls), "followers": e.follower_count, "lang": e.lang}
+
+    records = [((e.timestamp_ms, 0, e.id), event(e)) for e in bundle.events]
+    records += [((m.timestamp_ms, 1, m.cumulative_missed), {"rl_ts_ms": m.timestamp_ms, "missed": m.cumulative_missed})
+                for m in bundle.messages]
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for _, obj in sorted(records, key=lambda r: r[0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(streams_of_rows(), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9)), max_size=8),
+       st.sampled_from([1, 3, 4096]))
+def test_writer_on_columns_equals_json_dumps(tmp_path_factory, events, marks, block):
+    # messages at the millisecond of an event, before all events and after them
+    stamps = [e.timestamp_ms for e in events] or [0]
+    messages = [sf.RateLimitMessage(stamps[i % len(stamps)] + (i == 40), n) for i, n in marks]
+    rows = sf.StreamBundle.build(events, messages)
+    held = as_columns(rows.events, rows.messages)
+    path = tmp_path_factory.mktemp("writer") / "b.jsonl"
+    for bundle in (rows, held):
+        with no_rows(), mock.patch.object(model, "_ROW_BLOCK", block), \
+                mock.patch("streamfid.io._WRITE_BLOCK", block):
+            write_bundle(path, bundle)
+        assert path.read_text(encoding="utf-8") == jsonl_by_json(rows)
+
+
+def test_threshold_beyond_int64_delivers_everything():
+    events = [ev(i, 5 * (i // 3)) for i in range(12)]
+    assert sf.rate_limited_sample(events, 2 ** 70, 0) == (events, [])
+    with no_rows():
+        sampled = sf.rate_limited_bundle(as_columns(events), 2 ** 70, 0)
+    assert sampled.events == tuple(events) and sampled.messages == ()
+
+
+@st.composite
+def cascade_streams(draw):
+    """Roots, and retweets, quotes and replies of them at or after them (on
+    a window's last millisecond too) or of a root not in the stream."""
+    roots = [draw(st.integers(0, 100)) * 500 for _ in range(draw(st.integers(0, 8)))]
+    drafts = [(t, "root", r) for r, t in enumerate(roots)]
+    for _ in range(draw(st.integers(0, 30))):
+        kind, r = draw(st.sampled_from(("retweet", "quote", "reply"))), draw(st.integers(-1, len(roots) - 1))
+        t = draw(st.integers(0, 100)) * 500 if r < 0 else roots[r] + draw(st.sampled_from((0, 500, 1000, 600_000)))
+        drafts.append((t, kind, r))
+    drafts.sort(key=lambda d: d[0])
+    final = {r: i for i, (_, kind, r) in enumerate(drafts) if kind == "root"}
+    return [ev(i, t, user=i % 7, kind=kind, root_id=None if kind == "root" else final.get(r, 10_000 + i % 4),
+               followers=draw(st.integers(0, 50))) for i, (t, kind, r) in enumerate(drafts)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cascade_streams(), st.floats(0, 1), st.booleans(), st.sampled_from([0.5, 1.0, 600.0, float("inf")]))
+def test_cascade_reach_equals_the_loop(events, rate, include_quotes, window_s):
+    complete = sf.reconstruct_cascades(events, include_quotes)
+    sample = sf.reconstruct_cascades(sf.bernoulli_sample(events, rate, 1), include_quotes)
+    with no_rows():
+        assert cascade_columns(sf.reconstruct_cascades(as_columns(events), include_quotes)) == cascade_columns(
+            complete)
+    rows, _ = sf.compare_cascades(complete, sample, reach_windows_s=(window_s,))
+    by_id = {c.root_id: c for c in complete}
+    observed = [c for c in sample if not c.is_rootless]
+    assert [r.root_id for r in rows] == [c.root_id for c in observed]
+    for row, c in zip(rows, observed):
+        ref = by_id[c.root_id]
+        horizon = float("inf") if window_s == float("inf") else ref.root.timestamp_ms + int(window_s * 1000)
+        denominator = reach_by_loop(ref, horizon)
+        want = None if denominator == 0 else reach_by_loop(c, horizon) / denominator
+        assert row.relative_potential_reach == {window_s: want}
+        assert sf.relative_potential_reach(c, ref, window_s) == want
+    assert rows == sf.compare_cascades(list(complete), list(sample), reach_windows_s=(window_s,))[0]

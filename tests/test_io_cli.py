@@ -431,6 +431,36 @@ class TestCliRankGraphCascade:
         assert (tmp_path / "cascade_interarrival_complete.csv").exists()
         assert (tmp_path / "cascade_reach_inf.csv").exists()
 
+    @pytest.fixture
+    def cascade_inputs(self, tmp_path):
+        c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+        run_cli("simulate", "--duration", 30, "--rate", 10, "--seed", 4, "-o", c)
+        run_cli("sample", "--mode", "bernoulli", "--rate", 0.5, "-i", c, "-o", s)
+        return c, s
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--window-s", "abc"), "--window-s"), (("--window-s", "nan"), "--window-s"),
+        (("--window-s", "-5"), "--window-s"), (("--window-s", "0"), "--window-s"),
+        (("--window-s=-inf",), "--window-s"), (("--window-s", "600", "--window-s", ""), "--window-s"),
+        (("--retweet-threshold", "-1"), "--retweet-threshold"),
+    ], ids=["text", "nan", "negative", "zero", "minus-inf", "empty", "negative-threshold"])
+    def test_cascade_rejects_bad_flags_naming_them(self, cascade_inputs, tmp_path, capsys, flags, named):
+        c, s = cascade_inputs
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cascade", "-i", c, "-i", s, *flags, "-o", tmp_path / "cascade.json")
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "cascade.json").exists()
+
+    def test_cascade_accepts_positive_and_infinite_windows(self, cascade_inputs, tmp_path):
+        c, s = cascade_inputs
+        assert run_cli("cascade", "-i", c, "-i", s, "--window-s", "0.5", "--window-s", "1e3",
+                       "--window-s", "inf", "--retweet-threshold", 0, "-o", tmp_path / "cascade.json") == 0
+        assert json.loads((tmp_path / "cascade.json").read_text())["cascades"]["complete_ge_0_retweets"] > 0
+        # within 0.5 s no complete cascade has reach, so that table is left out
+        assert sorted(p.name for p in tmp_path.glob("cascade_reach_*.csv")) == [
+            "cascade_reach_1000s.csv", "cascade_reach_inf.csv"]
+
     def test_bowtie_accepts_edge_list_csv(self, tmp_path):
         edges = tmp_path / "edges.csv"
         edges.write_text("src,dst,weight\n1,2,3\n2,1,1\n3,1,2\n")
