@@ -109,10 +109,11 @@ def reconstruct_cascades(events: Union[StreamBundle, Iterable[Event]],
     Cascades whose root was not observed are returned flagged rootless;
     downstream sample-set reports drop them, since missing the root means
     missing the cascade.  Computed on the id, ts, type, root and followers
-    columns, so a bundle held as columns builds no rows.
+    columns, so a bundle or its ``events`` builds rows only when the
+    cascades are indexed or iterated.
     """
-    if not isinstance(events, (StreamBundle, tuple, list)):
-        events = tuple(events)
+    if not isinstance(events, Sequence):   # a bundle, or an iterable read once
+        events = events.events if isinstance(events, StreamBundle) else tuple(events)
     ids, ts, kind, root, followers = event_columns(events, "id", "ts", "type", "root", "followers")
     root_code, retweet_code, quote_code = map(EVENT_TYPES.index, ("root", "retweet", "quote"))
     is_root, is_child = kind == root_code, (kind == retweet_code) | (include_quotes & (kind == quote_code))
@@ -130,7 +131,7 @@ def reconstruct_cascades(events: Union[StreamBundle, Iterable[Event]],
         raise ValueError("retweet precedes its root")
 
     def rows(which):
-        evs = events.events if isinstance(events, StreamBundle) else events
+        evs = tuple(events)   # once per call: indexing a view builds a row per index
         rid, r, at, b = key[first].tolist(), root_at.tolist(), members.tolist(), bounds.tolist()
         return (Cascade(rid[i], None if r[i] < 0 else evs[r[i]],
                         tuple(map(evs.__getitem__, at[b[i]:b[i + 1]]))) for i in which)

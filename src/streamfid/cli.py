@@ -38,7 +38,7 @@ from .graphs import (
 # iter_records (like inter_arrival_distribution above) is bound here, though
 # no command calls it, for the callers that wrap this module's names
 # (bench/cli_trace.py)
-from .io import iter_records, read_bundle, write_bundle  # noqa: F401
+from .io import LineFormatError, iter_records, read_bundle, write_bundle  # noqa: F401
 from .model import GRANULARITIES, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
@@ -284,30 +284,32 @@ def cmd_rank(args, parser):
     return 0
 
 
-def _read_assignment(path) -> dict:
-    out = {}
+def _csv_records(path, header: str, convert):
+    """``convert`` of each row of a CSV file, but for blank rows, lines
+    starting with '#' and the row whose first field is ``header``.  A row
+    it cannot convert raises LineFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if not row or row[0] == "node":
-                continue
-            out[row[0]] = row[1]
-    return out
+        numbered = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    reader = csv.reader(line for _, line in numbered)
+    for row in reader:
+        if row and row[0] != header:
+            try:
+                yield convert(row)
+            except (IndexError, ValueError) as exc:
+                reason = str(exc) if isinstance(exc, ValueError) else f"expected at least 2 fields, got {len(row)}"
+                raise LineFormatError(path, numbered[reader.line_num - 1][0], reason) from None
 
 
-def _read_edge_csv(path) -> dict:
-    """Weighted edge list from a (src, dst, weight) CSV."""
-    edges = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if not row or row[0] == "src":
-                continue
-            edges[(row[0], row[1])] = int(row[2]) if len(row) > 2 else 1
-    return edges
+def _read_assignment(path, cluster=str) -> dict:
+    """Node -> cluster (``cluster`` of its text) from a (node, cluster) CSV."""
+    return dict(_csv_records(path, "node", lambda row: (row[0], cluster(row[1]))))
 
 
-def _digraph_from_csv(path):
-    edges = {(int(a), int(b)): w for (a, b), w in _read_edge_csv(path).items()}
-    return Digraph.from_edges(edges)
+def _read_edge_csv(path, dst=str) -> dict:
+    """Weighted edge list from a (src, dst, weight) CSV of integer sources
+    and weights; the weight is 1 when left out."""
+    return dict(_csv_records(path, "src", lambda row: (
+        (int(row[0]), dst(row[1])), int(row[2]) if len(row) > 2 else 1)))
 
 
 def cmd_graph(args, parser):
@@ -316,13 +318,9 @@ def cmd_graph(args, parser):
     if sub == "flow":
         if len(args.input) != 2:
             parser.error("graph flow needs two -i inputs: complete then sample assignment")
-        complete = _read_assignment(args.input[0])
-        sample = _read_assignment(args.input[1])
-        if args.kind == "bowtie":
-            flow = bowtie_flow(complete, sample)
-        else:
-            flow = cluster_flow({k: int(v) for k, v in complete.items()},
-                                {k: int(v) for k, v in sample.items()})
+        flow_of, cluster = (bowtie_flow, str) if args.kind == "bowtie" else (cluster_flow, int)
+        complete, sample = (_read_assignment(p, cluster) for p in args.input)
+        flow = flow_of(complete, sample)
         rows = []
         for i, rl in enumerate(flow.row_labels):
             for j, cl in enumerate(flow.col_labels):
@@ -339,7 +337,7 @@ def cmd_graph(args, parser):
         if str(src).endswith(".csv"):
             from .graphs import BipartiteGraph
 
-            weights = {(int(u), h): w for (u, h), w in _read_edge_csv(src).items()}
+            weights = _read_edge_csv(src)
             g = BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
                                tuple(sorted({h for _, h in weights})))
         else:
@@ -352,7 +350,7 @@ def cmd_graph(args, parser):
         _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
     elif sub == "bowtie":
         if str(src).endswith(".csv"):
-            g = _digraph_from_csv(src)
+            g = Digraph.from_edges(_read_edge_csv(src, int))
         else:
             g = build_retweet_network(read_bundle(src), include_quotes=not args.no_quotes)
         assignment = bowtie_decompose(g)

@@ -5,13 +5,12 @@ One JSON object per line.  Event lines carry {"id", "ts_ms", "user",
 message lines carry {"rl_ts_ms", "missed"}.  Mixed files interleave both; a
 line is a message iff it has the key "rl_ts_ms".
 
-``read_bundle`` returns the bundle held as numpy columns, and keeps them
-in a sidecar ``<input>.streamfid.npz`` beside the input, keyed by the
-blake2b digest of the file's bytes.  A later read of the same bytes loads
-those columns instead of parsing the lines again; any other read parses,
-and returns the columns of what it parsed.  Only a file holding a number
-beyond int64 or a negative root id, which no table holds, is returned as
-rows, parsed on every read.  The JSONL stays the one source of truth, and
+``read_bundle`` returns the bundle, whose events are numpy columns, and
+keeps those columns in a sidecar ``<input>.streamfid.npz`` beside the
+input, keyed by the blake2b digest of the file's bytes.  A later read of
+the same bytes loads them instead of parsing the lines again; any other
+read parses.  A number beyond int64 or a negative root id, which no column
+holds, is a malformed line.  The JSONL stays the one source of truth, and
 a sidecar is safe to delete.
 """
 
@@ -23,20 +22,19 @@ import os
 import stat
 import tempfile
 import zipfile
-from bisect import bisect_right
 from contextlib import suppress
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .model import (INT32_COLUMNS, Event, EventTable, RateLimitMessage, StreamBundle, check_bounds,
-                    collector_paused, event_columns, field_blocks, message_columns)
+from .model import (EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, check_bounds,
+                    collector_paused, field_blocks, message_columns)
 
 Record = Union[Event, RateLimitMessage]
 
@@ -148,19 +146,13 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
+@collector_paused()
 def read_bundle(path) -> StreamBundle:
-    """Load a JSONL file into a StreamBundle held as columns (re-sorting if
-    needed).
+    """Load a JSONL file into a StreamBundle (re-sorting if needed).
 
     Loads the sidecar's columns when it holds those of these exact bytes;
-    after a parse, writes it (a failed write is ignored).  A bundle that no
-    table holds comes back as rows.
+    after a parse, writes it (a failed write is ignored).
     """
-    with collector_paused():
-        return _read_bundle(path)
-
-
-def _read_bundle(path) -> StreamBundle:
     # hashlib loads OpenSSL (5 ms, 3 MB), which a process that reads no
     # file should not pay
     from hashlib import blake2b
@@ -186,13 +178,11 @@ def _read_bundle(path) -> StreamBundle:
                 (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
     events.sort(key=itemgetter(1, 0))   # by (timestamp_ms, id)
     messages.sort(key=itemgetter(0))
-    held = _held(events, messages)
-    if held is None:
-        return StreamBundle(events, messages)
+    bundle = StreamBundle(events, messages)
     del events   # before the sidecar is packed
     if regular:
-        _save_sidecar(sidecar, digest.hexdigest(), held)
-    return held
+        _save_sidecar(sidecar, digest.hexdigest(), bundle)
+    return bundle
 
 
 # one template per record kind, in the key order of the format above; a
@@ -202,32 +192,29 @@ _EVENT_LINE = ('{"id":%d,"ts_ms":%d,"user":%d,"type":%s,%s"hashtags":[%s],"urls"
                '"followers":%d,"lang":%s}\n')
 _MESSAGE_LINE = '{"rl_ts_ms":%d,"missed":%d}\n'
 _WRITE_BLOCK = 4096   # lines joined per write
+_QUOTED_TYPE = {name: encode_basestring_ascii(name) for name in EVENT_TYPES}
 
 
-def _event_lines(fields: Sequence[Iterable], quote) -> Iterator[str]:
-    """The lines of events given as their nine ``Event`` fields."""
+def _event_lines(fields) -> Iterator[str]:
+    """The lines of events from their nine fields, strings but the type quoted."""
     ids, ts, users, types, roots, tags, urls, followers, langs = fields
     return map(_EVENT_LINE.__mod__, zip(
-        ids, ts, users, map(quote, types), ("" if r is None else '"root_id":%d,' % r for r in roots),
-        map(",".join, map(partial(map, quote), tags)), map(",".join, map(partial(map, quote), urls)),
-        followers, map(quote, langs)))
+        ids, ts, users, map(_QUOTED_TYPE.__getitem__, types),
+        ("" if r is None else '"root_id":%d,' % r for r in roots),
+        map(",".join, tags), map(",".join, urls), followers, langs))
 
 
 def write_bundle(path, bundle: StreamBundle) -> None:
     """Write events and messages interleaved chronologically: each message
     after the events of its millisecond, and messages of one millisecond in
-    counter order.  Lines are formatted and written a block at a time, with
-    each distinct string encoded once."""
-    quote = cache(encode_basestring_ascii)
+    counter order.  Lines are formatted and written a block at a time, from
+    string tables JSON-encoded once per write."""
+    t = bundle.table
+    quoted = t._replace(**{name: tuple(map(encode_basestring_ascii, getattr(t, name)))
+                           for name in ("lang_table", "hashtag_table", "url_table")})
+    lines = chain.from_iterable(map(_event_lines, field_blocks(quoted, 0, len(t.id))))
     messages = sorted(bundle.messages)
-    if (table := bundle.table) is None:
-        events = bundle.events   # which may hold numbers beyond int64
-        lines = _event_lines([map(itemgetter(i), events) for i in range(len(Event._fields))], quote)
-        ts = [e.timestamp_ms for e in events]
-        at = [bisect_right(ts, m.timestamp_ms) for m in messages]
-    else:
-        lines = chain.from_iterable(_event_lines(fields, quote) for fields in field_blocks(table))
-        at = np.searchsorted(table.ts, [m.timestamp_ms for m in messages], side="right").tolist()
+    at = np.searchsorted(t.ts, [m.timestamp_ms for m in messages], side="right").tolist()
     parts, done = [], 0
     for i, msg in zip(at, messages):
         parts += (islice(lines, i - done), (_MESSAGE_LINE % msg,))
@@ -278,29 +265,8 @@ def _unpack(z, name: str) -> list[str]:
     return list(map(text.__getitem__, map(slice, b, b[1:])))
 
 
-def _held(events: list[Event], messages: list[RateLimitMessage]) -> Optional[StreamBundle]:
-    """Sorted events and messages as a bundle held as checked columns, int32
-    where the values fit; None when they hold a number beyond int64 or a
-    negative root id, which would come back as none: such a file is parsed
-    on every read."""
-    try:
-        cols = {**dict(zip(EventTable._fields, event_columns(events, *EventTable._fields))),
-                **message_columns(messages)}
-        for name in INT32_COLUMNS:
-            # int32 where the values fit: a smaller file, and a smaller table
-            # in memory for each bundle it serves
-            if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
-                cols[name] = cols[name].astype(np.int32)
-        return StreamBundle.from_columns(cols)
-    except (OverflowError, ValueError):
-        return None
-
-
 def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
-    held = bundle if bundle.table is not None else _held(bundle.events, bundle.messages)
-    if held is None:
-        return
-    cols = {**held.table._asdict(), **message_columns(held.messages)}
+    cols = {**bundle.table._asdict(), **message_columns(bundle.messages)}
     for name in EventTable._fields:
         if name.endswith("_table"):
             cols[f"{name}_text"], cols[f"{name}_bounds"] = _pack(cols.pop(name))

@@ -9,18 +9,22 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
-from operator import eq, ge, itemgetter
+from itertools import accumulate, chain, repeat
+from operator import eq, itemgetter
 from sys import intern
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 EVENT_TYPES = ("root", "retweet", "quote", "reply")
 
 GRANULARITIES = ("hour", "minute", "second", "millisecond")
+
+# the numbers a table's int64 columns hold
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 # millisecond-of-second rate profiles are banded to bound sparsity
 MILLISECOND_BAND_MS = 50
@@ -67,9 +71,10 @@ class Event(_EventFields):
 
     ``root_id`` is present exactly when the event interacts with an earlier
     root event (retweet/quote/reply).  ``follower_count`` is frozen at
-    creation time; there is no user-profile table.  A validated named tuple:
-    streams hold hundreds of thousands of events, and a tuple is the
-    cheapest immutable record to build and to hold.
+    creation time; there is no user-profile table.  Every number fits in
+    int64 and a root id is non-negative, as a bundle's columns require.  A
+    validated named tuple: streams hold hundreds of thousands of events,
+    and a tuple is the cheapest immutable record to build and to hold.
     """
 
     __slots__ = ()
@@ -83,6 +88,11 @@ class Event(_EventFields):
             raise ValueError("root_id present iff event_type != root")
         if id < 0 or timestamp_ms < 0 or follower_count < 0:
             raise ValueError("id, timestamp_ms and follower_count must be non-negative")
+        if root_id is not None and not 0 <= root_id <= INT64_MAX:
+            raise ValueError("root_id must be non-negative and fit in int64")
+        if (id > INT64_MAX or timestamp_ms > INT64_MAX or follower_count > INT64_MAX
+                or not INT64_MIN <= user_id <= INT64_MAX):
+            raise ValueError("id, timestamp_ms, user_id and follower_count must fit in int64")
         return tuple.__new__(cls, (id, timestamp_ms, user_id, event_type, root_id, hashtags,
                                    urls, follower_count, lang))
 
@@ -112,6 +122,8 @@ class RateLimitMessage(_MessageFields):
     def __new__(cls, timestamp_ms: int, cumulative_missed: int):
         if cumulative_missed < 0 or timestamp_ms < 0:
             raise ValueError("timestamp and counter must be non-negative")
+        if cumulative_missed > INT64_MAX or timestamp_ms > INT64_MAX:
+            raise ValueError("timestamp and counter must fit in int64")
         return tuple.__new__(cls, (timestamp_ms, cumulative_missed))
 
 
@@ -133,34 +145,17 @@ def collector_paused():
 class StreamBundle:
     """An ordered interleaving of events and rate limit messages.
 
-    A bundle holds its events as ``Event`` rows, or, built by
-    ``from_columns``, as an ``EventTable``.  The counting layers read the
-    table through ``event_columns``; the first read of ``events`` builds
-    the rows and drops the table, so a bundle never holds both.
+    A bundle holds its events as one ``EventTable``, checked whole by
+    ``from_columns``; rows given to the constructor or to ``build`` are
+    converted to columns once.  ``events`` is an ``EventView`` of the table,
+    which builds rows only while it is iterated or indexed.
     """
 
-    __slots__ = ("_events", "_table", "messages")
+    __slots__ = ("table", "messages")
 
     def __init__(self, events: Iterable[Event] = (), messages: Iterable[RateLimitMessage] = ()):
-        events, messages = tuple(events), tuple(messages)
-        # C-level passes that hold no set of the ids: on 10^5 events a set
-        # is megabytes, and the peak memory of a merge
-        later = map(_SORT_KEY, events)
-        next(later, None)
-        if any(map(ge, map(_SORT_KEY, events), later)):
-            raise ValueError("events must be strictly sorted by (timestamp_ms, id)")
-        ids = sorted(map(itemgetter(0), events))
-        if any(map(eq, ids, islice(ids, 1, None))):
-            raise ValueError(f"duplicate event id {next(a for a, b in pairwise(ids) if a == b)}")
-        for a, b in pairwise(messages):
-            if b.timestamp_ms < a.timestamp_ms:
-                raise ValueError("messages must be sorted by timestamp_ms")
-        self._hold(events, None, messages)
-
-    def _hold(self, events: tuple, table: Optional["EventTable"], messages: tuple) -> None:
-        object.__setattr__(self, "_events", events)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "messages", messages)
+        events = events if isinstance(events, (tuple, list)) else tuple(events)
+        self._set_columns(columns_of_rows(events, tuple(messages)))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -169,40 +164,30 @@ class StreamBundle:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
-    def events(self) -> tuple[Event, ...]:
-        if self._table is not None:
-            with collector_paused():
-                self._hold(_rows(self._table), None, self.messages)
-        return self._events
-
-    @property
-    def table(self) -> Optional["EventTable"]:
-        """The columns that hold the events, or None when rows hold them."""
-        return self._table
+    def events(self) -> "EventView":
+        return EventView(self.table)
 
     def __len__(self) -> int:
-        return len(self._events) if self._table is None else len(self._table.id)
+        return len(self.table.id)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.events == other.events and self.messages == other.messages
+        return self.messages == other.messages and self.events == other.events
 
     def __hash__(self) -> int:
         return hash((self.events, self.messages))
 
     def __repr__(self) -> str:
-        return f"StreamBundle(events={self.events!r}, messages={self.messages!r})"
+        return f"StreamBundle(events={tuple(self.events)!r}, messages={self.messages!r})"
 
     def __reduce__(self):
-        return self.__class__, (self.events, self.messages)
+        return self.__class__.from_columns, ({**self.table._asdict(), **message_columns(self.messages)},)
 
     @classmethod
     def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
         """Sort inputs and construct a bundle (ids must already be unique)."""
-        evs = sorted(events, key=_SORT_KEY)
-        msgs = sorted(messages, key=lambda m: m.timestamp_ms)
-        return cls(tuple(evs), tuple(msgs))
+        return cls(sorted(events, key=_SORT_KEY), sorted(messages, key=itemgetter(0)))
 
     @classmethod
     def from_columns(cls, columns: Mapping) -> "StreamBundle":
@@ -210,10 +195,15 @@ class StreamBundle:
         message columns ``msg_ts`` and ``msg_missed``.
 
         The columns are checked whole, in numpy, for their shapes and for
-        every rule that ``Event``, ``RateLimitMessage`` and the row
-        constructor enforce; a ValueError, TypeError or KeyError names the
-        first broken one.  No row is built until ``events`` is read.
+        every rule that ``Event``, ``RateLimitMessage`` and the bundle's order
+        enforce; a ValueError, TypeError or KeyError names the first broken
+        one.
         """
+        bundle = cls.__new__(cls)
+        bundle._set_columns(columns)
+        return bundle
+
+    def _set_columns(self, columns: Mapping) -> None:
         c = {name: _int_column(columns[name], name) for name in _INT_COLUMNS}
         n = len(c["id"])
         short = next((name for name in _EVENT_COLUMNS if len(c[name]) != n), None)
@@ -246,11 +236,47 @@ class StreamBundle:
             raise ValueError("timestamp and counter must be non-negative")
         if np.any(np.diff(msg_ts) < 0):
             raise ValueError("messages must be sorted by timestamp_ms")
-        bundle = cls.__new__(cls)
-        messages = tuple(map(tuple.__new__, repeat(RateLimitMessage), zip(msg_ts.tolist(), missed.tolist())))
-        bundle._hold((), EventTable(**{name: tables[name] if name in tables else c[name]
-                                       for name in EventTable._fields}), messages)
-        return bundle
+        object.__setattr__(self, "table", EventTable(**{name: tables[name] if name in tables else c[name]
+                                                        for name in EventTable._fields}))
+        object.__setattr__(self, "messages", tuple(map(tuple.__new__, repeat(RateLimitMessage),
+                                                       zip(msg_ts.tolist(), missed.tolist()))))
+
+
+class EventView(Sequence):
+    """The events of an ``EventTable`` as a read-only ``Sequence[Event]``.
+
+    Its length is the table's.  Iterating, indexing or slicing it builds
+    the rows wanted, a block at a time; a slice is a tuple.  A view equals
+    any view, tuple or list of the same events.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: "EventTable"):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table.id)
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        lo, stop = (at, at + 1) if isinstance(at, int) else (min(at, default=0), max(at, default=-1) + 1)
+        block = tuple(_rows(self.table, lo, stop))
+        return block[0] if isinstance(at, int) else tuple(block[j - lo] for j in at)
+
+    def __iter__(self) -> Iterator[Event]:
+        return _rows(self.table, 0, len(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, (EventView, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EventView({list(self)!r})"
 
 
 # EventTable's columns: one integer entry per event for id, ts, user, type
@@ -286,9 +312,8 @@ _EVENT_COLUMNS = ("id", "ts", "user", "type", "root", "followers", "lang")
 _INT_COLUMNS = (*_EVENT_COLUMNS, "hashtag_bounds", "hashtag_codes", "url_bounds", "url_codes",
                 "msg_ts", "msg_missed")
 _TYPE_CODE = {t: code for code, t in enumerate(EVENT_TYPES)}
-# the Event field behind each column name, up to its "_"
-_FIELD = {"id": 0, "ts": 1, "user": 2, "type": 3, "root": 4, "hashtag": 5, "url": 6,
-          "followers": 7, "lang": 8}
+# the start of the column names of each Event field, in field order
+_FIELD = ("id", "ts", "user", "type", "root", "hashtag", "url", "followers", "lang")
 
 
 def _int_column(col, name: str) -> np.ndarray:
@@ -334,17 +359,21 @@ def _tuples(bounds: np.ndarray, codes: np.ndarray, table: Sequence[str]) -> Iter
 _ROW_BLOCK = 4096
 
 
-def _rows(t: EventTable) -> tuple[Event, ...]:
-    """The events of a table, built at C level: ``from_columns`` checked the
-    columns whole, so no row goes through ``Event``'s checks again."""
-    return tuple(chain.from_iterable(map(tuple.__new__, repeat(Event), zip(*f)) for f in field_blocks(t)))
+def _rows(t: EventTable, start: int, stop: int) -> Iterator[Event]:
+    """The events of rows ``start`` to ``stop`` of a table, built at C level
+    a block at a time with the collector paused: ``from_columns`` checked
+    the columns whole, so no row goes through ``Event``'s checks again."""
+    for fields in field_blocks(t, start, stop):
+        with collector_paused():
+            block = list(map(tuple.__new__, repeat(Event), zip(*fields)))
+        yield from block
 
 
-def field_blocks(t: EventTable) -> Iterator[tuple]:
-    """The nine ``Event`` fields of a table's rows as sequences, a block of
-    rows at a time."""
-    for a in range(0, len(t.id), _ROW_BLOCK):
-        b = a + _ROW_BLOCK
+def field_blocks(t: EventTable, start: int, stop: int) -> Iterator[tuple]:
+    """The nine ``Event`` fields of rows ``start`` to ``stop`` of a table as
+    sequences, a block of rows at a time."""
+    for a in range(start, stop, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, stop)
         root = t.root[a:b].astype(object)
         root[t.root[a:b] < 0] = None
         yield (t.id[a:b].tolist(), t.ts[a:b].tolist(), t.user[a:b].tolist(),
@@ -354,30 +383,37 @@ def field_blocks(t: EventTable) -> Iterator[tuple]:
                _decoded(t.lang[a:b], t.lang_table))
 
 
-def _row_column(rows: Sequence[Event], name: str):
-    """The ``EventTable`` field ``name`` of event rows.  A table lists each
-    string where it is first used.  A number beyond int64 raises
-    OverflowError."""
+def _row_column(rows: Sequence[tuple], name: str):
+    """The ``EventTable`` field ``name`` of event rows, or of tuples in
+    ``Event``'s field order.  A table lists each string where it is first
+    used."""
     base, _, part = name.partition("_")
-    n = len(rows)
-
-    def values() -> Iterator:
-        field = map(itemgetter(_FIELD[base]), rows)
-        return chain.from_iterable(field) if base in ("hashtag", "url") else field
-
+    values = map(itemgetter(_FIELD.index(base)), rows)
     if part == "bounds":
-        return np.fromiter(accumulate(map(len, map(itemgetter(_FIELD[base]), rows)), initial=0),
-                           np.int64, n + 1)
+        return np.fromiter(accumulate(map(len, values), initial=0), np.int64, len(rows) + 1)
     if base in ("lang", "hashtag", "url"):
-        table = tuple(dict.fromkeys(values()))
+        values = tuple(values if base == "lang" else chain.from_iterable(values))
+        table = tuple(dict.fromkeys(values))
         if part == "table":
             return table
-        return np.fromiter(map(dict(zip(table, range(len(table)))).__getitem__, values()), np.int64)
-    if base == "type":
-        return np.fromiter(map(_TYPE_CODE.__getitem__, values()), np.int64, n)
-    if base == "root":
-        return np.fromiter((-1 if r is None else r for r in values()), np.int64, n)
-    return np.fromiter(values(), np.int64, n)
+        values = map(dict(zip(table, range(len(table)))).__getitem__, values)
+    elif base == "type":
+        values = map(_TYPE_CODE.__getitem__, values)
+    elif base == "root":
+        values = (-1 if r is None else r for r in values)
+    return np.fromiter(values, np.int64)
+
+
+def columns_of_rows(rows: Sequence[tuple], messages: Sequence[RateLimitMessage] = (), **given) -> dict:
+    """The ``from_columns`` columns of sorted event rows (or of tuples in
+    ``Event``'s field order) and ``messages``, the ``EventTable`` fields in
+    ``given`` taken from it, and ``INT32_COLUMNS`` int32 where their values
+    fit: a smaller table for every bundle, and a smaller sidecar."""
+    cols = {name: given[name] if name in given else _row_column(rows, name) for name in EventTable._fields}
+    for name in INT32_COLUMNS:
+        if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
+            cols[name] = cols[name].astype(np.int32)
+    return {**cols, **message_columns(messages)}
 
 
 def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -389,30 +425,23 @@ def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tupl
     return events[first], codes[first]
 
 
-def event_columns(source: Union[StreamBundle, Iterable[Event]], *names: str) -> tuple:
-    """The ``EventTable`` fields ``names`` of a bundle or of events.
+def event_columns(source: Union[StreamBundle, EventView, Iterable[Event]], *names: str) -> tuple:
+    """The ``EventTable`` fields ``names`` of a bundle, a view or events.
 
-    A bundle held as columns serves its own.  Rows, a bundle's or given as
-    events, are converted on each call, and nothing is kept.
+    A bundle and its ``events`` view serve the bundle's table.  Rows are
+    converted on each call, and nothing is kept.
     """
-    if isinstance(source, StreamBundle):
-        if (table := source.table) is not None:
-            return tuple(getattr(table, name) for name in names)
-        source = source.events
-    elif not isinstance(source, (tuple, list)):
+    if isinstance(source, (StreamBundle, EventView)):
+        return tuple(getattr(source.table, name) for name in names)
+    if not isinstance(source, (tuple, list)):
         source = tuple(source)
     return tuple(_row_column(source, name) for name in names)
 
 
 def take(bundle: StreamBundle, keep: np.ndarray, messages: Sequence[RateLimitMessage] = ()) -> StreamBundle:
     """The events of ``bundle`` where the boolean mask ``keep`` is set, with
-    ``messages``, held as ``bundle`` holds its events: the kept rows of its
-    table, with the CSR columns re-sliced and the string tables shared, or
-    its kept rows.
-    """
-    if (t := bundle.table) is None:
-        return StreamBundle(compress(bundle.events, keep.tolist()), messages)
-    cols = t._asdict()
+    ``messages``; the CSR columns are re-sliced, the string tables shared."""
+    cols = bundle.table._asdict()
     for name in _EVENT_COLUMNS:
         cols[name] = cols[name][keep]
     for base in ("hashtag", "url"):
@@ -544,24 +573,23 @@ def mean_rate_from_messages(sample: StreamBundle) -> float:
     return delivered / (delivered + missed) if delivered + missed else 1.0
 
 
+@collector_paused()
 def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
     """Deduplicate and chronologically merge several bundles into one.
 
     Events are deduplicated by id; two events sharing an id must be
     identical, otherwise the merge is ambiguous.  Messages are merged as a
     multiset (per-message multiplicity is the max across bundles) so the
-    merge is idempotent.
+    merge is idempotent.  The rows of the bundles are built to be matched,
+    with the collector paused, and the merged rows converted to columns.
     """
     if not bundles:
         raise ValueError("need at least one bundle")
     by_id: dict[int, Event] = {}
     for b in bundles:
         for ev in b.events:
-            kept = by_id.get(ev.id)
-            if kept is None:
-                by_id[ev.id] = ev
-            elif kept != ev:
-                raise ValueError(f"conflicting duplicate for event id {ev.id}")
+            if by_id.setdefault(ev[0], ev) != ev:
+                raise ValueError(f"conflicting duplicate for event id {ev[0]}")
     msg_counts: Counter = Counter()
     for b in bundles:
         here = Counter(b.messages)
@@ -569,6 +597,6 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
             if n > msg_counts[msg]:
                 msg_counts[msg] = n
     events = sorted(by_id.values(), key=_SORT_KEY)
-    del by_id   # freed before the bundle checks its events
+    del by_id   # freed before the rows are converted
     # a message is its own (timestamp_ms, cumulative_missed) sort key
     return StreamBundle(events, sorted(msg_counts.elements()))

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .model import Event, RateLimitMessage, StreamBundle, event_columns, take
+from .model import Event, RateLimitMessage, StreamBundle, columns_of_rows, event_columns, take
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
@@ -181,7 +182,8 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     size_cdf = np.cumsum(size_w / size_w.sum())
 
     end_ms = config.start_ms + int(config.duration_s * 1000)
-    # draft rows: (ts_ms, seq, user, type, root_seq, lang, hashtags, urls)
+    # draft rows in Event's field order, the creation order seq in place of
+    # the id, the root's seq in place of its id and followers still 0
     drafts: list[tuple] = []
     root_users = _sample_ranks(user_cdf, rng, total_roots)
     root_langs = rng.choice(len(langs), size=total_roots, p=lang_p)
@@ -197,7 +199,7 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
         us = () if not url_counts[i] else tuple(
             f"u{r}" for r in sorted(set(_sample_ranks(url_cdf, rng, int(url_counts[i])))))
         root_seq = seq
-        drafts.append((ts, seq, int(root_users[i]), "root", None, langs[root_langs[i]], tags, us))
+        drafts.append((seq, ts, int(root_users[i]), "root", None, tags, us, 0, langs[root_langs[i]]))
         seq += 1
         if not spawn[i]:
             continue
@@ -212,14 +214,18 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
         for j in range(child_ts.size):
             kind = child_types[kinds[j]]
             inherit = kind in ("retweet", "quote")
-            drafts.append((int(child_ts[j]), seq, int(child_users[j]), kind, root_seq,
-                           langs[root_langs[i]], tags if inherit else (), us if inherit else ()))
+            drafts.append((seq, int(child_ts[j]), int(child_users[j]), kind, root_seq,
+                           tags if inherit else (), us if inherit else (), 0, langs[root_langs[i]]))
             seq += 1
 
-    drafts.sort(key=lambda d: (d[0], d[1]))
-    final_id = {d[1]: i for i, d in enumerate(drafts)}
-    return StreamBundle(Event(i, d[0], d[2], d[3], None if d[4] is None else final_id[d[4]], d[6], d[7],
-                              users.followers(d[2]), d[5]) for i, d in enumerate(drafts))
+    drafts.sort(key=itemgetter(1, 0))   # by (ts, seq): ids are given in this order
+    seqs, root_seqs = event_columns(drafts, "id", "root")
+    id_of_seq = np.argsort(seqs)
+    # follower counts are drawn in id order
+    followers = np.fromiter(map(users.followers, map(itemgetter(2), drafts)), np.int64, len(drafts))
+    return StreamBundle.from_columns(columns_of_rows(
+        drafts, id=np.arange(len(drafts)), root=np.where(root_seqs < 0, -1, id_of_seq[root_seqs]),
+        followers=followers))
 
 
 def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[np.ndarray, list]:

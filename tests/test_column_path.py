@@ -169,15 +169,17 @@ def test_layer_on_columns_builds_no_rows_and_equals_it_on_rows(streams, layer):
     rows = [sf.StreamBundle(b.events, b.messages) for b in (complete, sample)]
     assert run(*rows) == on_columns
     if layer in EVENT_LAYERS:
+        with no_rows():
+            assert run(complete.events, sample.events) == on_columns
         assert run(*(iter(b.events) for b in rows)) == on_columns
         assert run(*(list(b.events) for b in rows)) == on_columns
 
 
-def test_reading_events_drops_the_columns(streams):
+def test_reading_events_keeps_the_columns(streams):
     complete, _ = held(streams)
-    assert complete._table is not None
-    events = complete.events
-    assert complete._table is None and complete.events is events
+    table = complete.table
+    assert len(complete.events) == len(table.id)
+    assert tuple(complete.events) and complete.table is table
     assert complete == read_bundle(streams / "complete.jsonl")
 
 
@@ -233,6 +235,27 @@ def streams_of_rows(draw):
                          hashtags=draw(tags), urls=draw(tags)[:2],
                          lang=draw(st.sampled_from(("en", "ja", "")))))
     return events
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(streams_of_rows(), st.sampled_from([1, 3, 4096]), st.data())
+def test_events_view_is_a_sequence_of_its_rows(events, block, data):
+    rows = tuple(events)
+    other = rows[:-1] + (rows[-1]._replace(user_id=rows[-1].user_id + 1),) if rows else (ev(0, 0),)
+    with mock.patch.object(model, "_ROW_BLOCK", block):
+        view = sf.StreamBundle(events).events
+        assert view == rows and view == events and rows == view and events == view
+        assert view != other and view != list(rows[1:] if rows else other) and view != set(rows)
+        assert view != rows + other and view != view.__class__(sf.StreamBundle(other).table)
+        assert len(view) == len(rows) and tuple(view) == rows and list(iter(view)) == events
+        assert view == sf.StreamBundle(view).events and hash(view) == hash(rows)
+        assert [view[i] for i in range(-len(rows), len(rows))] == [rows[i] for i in range(-len(rows), len(rows))]
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for _ in range(5):
+            where = data.draw(st.slices(len(rows) + 2))
+            assert view[where] == rows[where] and isinstance(view[where], tuple)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -325,7 +348,7 @@ def jsonl_by_json(bundle):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(streams_of_rows(), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9)), max_size=8),
-       st.sampled_from([1, 3, 4096]))
+       st.sampled_from([1, 3, 7, 4096]))
 def test_writer_on_columns_equals_json_dumps(tmp_path_factory, events, marks, block):
     # messages at the millisecond of an event, before all events and after them
     stamps = [e.timestamp_ms for e in events] or [0]

@@ -48,6 +48,8 @@ class TestJsonlRoundTrip:
 
 
 GOOD_LINE = '{"id":0,"ts_ms":1,"user":2,"type":"root"}'
+BEYOND_INT64 = "id, timestamp_ms, user_id and follower_count must fit in int64"
+ROOT_ID = "root_id must be non-negative and fit in int64"
 
 # (malformed line, LineFormatError.reason): the reasons are the json module's
 # and the record constructors' own messages, so they stay as users see them,
@@ -149,6 +151,34 @@ class TestReaderErrors:
         with pytest.raises(LineFormatError) as err:
             list(iter_records(path))
         assert (err.value.lineno, err.value.reason) == (4, reason)
+
+    # numbers JSON can carry but no int64 column holds
+    @pytest.mark.parametrize("bad, reason", [
+        ('{"id":9223372036854775808,"ts_ms":4,"user":2,"type":"root"}', BEYOND_INT64),
+        ('{"id":3,"ts_ms":9223372036854775808,"user":2,"type":"root"}', BEYOND_INT64),
+        ('{"id":3,"ts_ms":4,"user":-9223372036854775809,"type":"root"}', BEYOND_INT64),
+        ('{"id":3,"ts_ms":4,"user":2,"type":"root","followers":18446744073709551616}', BEYOND_INT64),
+        ('{"id":3,"ts_ms":4,"user":2,"type":"retweet","root_id":9223372036854775808}', ROOT_ID),
+        ('{"id":3,"ts_ms":4,"user":2,"type":"retweet","root_id":-1}', ROOT_ID),
+        ('{"rl_ts_ms":5,"missed":9223372036854775808}', "timestamp and counter must fit in int64"),
+    ], ids=["id", "ts", "negative-user", "followers", "root-id", "negative-root-id", "counter"])
+    def test_numbers_no_column_holds_report_line_number(self, tmp_path, capsys, bad, reason):
+        path = self.write(tmp_path / "bad.jsonl", GOOD_LINE, bad, GOOD_LINE)
+        with pytest.raises(LineFormatError) as err:
+            read_bundle(path)
+        assert (err.value.lineno, err.value.reason) == (4, reason)
+        assert run_cli("graph", "bipartite", "-i", path) == 1
+        assert capsys.readouterr().err == f"error: {path}:4: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    def test_largest_int64_numbers_are_read(self, tmp_path):
+        line = (f'{{"id":{2 ** 63 - 1},"ts_ms":{2 ** 63 - 1},"user":{-2 ** 63},"type":"retweet",'
+                f'"root_id":{2 ** 63 - 1},"followers":{2 ** 63 - 1}}}')
+        path = self.write(tmp_path / "big.jsonl", line, f'{{"rl_ts_ms":{2 ** 63 - 1},"missed":{2 ** 63 - 1}}}')
+        bundle = read_bundle(path)
+        assert bundle == read_bundle(path) and bundle.messages == (RateLimitMessage(2 ** 63 - 1, 2 ** 63 - 1),)
+        assert tuple(bundle.events) == (ev(2 ** 63 - 1, 2 ** 63 - 1, -2 ** 63, "retweet", 2 ** 63 - 1,
+                                           followers=2 ** 63 - 1),)
 
     def test_infinite_number_exits_one(self, tmp_path, capsys):
         path = self.write(tmp_path / "bad.jsonl", GOOD_LINE,
@@ -485,3 +515,31 @@ class TestCliRankGraphCascade:
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv)
             assert exc.value.code == 2
+
+
+# (command, CSV input, bad line, reason): a (node, cluster) or (src, dst,
+# weight) row too short or holding text where a number belongs
+CSV_ERRORS = [
+    pytest.param(("graph", "flow", "--kind", "bowtie"), "node,component\n1,LSCC\n", "u1",
+                 "expected at least 2 fields, got 1", id="flow-short-row"),
+    pytest.param(("graph", "flow", "--kind", "cluster"), "node,cluster\n1,0\n", "u1,x",
+                 "invalid literal for int() with base 10: 'x'", id="flow-text-cluster"),
+    pytest.param(("graph", "bowtie"), "src,dst,weight\n1,2,3\n", "1",
+                 "expected at least 2 fields, got 1", id="bowtie-short-row"),
+    pytest.param(("graph", "bowtie"), "src,dst,weight\n1,2,3\n", "1,b,2",
+                 "invalid literal for int() with base 10: 'b'", id="bowtie-text-node"),
+    pytest.param(("graph", "bowtie"), "src,dst,weight\n1,2,3\n", "1,2,2.5",
+                 "invalid literal for int() with base 10: '2.5'", id="bowtie-text-weight"),
+    pytest.param(("graph", "cocluster", "--k", "2"), "src,dst,weight\n1,a,3\n", "u1,a,1",
+                 "invalid literal for int() with base 10: 'u1'", id="cocluster-text-user"),
+]
+
+
+@pytest.mark.parametrize("command, good, bad, reason", CSV_ERRORS)
+def test_bad_csv_row_exits_one_naming_its_line(tmp_path, capsys, command, good, bad, reason):
+    # a manifest line, the header and one good row come before the bad row
+    path = tmp_path / "a.csv"
+    path.write_text(f"# manifest: {{}}\n{good}{bad}\n")
+    inputs = ("-i", path, "-i", path) if command[1] == "flow" else ("-i", path)
+    assert run_cli(*command, *inputs) == 1
+    assert capsys.readouterr().err == f"error: {path}:4: {reason}\n"
