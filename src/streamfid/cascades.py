@@ -4,7 +4,8 @@ A cascade is a root event plus its retweets.  Under sampling the root or
 any retweet can be missing: a missing root loses the whole cascade, missing
 retweets stretch the observed inter-arrival gaps and shrink the observable
 audience (potential reach).  The measures compute on cascades held as
-columns (``CascadeSet``); a list of ``Cascade`` rows is converted per call.
+columns over their stream's table (``CascadeSet``); a ``Cascade`` is a
+position in a set, and builds rows only when its root or retweets are read.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate
+from operator import eq
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, Event, StreamBundle, event_columns
+from .model import (EVENT_TYPES, Event, EventTable, EventView, StreamBundle, bounds_of, columns_of_rows,
+                    csr_gather, rows_at, stacked)
 
 MS_PER_S = 1000.0
 
@@ -27,79 +29,133 @@ MS_PER_S = 1000.0
 DEFAULT_REACH_WINDOWS_S = (600.0, 3600.0, float("inf"))
 
 
-@dataclass(frozen=True)
+class _Lazy(Sequence):
+    """A sequence that builds item ``i`` as ``_item(i)`` when it is indexed or iterated."""
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        return list(map(self._item, at)) if isinstance(at, range) else self._item(at)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+
 class Cascade:
-    """Root event (when observed) plus time-ordered retweets."""
+    """Root event (when observed) plus time-ordered retweets, as position
+    ``at`` of the ``CascadeSet`` ``of``: ``root_id``, ``is_rootless`` and
+    ``size`` read the set's columns, while ``root``, ``retweets`` and
+    ``events()`` build this cascade's rows on each read.
+    ``Cascade(root_id, root, retweets)`` checks its rows and holds them as a
+    set of one cascade.  Equality is on (root_id, root, retweets).
+    """
 
-    root_id: int
-    root: Optional[Event]
-    retweets: tuple[Event, ...]
+    __slots__ = ("of", "at")
 
-    def __post_init__(self):
-        for ev in self.retweets:
-            if ev.root_id != self.root_id:
+    def __init__(self, root_id: int, root: Optional[Event], retweets: tuple[Event, ...]):
+        for ev in retweets:
+            if ev.root_id != root_id:
                 raise ValueError("retweet attached to wrong cascade")
-            if self.root is not None and ev.timestamp_ms < self.root.timestamp_ms:
+            if root is not None and ev.timestamp_ms < root.timestamp_ms:
                 raise ValueError("retweet precedes its root")
+        rows = ((root,) if root is not None else ()) + tuple(retweets)
+        self.of, self.at = CascadeSet(np.array([root_id], np.int64), np.array([0 if root is not None else -1]),
+                                      np.array([0, len(retweets)]), np.arange(len(rows) - len(retweets), len(rows)),
+                                      _table(rows)), 0
+
+    @property
+    def root_id(self) -> int:
+        return int(self.of.ids[self.at])
 
     @property
     def is_rootless(self) -> bool:
-        return self.root is None
+        return bool(self.of.root_at[self.at] < 0)
 
     @property
     def size(self) -> int:
-        return (0 if self.root is None else 1) + len(self.retweets)
+        return int(self.of.root_at[self.at] >= 0) + int(self.of.bounds[self.at + 1] - self.of.bounds[self.at])
+
+    @property
+    def root(self) -> Optional[Event]:
+        return self._fields()[1]
+
+    @property
+    def retweets(self) -> tuple[Event, ...]:
+        return self._fields()[2]
 
     def events(self) -> tuple[Event, ...]:
-        return ((self.root,) if self.root is not None else ()) + self.retweets
+        of, i = self.of, self.at
+        root = of.root_at[i:i + 1]
+        return rows_at(of.table, np.concatenate((root[root >= 0], of.members[of.bounds[i]:of.bounds[i + 1]])))
+
+    def _fields(self) -> tuple:
+        events = self.events()   # built once for both root and retweets
+        return (self.root_id, None, events) if self.is_rootless else (self.root_id, events[0], events[1:])
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-class CascadeSet(Sequence):
-    """Cascades as columns: root ids, root timestamps (-1 when the root was
-    not observed), and CSR ``bounds`` into the ``ts`` and ``followers`` of
-    each cascade's retweets in (timestamp, id) order.  A ``Sequence[Cascade]``
-    whose rows ``rows(positions)`` builds only when it is indexed or iterated.
+class CascadeSet(_Lazy):
+    """Cascades as columns over their stream's ``EventTable``: root ids, the
+    table position of each root (-1 when it was not observed), and CSR
+    ``bounds`` into ``members``, the positions of each cascade's retweets in
+    (timestamp, id) order.  The measures read ``root_ts`` (-1 for no root),
+    ``ts`` and ``followers``, gathered once.  Its items are ``Cascade``
+    positions in the set.
     """
 
-    def __init__(self, ids, root_ts, bounds, ts, followers, rows):
-        self.ids, self.root_ts, self.bounds, self.ts, self.followers, self._rows = (
-            ids, root_ts, bounds, ts, followers, rows)
+    def __init__(self, ids, root_at, bounds, members, table: EventTable):
+        self.ids, self.root_at, self.bounds, self.members, self.table = ids, root_at, bounds, members, table
+        self.root_ts = np.append(table.ts, -1)[root_at]   # a missing root's -1 reads the -1 appended
+        self.ts, self.followers = table.ts[members], table.followers[members]
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i):
-        at = range(len(self))[i]
-        return list(self._rows(at)) if isinstance(at, range) else next(iter(self._rows((at,))))
+    def _item(self, at: int) -> Cascade:
+        cascade = Cascade.__new__(Cascade)
+        cascade.of, cascade.at = self, at
+        return cascade
 
-    def __iter__(self):
-        return iter(self._rows(range(len(self))))
+    def take(self, at: np.ndarray) -> "CascadeSet":
+        """The cascades at positions ``at``, in that order."""
+        bounds, members = csr_gather(self.bounds, at)
+        return CascadeSet(self.ids[at], self.root_at[at], bounds, self.members[members], self.table)
 
     def rooted(self) -> "CascadeSet":
         """The cascades whose root was observed."""
-        keep, lengths = self.root_ts >= 0, np.diff(self.bounds)
-        members, at = np.repeat(keep, lengths), np.flatnonzero(keep)
-        return CascadeSet(self.ids[keep], self.root_ts[keep], _bounds(lengths[keep]), self.ts[members],
-                          self.followers[members], lambda which: self._rows(at[list(which)].tolist()))
+        return self.take(np.flatnonzero(self.root_at >= 0))
 
 
-def _bounds(lengths: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+def _table(rows: Sequence[Event]) -> EventTable:
+    return EventTable(*map(columns_of_rows(rows).__getitem__, EventTable._fields))
 
 
 def _columns(cascades: Sequence[Cascade]) -> CascadeSet:
-    """Cascades as columns: a ``CascadeSet`` itself, rows converted."""
+    """Cascades as one ``CascadeSet``: a set itself, or a list's positions
+    gathered from their set (from their sets joined, when there are several)."""
     if isinstance(cascades, CascadeSet):
         return cascades
     cascades = list(cascades)
-    retweets = [c.retweets for c in cascades]
-    flat = tuple(chain.from_iterable(retweets))
-    return CascadeSet(np.array([c.root_id for c in cascades], np.int64),
-                      np.array([-1 if c.root is None else c.root.timestamp_ms for c in cascades], np.int64),
-                      _bounds(np.array(list(map(len, retweets)), np.int64)),
-                      np.array(list(map(itemgetter(1), flat)), np.int64),
-                      np.array(list(map(itemgetter(7), flat)), np.int64),
-                      lambda which: map(cascades.__getitem__, which))
+    if not cascades:
+        return reconstruct_cascades(())
+    sets = list(dict.fromkeys(c.of for c in cascades))
+    starts = dict(zip(sets, accumulate(map(len, sets), initial=0)))
+    whole = sets[0] if len(sets) == 1 else _joined(sets)
+    return whole.take(np.array([starts[c.of] + c.at for c in cascades], np.intp))
+
+
+def _joined(sets: Sequence[CascadeSet]) -> CascadeSet:
+    """The cascades of ``sets`` one after another, over their tables stacked."""
+    offsets = list(accumulate((len(s.table.id) for s in sets), initial=0))
+    return CascadeSet(np.concatenate([s.ids for s in sets]),
+                      np.concatenate([np.where(s.root_at < 0, -1, s.root_at + o) for s, o in zip(sets, offsets)]),
+                      bounds_of(np.concatenate([np.diff(s.bounds) for s in sets])),
+                      np.concatenate([s.members + o for s, o in zip(sets, offsets)]),
+                      EventTable(**stacked([s.table for s in sets])))
 
 
 def reconstruct_cascades(events: Union[StreamBundle, Iterable[Event]],
@@ -108,13 +164,13 @@ def reconstruct_cascades(events: Union[StreamBundle, Iterable[Event]],
 
     Cascades whose root was not observed are returned flagged rootless;
     downstream sample-set reports drop them, since missing the root means
-    missing the cascade.  Computed on the id, ts, type, root and followers
-    columns, so a bundle or its ``events`` builds rows only when the
-    cascades are indexed or iterated.
+    missing the cascade.  Computed on the table of a bundle or its
+    ``events`` (other events are converted to a table once), which the
+    cascades share.
     """
-    if not isinstance(events, Sequence):   # a bundle, or an iterable read once
-        events = events.events if isinstance(events, StreamBundle) else tuple(events)
-    ids, ts, kind, root, followers = event_columns(events, "id", "ts", "type", "root", "followers")
+    table = events.table if isinstance(events, (StreamBundle, EventView)) else _table(
+        events if isinstance(events, (tuple, list)) else tuple(events))
+    ids, ts, kind, root = table.id, table.ts, table.type, table.root
     root_code, retweet_code, quote_code = map(EVENT_TYPES.index, ("root", "retweet", "quote"))
     is_root, is_child = kind == root_code, (kind == retweet_code) | (include_quotes & (kind == quote_code))
     key = np.where(is_root, ids, root).astype(np.int64)
@@ -125,18 +181,11 @@ def reconstruct_cascades(events: Union[StreamBundle, Iterable[Event]],
     first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
     has_root = ~child[first]
     counts = np.diff(first, append=len(key)) - has_root
-    root_at, root_ts = np.where(has_root, picked[first], -1), np.where(has_root, ts[picked[first]], -1)
-    members, bounds = picked[child], _bounds(counts)
-    if np.any(ts[members] < np.repeat(root_ts, counts)):
+    root_at, members, bounds = np.where(has_root, picked[first], -1), picked[child], bounds_of(counts)
+    cascades = CascadeSet(key[first], root_at, bounds, members, table)
+    if np.any(cascades.ts < np.repeat(cascades.root_ts, counts)):
         raise ValueError("retweet precedes its root")
-
-    def rows(which):
-        evs = tuple(events)   # once per call: indexing a view builds a row per index
-        rid, r, at, b = key[first].tolist(), root_at.tolist(), members.tolist(), bounds.tolist()
-        return (Cascade(rid[i], None if r[i] < 0 else evs[r[i]],
-                        tuple(map(evs.__getitem__, at[b[i]:b[i + 1]]))) for i in which)
-
-    return CascadeSet(key[first], root_ts, bounds, ts[members], followers[members].astype(np.int64), rows)
+    return cascades
 
 
 @dataclass(frozen=True)
@@ -162,12 +211,35 @@ class CascadeSummary:
     median_interarrival_sample_s: Optional[float]
 
 
+class CascadeRows(_Lazy):
+    """The rows of ``compare_cascades`` as columns (root ids, complete and
+    sample sizes, the fully-observed mask) and ``reach``, a column of ratios
+    per window, NaN where undefined.  A ``Sequence[CascadeRow]`` that builds
+    a row only when read, and equals any list or tuple of the same rows.
+    """
+
+    def __init__(self, root_id, complete_size, sample_size, is_fully_observed, reach: dict):
+        self.columns, self.reach = (root_id, complete_size, sample_size, is_fully_observed), reach
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def _item(self, i: int) -> CascadeRow:
+        return CascadeRow(*(col[i].item() for col in self.columns),
+                          {w: None if math.isnan(r[i]) else r[i].item() for w, r in self.reach.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, (CascadeRows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 def compare_cascades(
     complete: Sequence[Cascade],
     sample: Sequence[Cascade],
     retweet_threshold: int = 50,
     reach_windows_s: Sequence[float] = DEFAULT_REACH_WINDOWS_S,
-) -> tuple[list[CascadeRow], CascadeSummary]:
+) -> tuple[CascadeRows, CascadeSummary]:
     """Per-cascade observation status plus corpus-level summary statistics.
 
     Rootless sample cascades are dropped (their cascade is considered
@@ -183,9 +255,8 @@ def compare_cascades(
     sizes = 1 + np.diff(observed.bounds)
     ref_sizes = (complete.root_ts[ref] >= 0) + np.diff(complete.bounds)[ref]
     full = sizes == ref_sizes
-    reach = [_relative_reach(observed, complete, ref, w) for w in reach_windows_s]
-    rows = [CascadeRow(*row[:4], dict(zip(reach_windows_s, row[4:]))) for row in zip(
-        observed.ids.tolist(), ref_sizes.tolist(), sizes.tolist(), full.tolist(), *reach)]
+    rows = CascadeRows(observed.ids, ref_sizes, sizes, full,
+                       {w: _relative_reach(observed, complete, ref, w) for w in reach_windows_s})
     fully, retweets = int(full.sum()), [np.diff(cs.bounds) for cs in (complete_real, observed)]
     large = [int((n >= retweet_threshold).sum()) for n in retweets]
     mean = [int(n.sum()) / len(n) if len(n) else 0.0 for n in retweets]
@@ -249,7 +320,7 @@ def ccdf(sorted_values: np.ndarray, grid) -> np.ndarray:
     return (n - np.searchsorted(sorted_values, grid, side="right")) / n
 
 
-def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: Sequence[CascadeRow],
+def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: CascadeRows,
                 reach_windows_s: Sequence[float]) -> dict:
     """The cascade report's CCDF tables, name -> (header, rows of text).
 
@@ -266,7 +337,7 @@ def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: Se
                 (f"{x:.3f}", f"{y:.6f}") for x, y in zip(dist.grid_s, dist.ccdf)])
     grid = np.arange(101) / 100.0
     for w in reach_windows_s:
-        ratios = np.sort([x for r in rows if (x := r.relative_potential_reach[w]) is not None])
+        ratios = np.sort(rows.reach[w][~np.isnan(rows.reach[w])])
         if len(ratios):
             tables["reach_inf" if math.isinf(w) else f"reach_{int(w)}s"] = (("x", "ccdf"), [
                 (f"{x:.2f}", f"{y:.6f}") for x, y in zip(grid, ccdf(ratios, grid))])
@@ -283,25 +354,26 @@ def relative_potential_reach(
     """
     if sample_c.root_id != complete_c.root_id:
         raise ValueError("mismatched root_id")
-    return _relative_reach(_columns([sample_c]), _columns([complete_c]), np.zeros(1, np.intp), window_s)[0]
+    ratio = _relative_reach(_columns([sample_c]), _columns([complete_c]), np.zeros(1, np.intp), window_s)[0]
+    return None if math.isnan(ratio) else ratio.item()
 
 
-def _relative_reach(sample: CascadeSet, complete: CascadeSet, ref: np.ndarray, window_s: float) -> list:
+def _relative_reach(sample: CascadeSet, complete: CascadeSet, ref: np.ndarray, window_s: float) -> np.ndarray:
     """Each sample cascade's reach over that of complete cascade ``ref``, both
-    within ``window_s`` after the complete root (None when the latter is 0).
+    within ``window_s`` after the complete root (NaN when the latter is 0).
     Reach is the followers summed over a cascade's retweets."""
     anchor = complete.root_ts[ref]
     if np.any(anchor < 0):
         raise ValueError("complete cascade must carry its root")
     window_ms = window_s if window_s == math.inf else int(window_s * MS_PER_S)
-    num = _reach(sample, anchor, window_ms).tolist()
-    den = _reach(complete, complete.root_ts, window_ms)[ref].tolist()
-    return [None if d == 0 else n / d for n, d in zip(num, den)]
+    num = _reach(sample, anchor, window_ms)
+    den = _reach(complete, complete.root_ts, window_ms)[ref]
+    return np.divide(num, den, out=np.full(len(num), np.nan), where=den != 0)
 
 
 def _reach(cascades: CascadeSet, anchor: np.ndarray, window_ms: float) -> np.ndarray:
     """Followers summed over each cascade's retweets at most ``window_ms``
     after its ``anchor``, as differences of one cumulative sum."""
     late = cascades.ts - np.repeat(anchor, np.diff(cascades.bounds)) > window_ms
-    total = _bounds(np.where(late, 0, cascades.followers))
+    total = bounds_of(np.where(late, 0, cascades.followers))
     return total[cascades.bounds[1:]] - total[cascades.bounds[:-1]]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, Event, StreamBundle, distinct_per_event, event_columns
+from .model import EVENT_TYPES, Event, StreamBundle, csr_gather, distinct_per_event, event_columns
 
 LSCC = "LSCC"
 IN = "IN"
@@ -414,10 +414,7 @@ def _reach(indptr: np.ndarray, indices: np.ndarray, starts: np.ndarray) -> np.nd
     seen[starts] = True
     frontier = np.asarray(starts, dtype=np.int64)
     while len(frontier):
-        lo, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
-        # positions lo[f] .. lo[f] + counts[f] - 1 of every frontier node f
-        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        nxt = indices[np.repeat(lo, counts) + offsets]
+        nxt = indices[csr_gather(indptr, frontier)[1]]
         frontier = np.unique(nxt[~seen[nxt]])
         seen[frontier] = True
     return seen

@@ -212,7 +212,7 @@ def write_bundle(path, bundle: StreamBundle) -> None:
     t = bundle.table
     quoted = t._replace(**{name: tuple(map(encode_basestring_ascii, getattr(t, name)))
                            for name in ("lang_table", "hashtag_table", "url_table")})
-    lines = chain.from_iterable(map(_event_lines, field_blocks(quoted, 0, len(t.id))))
+    lines = chain.from_iterable(map(_event_lines, field_blocks(quoted)))
     messages = sorted(bundle.messages)
     at = np.searchsorted(t.ts, [m.timestamp_ms for m in messages], side="right").tolist()
     parts, done = [], 0

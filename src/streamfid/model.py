@@ -101,10 +101,6 @@ class Event(_EventFields):
         return (self.timestamp_ms, self.id)
 
 
-# Event.sort_key as a C-level key function, for sorting and order checks
-_SORT_KEY = itemgetter(1, 0)
-
-
 class _MessageFields(NamedTuple):
     timestamp_ms: int
     cumulative_missed: int
@@ -186,8 +182,8 @@ class StreamBundle:
 
     @classmethod
     def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
-        """Sort inputs and construct a bundle (ids must already be unique)."""
-        return cls(sorted(events, key=_SORT_KEY), sorted(messages, key=itemgetter(0)))
+        """Sort inputs by (timestamp_ms, id) and construct a bundle (ids must already be unique)."""
+        return cls(sorted(events, key=itemgetter(1, 0)), sorted(messages, key=itemgetter(0)))
 
     @classmethod
     def from_columns(cls, columns: Mapping) -> "StreamBundle":
@@ -260,12 +256,11 @@ class EventView(Sequence):
 
     def __getitem__(self, i):
         at = range(len(self))[i]
-        lo, stop = (at, at + 1) if isinstance(at, int) else (min(at, default=0), max(at, default=-1) + 1)
-        block = tuple(_rows(self.table, lo, stop))
-        return block[0] if isinstance(at, int) else tuple(block[j - lo] for j in at)
+        rows = rows_at(self.table, np.array(at if isinstance(at, range) else [at], np.intp))
+        return rows if isinstance(at, range) else rows[0]
 
     def __iter__(self) -> Iterator[Event]:
-        return _rows(self.table, 0, len(self))
+        return _rows(self.table)
 
     def __eq__(self, other):
         if not isinstance(other, (EventView, tuple, list)):
@@ -359,21 +354,21 @@ def _tuples(bounds: np.ndarray, codes: np.ndarray, table: Sequence[str]) -> Iter
 _ROW_BLOCK = 4096
 
 
-def _rows(t: EventTable, start: int, stop: int) -> Iterator[Event]:
-    """The events of rows ``start`` to ``stop`` of a table, built at C level
-    a block at a time with the collector paused: ``from_columns`` checked
-    the columns whole, so no row goes through ``Event``'s checks again."""
-    for fields in field_blocks(t, start, stop):
+def _rows(t: EventTable) -> Iterator[Event]:
+    """The events of a table, built at C level a block at a time with the
+    collector paused: ``from_columns`` checked the columns whole, so no row
+    goes through ``Event``'s checks again."""
+    for fields in field_blocks(t):
         with collector_paused():
             block = list(map(tuple.__new__, repeat(Event), zip(*fields)))
         yield from block
 
 
-def field_blocks(t: EventTable, start: int, stop: int) -> Iterator[tuple]:
-    """The nine ``Event`` fields of rows ``start`` to ``stop`` of a table as
-    sequences, a block of rows at a time."""
-    for a in range(start, stop, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, stop)
+def field_blocks(t: EventTable) -> Iterator[tuple]:
+    """The nine ``Event`` fields of the rows of a table as sequences, a block
+    of rows at a time."""
+    for a in range(0, len(t.id), _ROW_BLOCK):
+        b = a + _ROW_BLOCK
         root = t.root[a:b].astype(object)
         root[t.root[a:b] < 0] = None
         yield (t.id[a:b].tolist(), t.ts[a:b].tolist(), t.user[a:b].tolist(),
@@ -440,15 +435,55 @@ def event_columns(source: Union[StreamBundle, EventView, Iterable[Event]], *name
 
 def take(bundle: StreamBundle, keep: np.ndarray, messages: Sequence[RateLimitMessage] = ()) -> StreamBundle:
     """The events of ``bundle`` where the boolean mask ``keep`` is set, with
-    ``messages``; the CSR columns are re-sliced, the string tables shared."""
-    cols = bundle.table._asdict()
+    ``messages``."""
+    return StreamBundle.from_columns({**subtable(bundle.table, np.flatnonzero(keep))._asdict(),
+                                      **message_columns(messages)})
+
+
+def subtable(t: EventTable, rows: np.ndarray) -> EventTable:
+    """Rows ``rows`` of a table, in that order; the string tables are shared."""
+    cols = t._asdict()
     for name in _EVENT_COLUMNS:
-        cols[name] = cols[name][keep]
+        cols[name] = cols[name][rows]
     for base in ("hashtag", "url"):
-        lengths = np.diff(cols[f"{base}_bounds"])
-        cols[f"{base}_codes"] = cols[f"{base}_codes"][np.repeat(keep, lengths)]
-        cols[f"{base}_bounds"] = np.concatenate(([0], np.cumsum(lengths[keep]))).astype(lengths.dtype)
-    return StreamBundle.from_columns({**cols, **message_columns(messages)})
+        bounds, at = csr_gather(cols[f"{base}_bounds"], rows)
+        cols[f"{base}_bounds"] = bounds.astype(cols[f"{base}_bounds"].dtype)
+        cols[f"{base}_codes"] = cols[f"{base}_codes"][at]
+    return EventTable(**cols)
+
+
+def bounds_of(lengths: np.ndarray) -> np.ndarray:
+    """The CSR bounds of rows of ``lengths`` entries."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+def csr_gather(bounds: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR bounds of ``rows`` of a CSR column with ``bounds``, in that
+    order, and the positions of their entries in the column."""
+    starts = bounds[rows]
+    lengths = bounds[rows + 1] - starts
+    gathered = bounds_of(lengths)
+    return gathered, np.arange(gathered[-1]) + np.repeat(starts - gathered[:-1], lengths)
+
+
+def rows_at(t: EventTable, positions: np.ndarray) -> tuple[Event, ...]:
+    """The events at ``positions`` of a table, in that order."""
+    return tuple(_rows(subtable(t, positions)))
+
+
+def stacked(tables: Sequence[EventTable]) -> dict:
+    """The ``EventTable`` fields of ``tables`` one after another: the string
+    tables joined, and every code re-coded into the join."""
+    cols = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _EVENT_COLUMNS}
+    for base, codes in (("lang", "lang"), ("hashtag", "hashtag_codes"), ("url", "url_codes")):
+        joined: dict[str, int] = {}
+        luts = [np.array([joined.setdefault(s, len(joined)) for s in getattr(t, f"{base}_table")], np.int64)
+                for t in tables]
+        cols[codes] = np.concatenate([lut[getattr(t, codes)] for lut, t in zip(luts, tables)])
+        cols[f"{base}_table"] = tuple(joined)
+        if base != "lang":
+            cols[f"{base}_bounds"] = bounds_of(np.concatenate([np.diff(getattr(t, f"{base}_bounds")) for t in tables]))
+    return cols
 
 
 def message_columns(messages: Sequence[RateLimitMessage]) -> dict:
@@ -573,30 +608,45 @@ def mean_rate_from_messages(sample: StreamBundle) -> float:
     return delivered / (delivered + missed) if delivered + missed else 1.0
 
 
-@collector_paused()
 def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
     """Deduplicate and chronologically merge several bundles into one.
 
     Events are deduplicated by id; two events sharing an id must be
-    identical, otherwise the merge is ambiguous.  Messages are merged as a
-    multiset (per-message multiplicity is the max across bundles) so the
-    merge is idempotent.  The rows of the bundles are built to be matched,
-    with the collector paused, and the merged rows converted to columns.
+    identical, otherwise the merge is ambiguous: the error names the
+    smallest such id and the first field in which its events differ, in any
+    order of the bundles.  Messages are merged as a multiset (per-message
+    multiplicity is the max across bundles) so the merge is idempotent.
+    The bundles' tables are stacked, and matched and gathered on columns.
     """
     if not bundles:
         raise ValueError("need at least one bundle")
-    by_id: dict[int, Event] = {}
-    for b in bundles:
-        for ev in b.events:
-            if by_id.setdefault(ev[0], ev) != ev:
-                raise ValueError(f"conflicting duplicate for event id {ev[0]}")
-    msg_counts: Counter = Counter()
-    for b in bundles:
-        here = Counter(b.messages)
-        for msg, n in here.items():
-            if n > msg_counts[msg]:
-                msg_counts[msg] = n
-    events = sorted(by_id.values(), key=_SORT_KEY)
-    del by_id   # freed before the rows are converted
-    # a message is its own (timestamp_ms, cumulative_missed) sort key
-    return StreamBundle(events, sorted(msg_counts.elements()))
+    t = EventTable(**stacked([b.table for b in bundles]))
+    order = np.argsort(t.id, kind="stable")
+    first = np.diff(t.id[order], prepend=-1) != 0
+    # each repeat (b) of an id, and the first event (a) of that id
+    a, b = order[np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))][~first], order[~first]
+    differs = [_lists_differ(getattr(t, f"{name}_bounds"), getattr(t, f"{name}_codes"), a, b)
+               if name in ("hashtag", "url") else getattr(t, name)[a] != getattr(t, name)[b] for name in _FIELD[1:]]
+    conflict = np.any(differs, axis=0)
+    if conflict.any():
+        worst = t.id[b][conflict].min()
+        name = next(name for name, d in zip(_FIELD[1:], differs) if d[t.id[b] == worst].any())
+        raise ValueError(f"conflicting duplicate for event id {worst}: "
+                         f"{name}{'s' if name in ('hashtag', 'url') else ''} differs")
+    messages: Counter = Counter()
+    for bundle in bundles:
+        messages |= Counter(bundle.messages)
+    keep = order[first]
+    keep = keep[np.lexsort((t.id[keep], t.ts[keep]))]
+    # columns_of_rows narrows the gathered columns; a message is its own sort key
+    return StreamBundle.from_columns(columns_of_rows((), sorted(messages.elements()), **subtable(t, keep)._asdict()))
+
+
+def _lists_differ(bounds: np.ndarray, codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether rows ``a[i]`` and ``b[i]`` of a CSR code column hold different lists, for each i."""
+    length = bounds[a + 1] - bounds[a]
+    differs = length != bounds[b + 1] - bounds[b]
+    same = np.flatnonzero(~differs)
+    (_, at_a), (_, at_b) = csr_gather(bounds, a[same]), csr_gather(bounds, b[same])
+    differs[np.repeat(same, length[same])[codes[at_a] != codes[at_b]]] = True
+    return differs

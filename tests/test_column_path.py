@@ -71,6 +71,8 @@ COMMANDS = {
     "cascade-quotes-windows": ["cascade", "-i", "complete.jsonl", "-i", "bernoulli.jsonl", "--include-quotes",
                                "--window-s", "60", "--window-s", "inf", "--retweet-threshold", "5",
                                "-o", "cascade_q.json"],
+    # two overlapping parts of one stream, one with rate limit messages
+    "merge": ["merge", "-i", "sample.jsonl", "-i", "bernoulli.jsonl", "-o", "merged.jsonl"],
 }
 
 INPUTS = ("complete.jsonl", "sample.jsonl", "bernoulli.jsonl")
@@ -130,6 +132,9 @@ EVENT_LAYERS = {
     "inter-arrival-no-root": lambda c, s: distribution(
         sf.inter_arrival_distribution(sf.reconstruct_cascades(s), include_root=False)),
     "ccdf-tables": lambda c, s: ccdf_tables(sf.reconstruct_cascades(c), sf.reconstruct_cascades(s)),
+    "cascade-items": lambda c, s: [(x.root_id, x.is_rootless, x.size) for x in sf.reconstruct_cascades(s, True)],
+    "inter-arrival-of-items": lambda c, s: distribution(sf.inter_arrival_distribution(
+        [x for x in sf.reconstruct_cascades(s) if not x.is_rootless])),
 }
 
 
@@ -157,6 +162,7 @@ BUNDLE_LAYERS = {
     "rate-limited-threshold-1": lambda c, s: sf.rate_limited_bundle(c, 1, 0),
     "bernoulli": lambda c, s: sf.bernoulli_bundle(c, 0.4, 7),
     "samples-of-a-sample": lambda c, s: (sf.rate_limited_bundle(s, 2, 999), sf.bernoulli_bundle(s, 0.5)),
+    "merge": lambda c, s: sf.merge_streams([s, c, sf.bernoulli_bundle(c, 0.5, 2)]),
 }
 
 
@@ -407,3 +413,134 @@ def test_cascade_reach_equals_the_loop(events, rate, include_quotes, window_s):
         assert row.relative_potential_reach == {window_s: want}
         assert sf.relative_potential_reach(c, ref, window_s) == want
     assert rows == sf.compare_cascades(list(complete), list(sample), reach_windows_s=(window_s,))[0]
+
+
+# the row loop the table merge replaced, kept as a reference
+def merge_by_rows(bundles):
+    by_id = {}
+    for b in bundles:
+        for e in b.events:
+            if by_id.setdefault(e.id, e) != e:
+                raise ValueError(f"conflicting duplicate for event id {e.id}")
+    messages = Counter()
+    for b in bundles:
+        for m, n in Counter(b.messages).items():
+            messages[m] = max(messages[m], n)
+    return sf.StreamBundle.build(by_id.values(), messages.elements())
+
+
+# Event fields as merge_streams names them, in field order
+FIELD_NAMES = ("id", "ts", "user", "type", "root", "hashtags", "urls", "followers", "lang")
+
+
+def conflict_by_rows(bundles):
+    """The error merge_streams gives: the smallest id whose events differ,
+    and the first field in which they do."""
+    by_id = {}
+    for b in bundles:
+        for e in b.events:
+            by_id.setdefault(e.id, set()).add(e)
+    worst = min(i for i, events in by_id.items() if len(events) > 1)
+    field = next(k for k in range(1, 9) if len({e[k] for e in by_id[worst]}) > 1)
+    return f"conflicting duplicate for event id {worst}: {FIELD_NAMES[field]} differs"
+
+
+def changed(e, field):
+    """``e`` with one field changed; a root given a type or a root id gets both."""
+    if field in ("type", "root") and e.root_id is None:
+        return e._replace(event_type="retweet", root_id=0)
+    if field == "type":
+        return e._replace(event_type="quote" if e.event_type != "quote" else "reply")
+    if field == "root":
+        return e._replace(root_id=e.root_id + 1)
+    if field in ("hashtags", "urls"):
+        return e._replace(**{field: getattr(e, field)[::-1] if len(getattr(e, field)) > 1 else ("z",)})
+    name = {"ts": "timestamp_ms", "user": "user_id", "followers": "follower_count"}.get(field, field)
+    return e._replace(**{name: getattr(e, name) + 1 if name != "lang" else getattr(e, name) + "x"})
+
+
+@st.composite
+def overlapping_parts(draw):
+    """Parts of one stream as from overlapping crawlers: ids above 2**31 in
+    some parts only, string tables shared, disjoint or empty, repeated
+    messages, and now and then an event that differs from its duplicate."""
+    big = draw(st.booleans()) * 2 ** 31
+    vocab = st.lists(st.sampled_from(("a", "b", "c", "d", "\u00e9")), max_size=3)
+    master = [ev(i * 2 + (big if i % 3 == 0 else 0), draw(st.integers(0, 3_000)), user=draw(st.integers(0, 5)),
+                 kind=kind, root_id=None if kind == "root" else draw(st.integers(0, 9)), hashtags=draw(vocab),
+                 urls=draw(vocab)[:2], followers=draw(st.integers(0, 9)), lang=draw(st.sampled_from(("en", "ja"))))
+              for i, kind in enumerate(draw(st.lists(st.sampled_from(sf.model.EVENT_TYPES), max_size=30)))]
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        events = [e for e in master if draw(st.booleans())]
+        if events and draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(events) - 1))
+            events[at] = changed(events[at], draw(st.sampled_from(FIELD_NAMES[1:])))
+        stamps = sorted(draw(st.lists(st.integers(0, 40), max_size=4)))
+        parts.append(sf.StreamBundle.build(events, [sf.RateLimitMessage(t, t // 10) for t in stamps]))
+    return parts
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(overlapping_parts())
+def test_table_merge_equals_the_row_loop(parts):
+    try:
+        want = merge_by_rows(parts)
+    except ValueError:
+        message = conflict_by_rows(parts)
+        for order in (parts, parts[::-1]):
+            with pytest.raises(ValueError) as raised, no_rows():
+                sf.merge_streams(order)
+            assert str(raised.value) == message
+        return
+    with no_rows():
+        merged = sf.merge_streams(parts)
+    assert merged == want and merged.messages == want.messages
+    assert {n: c.dtype for n, c in merged.table._asdict().items() if n in model.INT32_COLUMNS} == {
+        n: c.dtype for n, c in want.table._asdict().items() if n in model.INT32_COLUMNS}
+
+
+# a root's root id changes only with its type, so a root event has no root conflict of its own
+@pytest.mark.parametrize("field, kind", [(f, k) for k in ("root", "retweet") for f in FIELD_NAMES[1:]
+                                         if (f, k) != ("root", "root")])
+def test_conflict_names_the_smallest_id_and_first_field_in_any_order(field, kind):
+    events = [ev(i, 10 * i, user=i, kind=kind, root_id=None if kind == "root" else 7, hashtags=("a", "b"),
+                 urls=("u",), followers=3, lang="en") for i in (1, 2, 3)]
+    a = sf.StreamBundle(events)
+    b = sf.StreamBundle.build([changed(events[2], "user"), changed(events[0], field), events[1]])
+    for parts in ([a, b], [b, a], [b, a, a]):
+        with pytest.raises(ValueError, match=f"^conflicting duplicate for event id 1: {field} differs$"):
+            sf.merge_streams(parts)
+
+
+def test_merge_command_exits_1_on_a_conflict(tmp_path, capsys):
+    for name, user in (("a", 0), ("b", 1)):
+        write_bundle(tmp_path / f"{name}.jsonl", sf.StreamBundle([ev(5, 1, user=user)]))
+    assert main(["merge", "-i", str(tmp_path / "a.jsonl"), "-i", str(tmp_path / "b.jsonl"),
+                 "-o", str(tmp_path / "m.jsonl")]) == 1
+    assert "conflicting duplicate for event id 5: user differs" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def large_stream():
+    """A generated stream of about 54,000 events, and a threshold sample of it."""
+    complete = sf.generate_stream(sf.GeneratorConfig(
+        duration_s=1_050, base_rate=120, cascade_fraction=0.5, seed=7,
+        type_mix={"root": 0.25, "retweet": 0.55, "quote": 0.08, "reply": 0.12}))
+    assert len(complete) > 50_000
+    return complete, sf.rate_limited_bundle(complete, 30, 657)
+
+
+def test_indexing_a_cascade_builds_its_rows_only(large_stream):
+    for bundle in large_stream:
+        cs = sf.reconstruct_cascades(bundle)
+        sizes = [c.size for c in cs]
+        rootless = [i for i, c in enumerate(cs) if c.is_rootless]
+        for i in {0, len(cs) - 1, sizes.index(max(sizes)), *rootless[:1]}:
+            with mock.patch.object(model, "_rows", wraps=model._rows) as spy:
+                retweets = cs[i].retweets
+            assert sum(len(c.args[0].id) for c in spy.call_args_list) == cs[i].size
+            assert retweets == tuple(e for e in bundle.events
+                                     if e.event_type == "retweet" and e.root_id == cs[i].root_id)
+            assert cs[i].root == next((e for e in bundle.events if e.id == cs[i].root_id), None)
+    assert rootless
