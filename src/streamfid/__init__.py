@@ -9,8 +9,7 @@ from .ratelimit import (Segment, estimate_missing, map_threads, segment_stream,
 from .entity import (DiscreteDistribution, binomial_mixture_model, binomial_sample_model,
                      estimate_complete_frequency_vector, estimate_missing_entities,
                      frequency_vector_of, ks_d_statistic, negbinom_complete_model)
-from .ranking import (RankReport, corrected_volume, kendall_tau, rank_percentiles,
-                      temporal_rates_from_messages, top_k_rank_table)
+from .ranking import RankReport, kendall_tau, rank_percentiles, temporal_rates_from_messages, top_k_rank_table
 from .graphs import (BowtieAssignment, Digraph, BipartiteGraph, bowtie_decompose, bowtie_flow,
                      build_bipartite, build_retweet_network, cluster_flow, spectral_cocluster)
 from .cascades import (Cascade, CascadeSet, compare_cascades, inter_arrival_distribution,

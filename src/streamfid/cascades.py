@@ -14,14 +14,12 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import eq
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .model import (EVENT_TYPES, Event, EventTable, EventView, StreamBundle, bounds_of, columns_of_rows,
-                    csr_gather, rows_at, stacked)
+from .model import EVENT_TYPES, Event, EventTable, EventView, StreamBundle, bounds_of, csr_gather, rows_at
 
 MS_PER_S = 1000.0
 
@@ -44,23 +42,14 @@ class Cascade:
     """Root event (when observed) plus time-ordered retweets, as position
     ``at`` of the ``CascadeSet`` ``of``: ``root_id``, ``is_rootless`` and
     ``size`` read the set's columns, while ``root``, ``retweets`` and
-    ``events()`` build this cascade's rows on each read.
-    ``Cascade(root_id, root, retweets)`` checks its rows and holds them as a
-    set of one cascade.  Equality is on (root_id, root, retweets).
+    ``events()`` build this cascade's rows on each read.  Equality is on
+    (root_id, root, retweets).
     """
 
     __slots__ = ("of", "at")
 
-    def __init__(self, root_id: int, root: Optional[Event], retweets: tuple[Event, ...]):
-        for ev in retweets:
-            if ev.root_id != root_id:
-                raise ValueError("retweet attached to wrong cascade")
-            if root is not None and ev.timestamp_ms < root.timestamp_ms:
-                raise ValueError("retweet precedes its root")
-        rows = ((root,) if root is not None else ()) + tuple(retweets)
-        self.of, self.at = CascadeSet(np.array([root_id], np.int64), np.array([0 if root is not None else -1]),
-                                      np.array([0, len(retweets)]), np.arange(len(rows) - len(retweets), len(rows)),
-                                      _table(rows)), 0
+    def __init__(self, of: "CascadeSet", at: int):
+        self.of, self.at = of, at
 
     @property
     def root_id(self) -> int:
@@ -116,9 +105,7 @@ class CascadeSet(_Lazy):
         return len(self.ids)
 
     def _item(self, at: int) -> Cascade:
-        cascade = Cascade.__new__(Cascade)
-        cascade.of, cascade.at = self, at
-        return cascade
+        return Cascade(self, at)
 
     def take(self, at: np.ndarray) -> "CascadeSet":
         """The cascades at positions ``at``, in that order."""
@@ -130,46 +117,29 @@ class CascadeSet(_Lazy):
         return self.take(np.flatnonzero(self.root_at >= 0))
 
 
-def _table(rows: Sequence[Event]) -> EventTable:
-    return EventTable(*map(columns_of_rows(rows).__getitem__, EventTable._fields))
-
-
 def _columns(cascades: Sequence[Cascade]) -> CascadeSet:
     """Cascades as one ``CascadeSet``: a set itself, or a list's positions
-    gathered from their set (from their sets joined, when there are several)."""
+    gathered from the one set they all belong to."""
     if isinstance(cascades, CascadeSet):
         return cascades
     cascades = list(cascades)
-    if not cascades:
-        return reconstruct_cascades(())
-    sets = list(dict.fromkeys(c.of for c in cascades))
-    starts = dict(zip(sets, accumulate(map(len, sets), initial=0)))
-    whole = sets[0] if len(sets) == 1 else _joined(sets)
-    return whole.take(np.array([starts[c.of] + c.at for c in cascades], np.intp))
+    if len({id(c.of) for c in cascades}) > 1:
+        raise ValueError("cascades of several sets: reconstruct them from one stream")
+    whole = cascades[0].of if cascades else reconstruct_cascades(())
+    return whole.take(np.array([c.at for c in cascades], np.intp))
 
 
-def _joined(sets: Sequence[CascadeSet]) -> CascadeSet:
-    """The cascades of ``sets`` one after another, over their tables stacked."""
-    offsets = list(accumulate((len(s.table.id) for s in sets), initial=0))
-    return CascadeSet(np.concatenate([s.ids for s in sets]),
-                      np.concatenate([np.where(s.root_at < 0, -1, s.root_at + o) for s, o in zip(sets, offsets)]),
-                      bounds_of(np.concatenate([np.diff(s.bounds) for s in sets])),
-                      np.concatenate([s.members + o for s, o in zip(sets, offsets)]),
-                      EventTable(**stacked([s.table for s in sets])))
-
-
-def reconstruct_cascades(events: Union[StreamBundle, Iterable[Event]],
+def reconstruct_cascades(events: Union[StreamBundle, EventView, Sequence[Event]],
                          include_quotes: bool = False) -> CascadeSet:
     """Group retweet events by root id; roots without retweets count too.
 
     Cascades whose root was not observed are returned flagged rootless;
     downstream sample-set reports drop them, since missing the root means
     missing the cascade.  Computed on the table of a bundle or its
-    ``events`` (other events are converted to a table once), which the
-    cascades share.
+    ``events`` (event rows are made a bundle with ``StreamBundle.build``
+    first), which the cascades share.
     """
-    table = events.table if isinstance(events, (StreamBundle, EventView)) else _table(
-        events if isinstance(events, (tuple, list)) else tuple(events))
+    table = (events if isinstance(events, (StreamBundle, EventView)) else StreamBundle.build(events)).table
     ids, ts, kind, root = table.id, table.ts, table.type, table.root
     root_code, retweet_code, quote_code = map(EVENT_TYPES.index, ("root", "retweet", "quote"))
     is_root, is_child = kind == root_code, (kind == retweet_code) | (include_quotes & (kind == quote_code))
@@ -247,10 +217,12 @@ def compare_cascades(
     filter of diffusion studies.
     """
     complete, sample = _columns(complete), _columns(sample)
-    index = dict(zip(complete.ids.tolist(), range(len(complete))))
-    ref = np.array([index.get(i, -1) for i in sample.ids.tolist()], np.intp)
-    if np.any(ref < 0):
-        raise ValueError(f"sample cascades not present in complete set: {sample.ids[ref < 0][:3].tolist()}")
+    order = np.argsort(complete.ids)
+    # each sample root id's complete cascade; an id past the last complete id reads cascade 0
+    ref = np.append(order, 0)[np.searchsorted(complete.ids, sample.ids, sorter=order)]
+    unknown = np.append(complete.ids, -1)[ref] != sample.ids   # root ids are never -1
+    if np.any(unknown):
+        raise ValueError(f"sample cascades not present in complete set: {sample.ids[unknown][:3].tolist()}")
     observed, ref, complete_real = sample.rooted(), ref[sample.root_ts >= 0], complete.rooted()
     sizes = 1 + np.diff(observed.bounds)
     ref_sizes = (complete.root_ts[ref] >= 0) + np.diff(complete.bounds)[ref]

@@ -15,11 +15,11 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Event, FrequencyVector, StreamBundle, distinct_per_event, event_columns
+from .model import Event, EventView, FrequencyVector, StreamBundle, distinct_per_event
 
 DEFAULT_K_MAX = 100
 
@@ -354,19 +354,23 @@ def estimate_missing_entities(f_hat: FrequencyVector, rate: float) -> float:
     return sum((1.0 - rate) ** k * v for k, v in f_hat.counts.items())
 
 
-def entity_occurrences(events: Union[StreamBundle, Iterable[Event]], key: str) -> Counter:
-    """Occurrence count per entity; hashtags/urls are deduped within an event."""
+def entity_occurrences(events: Union[StreamBundle, EventView], key: str) -> Counter:
+    """Occurrence count per entity of a bundle or its ``events``; hashtags/urls
+    are deduped within an event."""
     if key not in ENTITY_KEYS:
         raise ValueError(f"key must be one of {ENTITY_KEYS}")
+    t = events.table
     if key == "user":
-        entities, counts = np.unique(event_columns(events, "user")[0], return_counts=True)
+        entities, counts = np.unique(t.user, return_counts=True)
         entities = entities.tolist()
     else:
-        bounds, codes, entities = event_columns(events, f"{key}_bounds", f"{key}_codes", f"{key}_table")
+        bounds, codes, entities = (getattr(t, f"{key}_{part}") for part in ("bounds", "codes", "table"))
         counts = np.bincount(distinct_per_event(bounds, codes, len(entities))[1], minlength=len(entities))
     return Counter({e: n for e, n in zip(entities, counts.tolist()) if n})
 
 
-def frequency_vector_of(events: Union[StreamBundle, Iterable[Event]], key: str) -> FrequencyVector:
-    """Histogram of per-entity occurrence counts for one entity kind."""
-    return FrequencyVector.from_occurrences(entity_occurrences(events, key).values())
+def frequency_vector_of(events: Union[StreamBundle, EventView, Sequence[Event]], key: str) -> FrequencyVector:
+    """Histogram of per-entity occurrence counts for one entity kind; event
+    rows are made a bundle (``StreamBundle.build``) first."""
+    source = events if isinstance(events, (StreamBundle, EventView)) else StreamBundle.build(events)
+    return FrequencyVector.from_occurrences(entity_occurrences(source, key).values())

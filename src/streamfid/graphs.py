@@ -1,6 +1,6 @@
 """Network construction and structural drift measurement.
 
-Two graphs are built from an event list: the user-hashtag bipartite graph
+Two graphs are built from a stream's events: the user-hashtag bipartite graph
 (weighted by tweet count) and the user-user retweet digraph.  The bipartite
 graph is spectrally co-clustered; the digraph is decomposed into the
 classic six-component bow-tie.  Flow matrices count how entities move
@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, Event, StreamBundle, csr_gather, distinct_per_event, event_columns
+from .model import EVENT_TYPES, EventView, StreamBundle, csr_gather, distinct_per_event
 
 LSCC = "LSCC"
 IN = "IN"
@@ -58,14 +58,13 @@ class BipartiteGraph:
         return len(self.users) + len(self.hashtags)
 
 
-def build_bipartite(events: Union[StreamBundle, Iterable[Event]]) -> BipartiteGraph:
-    user, bounds, codes, table = event_columns(events, "user", "hashtag_bounds", "hashtag_codes",
-                                               "hashtag_table")
-    rows, codes = distinct_per_event(bounds, codes, len(table))
-    users, user_codes = np.unique(user, return_inverse=True)
+def build_bipartite(events: Union[StreamBundle, EventView]) -> BipartiteGraph:
+    t = events.table
+    rows, codes = distinct_per_event(t.hashtag_bounds, t.hashtag_codes, len(t.hashtag_table))
+    users, user_codes = np.unique(t.user, return_inverse=True)
     # one int object per user, shared by its edges
     weights = Counter(zip(map(users.tolist().__getitem__, user_codes[rows].tolist()),
-                          map(table.__getitem__, codes.tolist())))
+                          map(t.hashtag_table.__getitem__, codes.tolist())))
     return BipartiteGraph(dict(weights), tuple(sorted({u for u, _ in weights})),
                           tuple(sorted({h for _, h in weights})))
 
@@ -318,13 +317,13 @@ class Digraph:
         return cls(dict(weighted_edges), frozenset(nodes))
 
 
-def build_retweet_network(events: Union[StreamBundle, Iterable[Event]], include_quotes: bool = True) -> Digraph:
+def build_retweet_network(events: Union[StreamBundle, EventView], include_quotes: bool = True) -> Digraph:
     """Digraph of retweeter -> retweeted author, weighted by retweet count.
 
-    Events whose root cannot be resolved to an author within the list are
+    Events whose root cannot be resolved to an author within the stream are
     skipped and counted in ``skipped_unresolvable``.
     """
-    ids, user, kind, root = event_columns(events, "id", "user", "type", "root")
+    ids, user, kind, root = events.table.id, events.table.user, events.table.type, events.table.root
     roots = kind == EVENT_TYPES.index("root")
     author_of = dict(zip(ids[roots].tolist(), user[roots].tolist()))
     sharing = kind == EVENT_TYPES.index("retweet")

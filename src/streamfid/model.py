@@ -15,7 +15,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import eq, itemgetter
 from sys import intern
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class StreamBundle:
 
     __slots__ = ("table", "messages")
 
-    def __init__(self, events: Iterable[Event] = (), messages: Iterable[RateLimitMessage] = ()):
+    def __init__(self, events: Sequence[Event] = (), messages: Iterable[RateLimitMessage] = ()):
         events = events if isinstance(events, (tuple, list)) else tuple(events)
         self._set_columns(columns_of_rows(events, tuple(messages)))
 
@@ -167,12 +167,18 @@ class StreamBundle:
         return len(self.table.id)
 
     def __eq__(self, other):
+        """Equal messages and equal events, compared field by field on the
+        two tables stacked, so that no row is built."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.messages == other.messages and self.events == other.events
+        if self.messages != other.messages or len(self) != len(other):
+            return False
+        n = len(self)
+        return not np.any(_differs(EventTable(**stacked([self.table, other.table])), np.arange(n), np.arange(n, 2 * n)))
 
     def __hash__(self) -> int:
-        return hash((self.events, self.messages))
+        # values that equality compares, in one width
+        return hash((self.messages, *(getattr(self.table, name).astype(np.int64).tobytes() for name in ("id", "ts"))))
 
     def __repr__(self) -> str:
         return f"StreamBundle(events={tuple(self.events)!r}, messages={self.messages!r})"
@@ -181,7 +187,7 @@ class StreamBundle:
         return self.__class__.from_columns, ({**self.table._asdict(), **message_columns(self.messages)},)
 
     @classmethod
-    def build(cls, events: Iterable[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
+    def build(cls, events: Sequence[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
         """Sort inputs by (timestamp_ms, id) and construct a bundle (ids must already be unique)."""
         return cls(sorted(events, key=itemgetter(1, 0)), sorted(messages, key=itemgetter(0)))
 
@@ -420,19 +426,6 @@ def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tupl
     return events[first], codes[first]
 
 
-def event_columns(source: Union[StreamBundle, EventView, Iterable[Event]], *names: str) -> tuple:
-    """The ``EventTable`` fields ``names`` of a bundle, a view or events.
-
-    A bundle and its ``events`` view serve the bundle's table.  Rows are
-    converted on each call, and nothing is kept.
-    """
-    if isinstance(source, (StreamBundle, EventView)):
-        return tuple(getattr(source.table, name) for name in names)
-    if not isinstance(source, (tuple, list)):
-        source = tuple(source)
-    return tuple(_row_column(source, name) for name in names)
-
-
 def take(bundle: StreamBundle, keep: np.ndarray, messages: Sequence[RateLimitMessage] = ()) -> StreamBundle:
     """The events of ``bundle`` where the boolean mask ``keep`` is set, with
     ``messages``."""
@@ -625,12 +618,11 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
     first = np.diff(t.id[order], prepend=-1) != 0
     # each repeat (b) of an id, and the first event (a) of that id
     a, b = order[np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))][~first], order[~first]
-    differs = [_lists_differ(getattr(t, f"{name}_bounds"), getattr(t, f"{name}_codes"), a, b)
-               if name in ("hashtag", "url") else getattr(t, name)[a] != getattr(t, name)[b] for name in _FIELD[1:]]
+    differs = _differs(t, a, b)
     conflict = np.any(differs, axis=0)
     if conflict.any():
         worst = t.id[b][conflict].min()
-        name = next(name for name, d in zip(_FIELD[1:], differs) if d[t.id[b] == worst].any())
+        name = next(name for name, d in zip(_FIELD, differs) if d[t.id[b] == worst].any())
         raise ValueError(f"conflicting duplicate for event id {worst}: "
                          f"{name}{'s' if name in ('hashtag', 'url') else ''} differs")
     messages: Counter = Counter()
@@ -640,6 +632,13 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
     keep = keep[np.lexsort((t.id[keep], t.ts[keep]))]
     # columns_of_rows narrows the gathered columns; a message is its own sort key
     return StreamBundle.from_columns(columns_of_rows((), sorted(messages.elements()), **subtable(t, keep)._asdict()))
+
+
+def _differs(t: EventTable, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """For each ``Event`` field, whether rows ``a[i]`` and ``b[i]`` of a
+    table differ in it, for each i; strings compare by their codes."""
+    return [_lists_differ(getattr(t, f"{name}_bounds"), getattr(t, f"{name}_codes"), a, b)
+            if name in ("hashtag", "url") else getattr(t, name)[a] != getattr(t, name)[b] for name in _FIELD]
 
 
 def _lists_differ(bounds: np.ndarray, codes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,11 +16,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import Event, StreamBundle, TemporalRateProfile, bucket_of, event_columns, missed_increments
+from .model import StreamBundle, TemporalRateProfile, bucket_of, missed_increments
 
 ZERO_RATE_FLOOR = 1e-3
 
@@ -51,8 +51,7 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
     timestamp.  Buckets without a delivered event are left out of the
     profile, so they read its default rate 1 rather than rate 0.
     """
-    buckets, delivered = np.unique(bucket_of(event_columns(sample, "ts")[0], granularity),
-                                   return_counts=True)
+    buckets, delivered = np.unique(bucket_of(sample.table.ts, granularity), return_counts=True)
     missed: Counter = Counter()
     for msg, inc in zip(sample.messages, missed_increments(sample.messages)):
         missed[bucket_of(msg.timestamp_ms, granularity)] += inc
@@ -68,12 +67,6 @@ def _corrected_volumes(groups: np.ndarray, ts: np.ndarray, profile: TemporalRate
     # bincount adds each group's weights one by one in array order
     return np.bincount(groups, (1.0 / np.maximum(rates, ZERO_RATE_FLOOR))[inverse],
                        minlength=int(groups.max(initial=0)) + 1)
-
-
-def corrected_volume(user_events: Union[StreamBundle, Iterable[Event]], profile: TemporalRateProfile) -> float:
-    """Expected complete volume: sum of 1/rate over observed events."""
-    ts = event_columns(user_events, "ts")[0]
-    return float(_corrected_volumes(np.zeros(len(ts), np.intp), ts, profile)[0])
 
 
 def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
@@ -131,13 +124,12 @@ def top_k_rank_table(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    s_user, s_ts = event_columns(sample, "user", "ts")
-    users, groups, counts = np.unique(s_user, return_inverse=True, return_counts=True)
+    users, groups, counts = np.unique(sample.table.user, return_inverse=True, return_counts=True)
     users = users.tolist()
     n_s = dict(zip(users, counts.tolist()))
-    c_users, c_counts = np.unique(event_columns(complete, "user")[0], return_counts=True)
+    c_users, c_counts = np.unique(complete.table.user, return_counts=True)
     n_c = dict(zip(c_users.tolist(), c_counts.tolist()))
-    volumes = dict(zip(users, _corrected_volumes(groups, s_ts, profile).tolist()))
+    volumes = dict(zip(users, _corrected_volumes(groups, sample.table.ts, profile).tolist()))
 
     if len(n_s) < k:
         warnings.warn(f"only {len(n_s)} users observed, shrinking top-k from {k}", stacklevel=2)

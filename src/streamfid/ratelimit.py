@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import RateLimitMessage, StreamBundle, event_columns, missed_increments
+from .model import RateLimitMessage, StreamBundle, missed_increments
 
 DEFAULT_MAX_THREADS = 4
 
@@ -76,8 +76,8 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
 
     complete_msg_ts = np.fromiter(map(itemgetter(0), complete.messages), np.int64, len(complete.messages))
     kept = np.flatnonzero((lo < hi) & (count_in(complete_msg_ts) == 0))
-    sample_counts = count_in(event_columns(sample, "ts")[0])[kept].tolist()
-    complete_counts = count_in(event_columns(complete, "ts")[0])[kept].tolist()
+    sample_counts = count_in(sample.table.ts)[kept].tolist()
+    complete_counts = count_in(complete.table.ts)[kept].tolist()
     return [
         Segment(
             start_ms=msgs[i].timestamp_ms,

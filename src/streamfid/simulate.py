@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Event, RateLimitMessage, StreamBundle, columns_of_rows, event_columns, take
+from .model import Event, RateLimitMessage, StreamBundle, _row_column, columns_of_rows, take
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
@@ -219,7 +219,7 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
             seq += 1
 
     drafts.sort(key=itemgetter(1, 0))   # by (ts, seq): ids are given in this order
-    seqs, root_seqs = event_columns(drafts, "id", "root")
+    seqs, root_seqs = _row_column(drafts, "id"), _row_column(drafts, "root")
     id_of_seq = np.argsort(seqs)
     # follower counts are drawn in id order
     followers = np.fromiter(map(users.followers, map(itemgetter(2), drafts)), np.int64, len(drafts))
@@ -259,7 +259,7 @@ def rate_limited_sample(
     the start of the stream.
     """
     events = events if isinstance(events, (tuple, list)) else tuple(events)
-    ids, ts = event_columns(events, "id", "ts")
+    ids, ts = _row_column(events, "id"), _row_column(events, "ts")
     keep, messages = _threshold_sampler(ts, threshold, anchor_ms)
     step = np.diff(ts)
     if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
@@ -273,7 +273,7 @@ def rate_limited_bundle(
     anchor_ms: int = DEFAULT_ANCHOR_MS,
 ) -> StreamBundle:
     """``rate_limited_sample`` of a bundle, held as the bundle is (see ``take``)."""
-    return take(complete, *_threshold_sampler(event_columns(complete, "ts")[0], threshold, anchor_ms))
+    return take(complete, *_threshold_sampler(complete.table.ts, threshold, anchor_ms))
 
 
 def _bernoulli_keep(n: int, rate: float, seed: int) -> np.ndarray:

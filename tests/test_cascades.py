@@ -1,8 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
 from streamfid.cascades import (
-    Cascade,
     compare_cascades,
     inter_arrival_distribution,
     reconstruct_cascades,
@@ -14,16 +15,25 @@ from conftest import ev
 from workloads import cascade_corpus
 
 
-def make_cascade(root_ts=0, gaps_s=(), followers=None, root_id=0, with_root=True):
-    root = ev(root_id, root_ts, user=1) if with_root else None
-    retweets = []
+def cascade_events(root_ts=0, gaps_s=(), followers=None, root_id=0, with_root=True):
+    events = [ev(root_id, root_ts, user=1)] if with_root else []
     t = root_ts
     followers = followers or [0] * len(gaps_s)
     for i, (g, f) in enumerate(zip(gaps_s, followers)):
         t += int(g * 1000)
-        retweets.append(ev(1000 + root_id * 100 + i, t, user=2 + i, kind="retweet",
-                           root_id=root_id, followers=f))
-    return Cascade(root_id, root, tuple(retweets))
+        events.append(ev(1000 + root_id * 100 + i, t, user=2 + i, kind="retweet",
+                         root_id=root_id, followers=f))
+    return events
+
+
+def make_cascade(**spec):
+    return cascade_of(*cascade_events(**spec))
+
+
+def cascade_of(*events):
+    """The one cascade of ``events``."""
+    (cascade,) = reconstruct_cascades(list(events))
+    return cascade
 
 
 class TestReconstructCascades:
@@ -81,8 +91,8 @@ class TestReconstructCascades:
 
 class TestCompareCascades:
     def test_identical_sets_fully_observed(self):
-        cascades = [make_cascade(gaps_s=(1, 2), root_id=i) for i in range(3)]
-        rows, summary = compare_cascades(cascades, cascades)
+        cascades = reconstruct_cascades([e for i in range(3) for e in cascade_events(gaps_s=(1, 2), root_id=i)])
+        rows, summary = compare_cascades(cascades, list(cascades))
         assert summary.fully_observed == 3
         assert summary.fully_observed_fraction == 1.0
         assert all(r.is_fully_observed for r in rows)
@@ -109,8 +119,16 @@ class TestCompareCascades:
         assert summary.sample_cascades <= summary.complete_cascades
 
     def test_unknown_sample_cascade_rejected(self):
-        with pytest.raises(ValueError):
-            compare_cascades([make_cascade(root_id=0)], [make_cascade(root_id=1)])
+        # ids below, between and above the complete ones, and a complete set of none
+        complete = reconstruct_cascades([ev(i, i) for i in (2, 4, 6)])
+        for known, sample, named in ((complete, [4, 0, 5, 7], "[0, 5, 7]"), ([], [1], "[1]")):
+            with pytest.raises(ValueError, match=re.escape(f"not present in complete set: {named}")):
+                compare_cascades(known, reconstruct_cascades([ev(i, i) for i in sample]))
+
+    def test_cascades_of_two_sets_rejected(self):
+        complete = [make_cascade(root_id=0), make_cascade(root_id=1)]
+        with pytest.raises(ValueError, match="several sets"):
+            compare_cascades(complete, complete[:1])
 
 
 class TestInterArrival:
@@ -152,25 +170,25 @@ class TestRelativePotentialReach:
 
     def test_half_when_one_of_two_equal_retweeters_kept(self):
         complete = make_cascade(gaps_s=(1, 2), followers=[15, 15])
-        sample = Cascade(complete.root_id, complete.root, complete.retweets[:1])
+        sample = cascade_of(complete.root, *complete.retweets[:1])
         assert relative_potential_reach(sample, complete) == 0.5
 
     def test_window_restricts_both_sides(self):
         complete = make_cascade(gaps_s=(100, 700), followers=[10, 90])
-        sample = Cascade(complete.root_id, complete.root, complete.retweets[1:])
+        sample = cascade_of(complete.root, *complete.retweets[1:])
         # within 600 s only the first retweet exists; the sample missed it
         assert relative_potential_reach(sample, complete, window_s=600) == 0.0
         assert relative_potential_reach(sample, complete) == pytest.approx(0.9)
 
     def test_window_holds_its_last_millisecond(self):
         complete = make_cascade(gaps_s=(600, 1), followers=[10, 30])
-        sample = Cascade(complete.root_id, complete.root, complete.retweets[:1])
+        sample = cascade_of(complete.root, *complete.retweets[:1])
         assert relative_potential_reach(sample, complete, window_s=600) == 1.0
         assert relative_potential_reach(sample, complete, window_s=599.999) is None
 
     def test_zero_over_zero_undefined(self):
         complete = make_cascade(gaps_s=(700,), followers=[10])
-        sample = Cascade(complete.root_id, complete.root, ())
+        sample = cascade_of(complete.root)
         assert relative_potential_reach(sample, complete, window_s=600) is None
 
     def test_mismatched_roots_rejected(self):
@@ -181,7 +199,7 @@ class TestRelativePotentialReach:
         complete = make_cascade(gaps_s=(1, 2, 3, 4), followers=[5, 10, 20, 40])
         prev = 1.0
         for keep in range(4, -1, -1):
-            sample = Cascade(complete.root_id, complete.root, complete.retweets[:keep])
+            sample = cascade_of(complete.root, *complete.retweets[:keep])
             ratio = relative_potential_reach(sample, complete)
             assert ratio <= prev
             prev = ratio

@@ -3,8 +3,8 @@
 ``read_bundle`` returns a bundle held as columns, and the counting layers,
 the samplers, the writer and the cascade measures read those columns.
 Here the one columns-to-rows function raises, so any layer or command that
-still builds rows fails; each must give what it gives on rows, a bundle's
-or a plain iterable's.
+still builds rows fails; each must give what it gives on a bundle built
+from rows.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def held(streams):
 
 PROFILE = sf.TemporalRateProfile("minute", {m: 0.1 + m / 100 for m in range(0, 60, 2)}, default_rate=0.9)
 
-# layers that take bundles or any iterable of events
+# layers that take a bundle or its events view
 EVENT_LAYERS = {
     "breakdown-hour-tz": lambda c, s: sf.sampling_rate_breakdown(c, s, "hour", -3),
     "breakdown-millisecond": lambda c, s: sf.sampling_rate_breakdown(c, s, "millisecond"),
@@ -123,7 +123,8 @@ EVENT_LAYERS = {
     "bipartite": lambda c, s: sf.build_bipartite(s),
     "retweet": lambda c, s: sf.build_retweet_network(c),
     "retweet-no-quotes": lambda c, s: sf.build_retweet_network(s, include_quotes=False),
-    "corrected-volume": lambda c, s: sf.corrected_volume(s, PROFILE),
+    "corrected-volume": lambda c, s: sf.ranking._corrected_volumes(np.zeros(len(s), np.intp), s.table.ts,
+                                                                    PROFILE).tolist(),
     "cascade-columns": lambda c, s: cascade_columns(sf.reconstruct_cascades(c, include_quotes=True)),
     "compare-cascades": lambda c, s: sf.compare_cascades(sf.reconstruct_cascades(c), sf.reconstruct_cascades(s)),
     "compare-cascades-quotes-windows": lambda c, s: sf.compare_cascades(
@@ -177,8 +178,6 @@ def test_layer_on_columns_builds_no_rows_and_equals_it_on_rows(streams, layer):
     if layer in EVENT_LAYERS:
         with no_rows():
             assert run(complete.events, sample.events) == on_columns
-        assert run(*(iter(b.events) for b in rows)) == on_columns
-        assert run(*(list(b.events) for b in rows)) == on_columns
 
 
 def test_reading_events_keeps_the_columns(streams):
@@ -264,14 +263,47 @@ def test_events_view_is_a_sequence_of_its_rows(events, block, data):
             assert view[where] == rows[where] and isinstance(view[where], tuple)
 
 
+def backwards(bundle):
+    """``bundle`` held as int64 columns, its string tables listed backwards."""
+    cols = {name: col.astype(np.int64) if isinstance(col, np.ndarray) else col
+            for name, col in bundle.table._asdict().items()}
+    for codes, table in (("lang", "lang_table"), ("hashtag_codes", "hashtag_table"), ("url_codes", "url_table")):
+        cols[codes], cols[table] = len(cols[table]) - 1 - cols[codes], cols[table][::-1]
+    return sf.StreamBundle.from_columns({**cols, **model.message_columns(bundle.messages)})
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(streams_of_rows(), st.lists(st.integers(0, 9), max_size=3), st.data())
+def test_bundle_equality_on_columns_agrees_with_the_rows(events, counters, data):
+    messages = [sf.RateLimitMessage(5 * i, n) for i, n in enumerate(sorted(counters))]
+    other, other_messages = list(events), list(messages)
+    change = data.draw(st.sampled_from(("none", "field", "id", "drop", "message")))
+    if change == "message":
+        other_messages.append(sf.RateLimitMessage(50, data.draw(st.integers(0, 9))))
+    elif change != "none" and events:
+        at = data.draw(st.integers(0, len(events) - 1))
+        if change == "field":
+            other[at] = changed(other[at], data.draw(st.sampled_from(FIELD_NAMES[1:])))
+        elif change == "id":
+            other[at] = other[at]._replace(id=3 * len(events) + 3)
+        else:
+            del other[at]
+    a, b = sf.StreamBundle(events, messages), sf.StreamBundle.build(other, other_messages)
+    want = (tuple(a.events), a.messages) == (tuple(b.events), b.messages)
+    # int32 columns against int64, string tables in the order of first use or backwards
+    sides = [(a, backwards(a)), (b, backwards(b), as_columns(b.events, b.messages))]
+    with no_rows():
+        for x in sides[0]:
+            for y in sides[1]:
+                assert (x == y) == want and (y == x) == want and x == x
+                assert not want or hash(x) == hash(y)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(streams_of_rows(), st.sampled_from(sf.model.GRANULARITIES), st.floats(0, 1), st.booleans())
 def test_column_layers_equal_the_row_loops(events, granularity, rate, include_quotes):
-    held = sf.StreamBundle.from_columns({
-        **dict(zip(model.EventTable._fields, model.event_columns(events, *model.EventTable._fields))),
-        "msg_ts": np.zeros(0, np.int64), "msg_missed": np.zeros(0, np.int64)})
     profile = sf.TemporalRateProfile(granularity, {0: rate, 1: rate / 3, 7: 0.0}, default_rate=0.8)
-    for source in (events, held):
+    for source in (sf.StreamBundle(events), as_columns(events)):
         for key in ("user", "hashtag", "url"):
             assert sf.entity.entity_occurrences(source, key) == occurrences_by_loop(events, key)
         graph = sf.build_bipartite(source)
@@ -279,9 +311,10 @@ def test_column_layers_equal_the_row_loops(events, granularity, rate, include_qu
         assert graph.users == tuple(sorted({u for u, _ in graph.weights}))
         net = sf.build_retweet_network(source, include_quotes)
         assert (net.edges, net.skipped_unresolvable) == retweets_by_loop(events, include_quotes)
-        assert sf.corrected_volume(source, profile) == volume_by_loop(events, profile)
+        volumes = sf.ranking._corrected_volumes(np.zeros(len(events), np.intp), source.table.ts, profile)
+        assert volumes.tolist() == [volume_by_loop(events, profile)]
         for key in ("hour", "second", "millisecond", "lang", "type"):
-            rows = sf.sampling_rate_breakdown(source, events[::2], key, tz_offset_hours=-5)
+            rows = sf.sampling_rate_breakdown(source, sf.StreamBundle(events[::2]).events, key, tz_offset_hours=-5)
             truth = Counter(sf.model.bucket_of(e.timestamp_ms, key, -5, band_ms=1) if key not in ("lang", "type")
                             else getattr(e, "lang" if key == "lang" else "event_type") for e in events)
             assert {r.bucket: r.complete_count for r in rows} == truth
@@ -314,9 +347,9 @@ def reach_by_loop(cascade, horizon_ms):
 
 
 def as_columns(events, messages=()):
-    return sf.StreamBundle.from_columns({
-        **dict(zip(model.EventTable._fields, model.event_columns(events, *model.EventTable._fields))),
-        **model.message_columns(messages)})
+    """The bundle of sorted ``events`` and ``messages`` held as int64 columns."""
+    return sf.StreamBundle.from_columns({**{name: model._row_column(events, name) for name in model.EventTable._fields},
+                                         **model.message_columns(messages)})
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

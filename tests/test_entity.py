@@ -18,7 +18,7 @@ from streamfid.entity import (
     ks_d_statistic,
     negbinom_complete_model,
 )
-from streamfid.model import FrequencyVector
+from streamfid.model import FrequencyVector, StreamBundle
 from streamfid.simulate import bernoulli_sample
 
 from conftest import ev
@@ -293,7 +293,7 @@ class TestFrequencyVectorOf:
             ev(3, 3, hashtags=()),
             ev(4, 4, hashtags=("c",)),
         ]
-        occ = entity_occurrences(events, "hashtag")
+        occ = entity_occurrences(StreamBundle(events), "hashtag")
         assert occ == {"a": 2, "b": 2, "c": 1}
         assert frequency_vector_of(events, "hashtag").counts == {1: 1, 2: 2}
 

@@ -22,6 +22,7 @@ from streamfid.graphs import (
     spectral_cocluster,
     user_node,
 )
+from streamfid.model import StreamBundle
 from streamfid.simulate import bernoulli_sample
 
 from conftest import ev
@@ -78,12 +79,12 @@ def brute_force_bowtie(nodes, edges):
 
 class TestBuildBipartite:
     def test_no_hashtags_empty(self):
-        g = build_bipartite([ev(0, 0), ev(1, 1)])
+        g = build_bipartite(StreamBundle([ev(0, 0), ev(1, 1)]))
         assert g.weights == {} and g.node_count == 0
 
     def test_repeated_pair_accumulates(self):
         events = [ev(i, i, user=1, hashtags=("x",)) for i in range(3)]
-        g = build_bipartite(events)
+        g = build_bipartite(StreamBundle(events))
         assert g.weights == {(1, "x"): 3}
 
     def test_hand_counted_fixture(self):
@@ -94,7 +95,7 @@ class TestBuildBipartite:
             ev(3, 3, user=2, hashtags=()),
             ev(4, 4, user=3, hashtags=("a", "c")),
         ]
-        g = build_bipartite(events)
+        g = build_bipartite(StreamBundle(events))
         assert g.weights == {
             (1, "a"): 2, (1, "b"): 1, (2, "b"): 1, (3, "a"): 1, (3, "c"): 1,
         }
@@ -113,7 +114,7 @@ class TestSpectralCocluster:
             for _ in range(w):
                 events.append(ev(eid, eid, user=u, hashtags=(t,)))
                 eid += 1
-        return build_bipartite(events)
+        return build_bipartite(StreamBundle(events))
 
     def test_single_biclique_one_cluster(self):
         g = self._graph(self.biclique([1, 2], ["a", "b"]))
@@ -230,7 +231,7 @@ class TestClusterFlow:
 
 class TestBuildRetweetNetwork:
     def test_no_retweets_empty(self):
-        g = build_retweet_network([ev(0, 0, user=1)])
+        g = build_retweet_network(StreamBundle([ev(0, 0, user=1)]))
         assert g.edges == {} and g.nodes == frozenset()
 
     def test_single_root_two_retweets(self):
@@ -239,7 +240,7 @@ class TestBuildRetweetNetwork:
             ev(1, 5, user=20, kind="retweet", root_id=0),
             ev(2, 9, user=20, kind="retweet", root_id=0),
         ]
-        g = build_retweet_network(events)
+        g = build_retweet_network(StreamBundle(events))
         assert g.edges == {(20, 10): 2}
 
     def test_hand_built_three_authors(self):
@@ -252,19 +253,19 @@ class TestBuildRetweetNetwork:
             ev(5, 5, user=1, kind="reply", root_id=1),   # replies excluded
             ev(6, 6, user=2, kind="retweet", root_id=99),  # unresolvable
         ]
-        g = build_retweet_network(events)
+        g = build_retweet_network(StreamBundle(events))
         assert g.edges == {(3, 1): 1, (3, 2): 1, (2, 1): 1}
         assert g.skipped_unresolvable == 1
-        g_no_quotes = build_retweet_network(events, include_quotes=False)
+        g_no_quotes = build_retweet_network(StreamBundle(events), include_quotes=False)
         assert g_no_quotes.edges == {(3, 1): 1, (3, 2): 1}
 
     def test_sampled_edges_are_subset_with_dominated_weights(self, rng):
         events = [ev(0, 0, user=0)]
         for i in range(1, 400):
             events.append(ev(i, i, user=int(rng.integers(1, 30)), kind="retweet", root_id=0))
-        complete = build_retweet_network(events)
+        complete = build_retweet_network(StreamBundle(events))
         sampled_events = [events[0]] + bernoulli_sample(events[1:], 0.5, seed=3)
-        sample = build_retweet_network(sampled_events)
+        sample = build_retweet_network(StreamBundle(sampled_events))
         for edge, w in sample.edges.items():
             assert edge in complete.edges
             assert w <= complete.edges[edge]

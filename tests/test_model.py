@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from streamfid.cascades import Cascade
+from streamfid.cascades import reconstruct_cascades
 from streamfid.model import (
     Event,
     FrequencyVector,
@@ -97,8 +97,8 @@ class TestRecordContract:
     def test_cascade_events_include_observed_root(self):
         root = ev(0, 10)
         rts = (ev(1, 20, kind="retweet", root_id=0), ev(2, 30, kind="retweet", root_id=0))
-        assert Cascade(0, root, rts).events() == (root,) + rts
-        assert Cascade(0, None, rts).events() == rts
+        assert reconstruct_cascades([root, *rts])[0].events() == (root,) + rts
+        assert reconstruct_cascades(rts)[0].events() == rts
 
 
 class TestStreamBundle:

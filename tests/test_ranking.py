@@ -5,7 +5,7 @@ from scipy.stats import kendalltau, rankdata
 from streamfid.model import RateLimitMessage, StreamBundle, TemporalRateProfile
 from streamfid.ranking import (
     _average_ranks,
-    corrected_volume,
+    _corrected_volumes,
     kendall_tau,
     rank_percentiles,
     temporal_rates_from_messages,
@@ -54,24 +54,30 @@ class TestTemporalRates:
             assert profile.rates[hour] == pytest.approx(rate, abs=0.02)
 
 
+def corrected_volume(stamps, profile, groups=None):
+    """``_corrected_volumes`` of events at ``stamps``, all in group 0 by default."""
+    groups = np.zeros(len(stamps), np.intp) if groups is None else np.array(groups)
+    return _corrected_volumes(groups, np.array(stamps, np.int64), profile).tolist()
+
+
 class TestCorrectedVolume:
     def test_single_event_half_rate(self):
         profile = TemporalRateProfile.constant(0.5)
-        assert corrected_volume([ev(0, 0)], profile) == pytest.approx(2.0)
+        assert corrected_volume([0], profile) == pytest.approx([2.0])
 
     def test_all_ones_counts_events(self):
         profile = TemporalRateProfile.constant(1.0)
-        events = [ev(i, i) for i in range(9)]
-        assert corrected_volume(events, profile) == pytest.approx(9.0)
+        assert corrected_volume(range(9), profile) == pytest.approx([9.0])
+        assert corrected_volume(range(9), profile, [2, 0, 2] * 3) == pytest.approx([3.0, 0.0, 6.0])
 
     def test_two_rates(self):
         profile = TemporalRateProfile("hour", {0: 0.5, 1: 0.25})
-        events = [ev(0, 0), ev(1, 3_600_000)]
-        assert corrected_volume(events, profile) == pytest.approx(6.0)
+        assert corrected_volume([0, 3_600_000], profile) == pytest.approx([6.0])
+        assert corrected_volume([0, 3_600_000], profile, [1, 0]) == pytest.approx([4.0, 2.0])
 
     def test_zero_rate_floored(self):
         profile = TemporalRateProfile("hour", {0: 0.0})
-        assert corrected_volume([ev(0, 0)], profile) == pytest.approx(1000.0)
+        assert corrected_volume([0], profile) == pytest.approx([1000.0])
 
 
 class TestKendallTau:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from streamfid import io as sio
 from streamfid.io import LineFormatError, read_bundle, write_bundle
-from streamfid.model import EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, event_columns
+from streamfid.model import EVENT_TYPES, Event, RateLimitMessage, StreamBundle, columns_of_rows
 
 from conftest import ev
 
@@ -307,8 +307,7 @@ def test_columns_are_accepted_exactly_when_their_rows_are(cols):
 @pytest.mark.parametrize("table, error", [(("a", "a"), ValueError), (("a", 1), TypeError)],
                          ids=["repeated-string", "not-a-string"])
 def test_a_string_table_holds_distinct_strings(table, error):
-    cols = dict(zip(EventTable._fields, event_columns([ev(0, 1, hashtags=("a",))], *EventTable._fields)))
-    cols.update(hashtag_table=table, msg_ts=np.array([], np.int64), msg_missed=np.array([], np.int64))
+    cols = {**columns_of_rows([ev(0, 1, hashtags=("a",))]), "hashtag_table": table}
     with pytest.raises(error):
         StreamBundle.from_columns(cols)
 
