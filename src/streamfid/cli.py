@@ -284,32 +284,43 @@ def cmd_rank(args, parser):
     return 0
 
 
-def _csv_records(path, header: str, convert):
-    """``convert`` of each row of a CSV file, but for blank rows, lines
-    starting with '#' and the row whose first field is ``header``.  A row
-    it cannot convert raises LineFormatError."""
+def _csv_mapping(path, header: str, key_name: str, convert) -> dict:
+    """{key: value} of the (key, value) ``convert`` gives each row of a CSV
+    file, but for blank rows, lines starting with '#' and the row whose
+    first field is ``header``.  A row it cannot convert, or whose key an
+    earlier row holds, raises LineFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         numbered = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
     reader = csv.reader(line for _, line in numbered)
+    out = {}
     for row in reader:
         if row and row[0] != header:
             try:
-                yield convert(row)
+                key, value = convert(row)
+                if key in out:
+                    raise ValueError(f"repeated {key_name} {key!r}")
+                out[key] = value
             except (IndexError, ValueError) as exc:
                 reason = str(exc) if isinstance(exc, ValueError) else f"expected at least 2 fields, got {len(row)}"
                 raise LineFormatError(path, numbered[reader.line_num - 1][0], reason) from None
+    return out
 
 
 def _read_assignment(path, cluster=str) -> dict:
     """Node -> cluster (``cluster`` of its text) from a (node, cluster) CSV."""
-    return dict(_csv_records(path, "node", lambda row: (row[0], cluster(row[1]))))
+    return _csv_mapping(path, "node", "node", lambda row: (row[0], cluster(row[1])))
 
 
 def _read_edge_csv(path, dst=str) -> dict:
     """Weighted edge list from a (src, dst, weight) CSV of integer sources
-    and weights; the weight is 1 when left out."""
-    return dict(_csv_records(path, "src", lambda row: (
-        (int(row[0]), dst(row[1])), int(row[2]) if len(row) > 2 else 1)))
+    and weights of at least 1; the weight is 1 when left out."""
+    def edge(row):
+        weight = int(row[2]) if len(row) > 2 else 1
+        if weight < 1:
+            raise ValueError(f"edge weight {weight} is below 1")
+        return (int(row[0]), dst(row[1])), weight
+
+    return _csv_mapping(path, "src", "edge", edge)
 
 
 def cmd_graph(args, parser):

@@ -120,21 +120,56 @@ def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence):
     return rows, cols, vals
 
 
-def _normalized_weights(g: BipartiteGraph):
-    """D_u^-1/2 W D_h^-1/2 as a CSC matrix, with the two scaling vectors."""
-    # the one scipy import of the package: numpy has no sparse products
-    from scipy.sparse import csr_matrix
+class _Sparse:
+    """A sparse matrix held as coordinate arrays sorted by (row, col).
 
+    It has what the SVD needs: ``shape``, ``toarray()``, ``.T`` (a copy
+    sorted by (col, row)) and ``@`` with a dense block.  A product gathers
+    the block's rows of every entry, scales them by its value and sums them
+    into the output rows with one ``np.bincount``, which adds in entry
+    order: each output row is summed in column order, as scipy's CSR and
+    CSC products sum it, so the results are theirs bit for bit.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
+        order = np.lexsort((cols, rows))
+        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
+        self.shape = shape
+        self._transposed: Optional[_Sparse] = None
+        # block width -> flat output index of each entry's products, kept on
+        # the matrix (not in a module-level cache) so that it is freed with it
+        self._flat: dict[int, np.ndarray] = {}
+
+    @property
+    def T(self) -> "_Sparse":
+        if self._transposed is None:
+            self._transposed = _Sparse(self.cols, self.rows, self.vals, self.shape[::-1])
+        return self._transposed
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n_rows, width = self.shape[0], x.shape[1]
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self._flat[width] = (self.rows[:, None] * width + np.arange(width)).ravel()
+        products = np.take(x, self.cols, axis=0) * self.vals[:, None]
+        return np.bincount(flat, products.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+
+    def toarray(self) -> np.ndarray:
+        a = np.zeros(self.shape)
+        a[self.rows, self.cols] = self.vals
+        return a
+
+
+def _normalized_weights(g: BipartiteGraph) -> tuple[_Sparse, np.ndarray, np.ndarray]:
+    """D_u^-1/2 W D_h^-1/2 as a ``_Sparse`` matrix, with the two scaling vectors."""
     rows, cols, vals = _sparse(g.weights, g.users, g.hashtags)
-    w = csr_matrix((vals, (rows, cols)), shape=(len(g.users), len(g.hashtags)))
-    du = np.asarray(w.sum(axis=1)).ravel()
-    dh = np.asarray(w.sum(axis=0)).ravel()
-    su = 1.0 / np.sqrt(np.maximum(du, 1e-12))
-    sh = 1.0 / np.sqrt(np.maximum(dh, 1e-12))
-    return w.multiply(su[:, None]).multiply(sh[None, :]).tocsc(), su, sh
+    # the weights are integers, so the degrees are exact in any order
+    su = 1.0 / np.sqrt(np.maximum(np.bincount(rows, vals, minlength=len(g.users)), 1e-12))
+    sh = 1.0 / np.sqrt(np.maximum(np.bincount(cols, vals, minlength=len(g.hashtags)), 1e-12))
+    return _Sparse(rows, cols, vals * su[rows] * sh[cols], (len(g.users), len(g.hashtags))), su, sh
 
 
-def _truncated_svd(m, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _truncated_svd(m: _Sparse, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading singular vectors, deterministically.
 
     ARPACK's svds is not reproducible on degenerate spectra, so matrices
@@ -153,16 +188,16 @@ def _truncated_svd(m, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     omega = rng.standard_normal((m.shape[1], k + 16))
     q, _ = np.linalg.qr(m @ omega)
     for step in range(_MAX_POWER_ITERS + 1):
-        mtq = m.T @ q
-        ub, s, vt = np.linalg.svd(mtq.T, full_matrices=False)
-        u, v = q @ ub[:, :k], vt[:k].T
+        # Q^T M = R^T P^T, so the small SVD of R^T gives the Ritz pairs
+        p, r = np.linalg.qr(m.T @ q)
+        ub, s, wt = np.linalg.svd(r.T)
+        u, v = q @ ub[:, :k], p @ wt[:k].T
         # Rayleigh-Ritz makes M^T U - V S vanish by construction, so only
         # this side measures how far the subspace is from converged
         residual = np.linalg.norm(m @ v - u * s[:k]) / s[0]
         if residual <= _SVD_TOL:
             return u, v
         if step < _MAX_POWER_ITERS:
-            p, _ = np.linalg.qr(mtq)
             q, _ = np.linalg.qr(m @ p)
     warnings.warn(
         f"randomized SVD not converged after {_MAX_POWER_ITERS} iterations: "

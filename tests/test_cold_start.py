@@ -1,13 +1,11 @@
-"""Cold start: which scipy modules a fresh interpreter loads.
+"""Cold start: no fresh interpreter loads scipy.
 
 ``import streamfid`` and ``import streamfid.cli`` load no scipy at all.
-The package computes its statistics, its NNLS, its k-means and its bow-tie
-search in numpy; its one scipy import is ``scipy.sparse``, inside the
-function that builds the co-clustering matrix.  So every command but
-``graph cocluster`` must not load scipy, and ``graph cocluster`` loads
-``scipy.sparse`` and none of the scipy packages the numpy code replaced.
-The scipy-free commands run twice, so that the second run reads its JSONL
-through the sidecars the first one wrote.  Each check runs in a subprocess,
+The package computes its statistics, its NNLS, its k-means, its bow-tie
+search and the sparse products of its co-clustering SVD in numpy, and has
+no scipy import.  So no command loads scipy, ``graph cocluster`` included.
+Each command runs twice, so that the second run reads its JSONL through
+the sidecars the first one wrote.  Each check runs in a subprocess,
 because this test process has scipy loaded already.  They check imports,
 not wall time.
 """
@@ -84,16 +82,16 @@ def scipy_imports() -> list[tuple[str, str, tuple[str, ...]]]:
     return found
 
 
-def test_only_scipy_import_is_csr_matrix():
+def test_package_imports_no_scipy():
     # covers the library paths no CLI run below reaches
-    assert scipy_imports() == [("graphs", "scipy.sparse", ("csr_matrix",))]
+    assert scipy_imports() == []
 
 
 def test_import_loads_no_scipy(tmp_path):
     assert scipy_modules_after([], tmp_path) == []
 
 
-SCIPY_FREE = {
+COMMANDS = {
     "sample": ["sample", "--mode", "bernoulli", "--rate", "0.5", "-i", "complete.jsonl",
                "-o", "bernoulli.jsonl"],
     "validate-ratelimit": ["validate-ratelimit", "-i", "complete.jsonl", "-i", "sample.jsonl"],
@@ -106,28 +104,20 @@ SCIPY_FREE = {
     "rank": ["rank", "-i", "complete.jsonl", "-i", "sample.jsonl", "--k", "10", "-o", "rank.csv"],
     "estimate-missing": ["estimate-missing", "-i", "sample.jsonl", "--key", "user", "--k-max", "20"],
     "graph-bowtie": ["graph", "bowtie", "-i", "complete.jsonl", "-o", "bowtie.csv"],
+    "graph-cocluster": ["graph", "cocluster", "-i", "complete.jsonl", "--k", "4", "--seed", "1",
+                        "-o", "clusters.csv"],
 }
 
 
-
-@pytest.mark.parametrize("name", sorted(SCIPY_FREE))
+@pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_loads_no_scipy(workdir, tmp_path, name):
     # the first run parses and writes the sidecars, the second reads through them
     for src in workdir.iterdir():
         if src.suffix in (".jsonl", ".csv"):
             shutil.copyfile(src, tmp_path / src.name)
-    argv = SCIPY_FREE[name]
+    argv = COMMANDS[name]
     assert scipy_modules_after(argv, tmp_path) == []
     read = {b for a, b in zip(argv, argv[1:]) if a == "-i" and b.endswith(".jsonl")}
     # every command reads its streams whole, so each keeps a sidecar
     assert {p.name for p in tmp_path.glob("*.streamfid.npz")} == {a + ".streamfid.npz" for a in read}
     assert scipy_modules_after(argv, tmp_path) == []
-
-
-def test_cocluster_loads_only_scipy_sparse(workdir):
-    loaded = scipy_modules_after(["graph", "cocluster", "-i", "complete.jsonl", "--k", "4",
-                                  "--seed", "1", "-o", "clusters.csv"], workdir)
-    assert "scipy.sparse" in loaded
-    replaced = ("scipy.optimize", "scipy.cluster", "scipy.sparse.csgraph", "scipy.stats",
-                "scipy.spatial")
-    assert not [m for m in loaded if m.startswith(replaced)]

@@ -518,7 +518,8 @@ class TestCliRankGraphCascade:
 
 
 # (command, CSV input, bad line, reason): a (node, cluster) or (src, dst,
-# weight) row too short or holding text where a number belongs
+# weight) row too short, holding text where a number belongs, giving a weight
+# below 1 or repeating the node or edge of an earlier row
 CSV_ERRORS = [
     pytest.param(("graph", "flow", "--kind", "bowtie"), "node,component\n1,LSCC\n", "u1",
                  "expected at least 2 fields, got 1", id="flow-short-row"),
@@ -532,6 +533,16 @@ CSV_ERRORS = [
                  "invalid literal for int() with base 10: '2.5'", id="bowtie-text-weight"),
     pytest.param(("graph", "cocluster", "--k", "2"), "src,dst,weight\n1,a,3\n", "u1,a,1",
                  "invalid literal for int() with base 10: 'u1'", id="cocluster-text-user"),
+    pytest.param(("graph", "cocluster", "--k", "2"), "src,dst,weight\n1,a,3\n", "2,b,0",
+                 "edge weight 0 is below 1", id="cocluster-zero-weight"),
+    pytest.param(("graph", "bowtie"), "src,dst,weight\n1,2,3\n", "2,3,-2",
+                 "edge weight -2 is below 1", id="bowtie-negative-weight"),
+    pytest.param(("graph", "cocluster", "--k", "2"), "src,dst,weight\n1,a,3\n", "1,a,2",
+                 "repeated edge (1, 'a')", id="cocluster-repeated-edge"),
+    pytest.param(("graph", "bowtie"), "src,dst\n1,2\n", "1,2",
+                 "repeated edge (1, 2)", id="bowtie-repeated-edge"),
+    pytest.param(("graph", "flow", "--kind", "cluster"), "node,cluster\n1,0\n", "1,0",
+                 "repeated node '1'", id="flow-repeated-node"),
 ]
 
 

@@ -1,9 +1,10 @@
-"""The numpy ports of NNLS, k-means++ and the bow-tie searches against scipy.
+"""The numpy ports of NNLS, k-means++, the bow-tie searches and the sparse
+products of co-clustering against scipy.
 
 The package solves its NNLS (Lawson & Hanson), seeds and runs its k-means
-(scipy's ``kmeans2`` rules) and finds strong components and reachability in
-numpy, so that no command but ``graph cocluster`` loads scipy.  scipy stays
-a test dependency and is the oracle here.
+(scipy's ``kmeans2`` rules), finds strong components and reachability and
+multiplies its co-clustering matrix with dense blocks in numpy, so that no
+command loads scipy.  scipy stays a test dependency and is the oracle here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from streamfid import entity
 from streamfid.entity import SolverError, _nnls, binomial_kernel, estimate_complete_frequency_vector
-from streamfid.graphs import _csr, _reach, _seeded_kmeans, _sparse, _strong_components
+from streamfid.graphs import (
+    BipartiteGraph,
+    _csr,
+    _normalized_weights,
+    _reach,
+    _seeded_kmeans,
+    _sparse,
+    _strong_components,
+    _truncated_svd,
+)
 from streamfid.model import FrequencyVector
 
 KERNEL_GRID = [(k_max, float(rate)) for k_max in (20, 40, 100)
@@ -193,3 +203,40 @@ def test_bowtie_searches_equal_csgraph(case):
     for (r, c), m in (((rows, cols), adj), ((cols, rows), adj.T)):
         expected = np.isfinite(dijkstra(m, indices=starts, unweighted=True, min_only=True))
         np.testing.assert_array_equal(_reach(*_csr(r, c, n), starts), expected)
+
+
+def random_bipartite(rng, n_users: int, n_tags: int, n_edges: int) -> BipartiteGraph:
+    """Up to n_edges user-hashtag edges drawn uniformly, weights 1 to 29."""
+    weights = {(int(u), f"t{t}"): int(w) for u, t, w in zip(
+        rng.integers(0, n_users, n_edges), rng.integers(0, n_tags, n_edges), rng.integers(1, 30, n_edges))}
+    return BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
+                          tuple(sorted({h for _, h in weights})))
+
+
+# the last graph's smaller side is above 512 nodes, so its SVD is randomized
+@pytest.mark.parametrize("n_users, n_tags, n_edges", [(1, 1, 1), (40, 25, 200), (300, 120, 900),
+                                                      (1000, 800, 12000)])
+def test_cocluster_matrix_products_equal_csr_matrix(n_users, n_tags, n_edges):
+    g = random_bipartite(np.random.default_rng([n_users, n_tags, n_edges]), n_users, n_tags, n_edges)
+    m, su, sh = _normalized_weights(g)
+    # the matrix as scipy built it: CSR weights, scaled by the degree vectors
+    rows, cols, vals = _sparse(g.weights, g.users, g.hashtags)
+    w = csr_matrix((vals, (rows, cols)), shape=m.shape)
+    su_ref = 1.0 / np.sqrt(np.maximum(np.asarray(w.sum(axis=1)).ravel(), 1e-12))
+    sh_ref = 1.0 / np.sqrt(np.maximum(np.asarray(w.sum(axis=0)).ravel(), 1e-12))
+    ref = w.multiply(su_ref[:, None]).multiply(sh_ref[None, :]).tocsc()
+    np.testing.assert_array_equal(su, su_ref)
+    np.testing.assert_array_equal(sh, sh_ref)
+    np.testing.assert_array_equal(m.toarray(), ref.toarray())
+    rng = np.random.default_rng(0)
+    for width in (1, 4, 20):
+        x = rng.standard_normal((m.shape[1], width))
+        y = rng.standard_normal((m.shape[0], width))
+        np.testing.assert_array_equal(m @ x, ref @ x)
+        np.testing.assert_array_equal(m.T @ y, ref.T @ y)
+    if n_edges > 10_000:
+        assert min(m.shape) > 512
+        # the randomized path: its Ritz values are the dense singular values
+        u, v = _truncated_svd(m, 4, seed=0)
+        s = np.einsum("ij,ij->j", u, m @ v)
+        np.testing.assert_allclose(s, np.linalg.svd(m.toarray(), compute_uv=False)[:4], rtol=0, atol=1e-8)
