@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .model import Event, RateLimitMessage, StreamBundle, _row_column, columns_of_rows, take
+from .model import (_TYPE_CODE, Event, RateLimitMessage, StreamBundle, _row_column, bounds_of, columns_of_rows,
+                    csr_gather, take)
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
@@ -101,6 +101,10 @@ class GeneratorConfig:
             raise ValueError(f"unknown event types in type_mix: {sorted(unknown)}")
         if self.hashtags_per_event < 0 or self.urls_per_event < 0:
             raise ValueError("per-event entity means must be non-negative")
+        if self.cascade_size_cap < 1:
+            raise ValueError("cascade_size_cap must be >= 1")
+        if self.start_ms < 0:
+            raise ValueError("start_ms must be non-negative")
 
     def mean_cascade_size(self) -> float:
         """Expected retweets per spawned cascade (bounded power-law)."""
@@ -120,23 +124,29 @@ def _diurnal_factor(second_of_day: np.ndarray, amplitude: float) -> np.ndarray:
     return 1.0 + amplitude * np.sin(2.0 * np.pi * second_of_day / 86_400.0)
 
 
-def _sample_ranks(cdf: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(n), side="right")
+def _ranks(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Ranks of a population with ``cdf`` at ``uniforms``, as ``Generator.choice`` finds them."""
+    return np.searchsorted(cdf, uniforms, side="right")
 
 
-class _UserDirectory:
-    """Lazily assigns each user a frozen heavy-tailed follower count."""
+def _first_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of ``values`` into their distinct values in the order of first use, and that list."""
+    distinct, first, codes = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[codes], distinct[order]
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._followers: dict[int, int] = {}
 
-    def followers(self, user_id: int) -> int:
-        got = self._followers.get(user_id)
-        if got is None:
-            got = int(self._rng.pareto(1.2) * 50.0)
-            self._followers[user_id] = got
-        return got
+def _distinct_ranks(cdf: np.ndarray, uniforms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR bounds and ranks of each root's distinct entities in rank order,
+    the roots' ``counts`` uniforms given one root after another."""
+    span = len(cdf) + 1     # a uniform past cdf[-1] ranks at len(cdf)
+    key = np.unique(np.repeat(np.arange(len(counts)), counts) * span + _ranks(cdf, uniforms))
+    return bounds_of(np.bincount(key // span, minlength=len(counts))), key % span
+
+
+# the loop's per-cascade arrays are joined this many at a time: fewer,
+# larger blocks lower the generator's peak memory
+_FOLD_EVERY = 512
 
 
 def generate_stream(config: GeneratorConfig) -> StreamBundle:
@@ -147,9 +157,27 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     share of roots spawns a cascade of non-root events with power-law size
     and configurable inter-arrival gaps.  Children inherit root hashtags
     and URLs for retweets/quotes, which couples rate limiting to content.
+
+    Every output depends on the order of the draws from the seeded
+    generator, which is:
+
+    1. the Poisson root count of each second, then each root's millisecond
+       in its second (the roots are then sorted by time);
+    2. per root, in time order: its user, its lang, whether it spawns (only
+       when ``type_mix`` has children), its hashtag count, its URL count;
+    3. per root, in time order: its hashtag ranks, its URL ranks and, if it
+       spawns, its cascade size, the cascade's gaps, then the kinds of the
+       children left before the stream's end, then their users;
+    4. per user, in the order of first appearance by event id: its
+       follower count.
+
+    A rank, a lang, a size or a kind takes one uniform each.  Only the
+    gaps, whose exponential draws take a variable number of raw draws, and
+    the kept children's count, which depends on them, need a loop over the
+    spawning roots; the loop draws the uniforms owed since the last
+    cascade in one call, and all else is done on whole arrays after it.
     """
     rng = np.random.default_rng(config.seed)
-    users = _UserDirectory(rng)
     user_cdf = config.user_population.cdf()
     tag_cdf = config.hashtag_population.cdf()
     url_cdf = config.url_population.cdf()
@@ -175,57 +203,87 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     child_mix = {t: p for t, p in config.type_mix.items() if t != "root" and p > 0}
     child_types = sorted(child_mix)
     child_p = np.array([child_mix[t] for t in child_types])
-    child_p = child_p / child_p.sum() if child_types else child_p
+    child_cdf = np.cumsum(child_p / child_p.sum()) if child_types else child_p
+    if child_types:
+        child_cdf /= child_cdf[-1]      # as Generator.choice(..., p=child_p) does
 
     size_k = np.arange(1, config.cascade_size_cap + 1, dtype=float)
     size_w = size_k ** -config.cascade_size_tail
     size_cdf = np.cumsum(size_w / size_w.sum())
 
     end_ms = config.start_ms + int(config.duration_s * 1000)
-    # draft rows in Event's field order, the creation order seq in place of
-    # the id, the root's seq in place of its id and followers still 0
-    drafts: list[tuple] = []
-    root_users = _sample_ranks(user_cdf, rng, total_roots)
+    root_users = _ranks(user_cdf, rng.random(total_roots))
     root_langs = rng.choice(len(langs), size=total_roots, p=lang_p)
     spawn = rng.random(total_roots) < config.cascade_fraction if child_types else np.zeros(total_roots, bool)
     tag_counts = rng.poisson(config.hashtags_per_event, size=total_roots)
     url_counts = rng.poisson(config.urls_per_event, size=total_roots)
 
-    seq = 0
-    for i in range(total_roots):
-        ts = int(root_ts[i])
-        tags = () if not tag_counts[i] else tuple(
-            f"h{r}" for r in sorted(set(_sample_ranks(tag_cdf, rng, int(tag_counts[i])))))
-        us = () if not url_counts[i] else tuple(
-            f"u{r}" for r in sorted(set(_sample_ranks(url_cdf, rng, int(url_counts[i])))))
-        root_seq = seq
-        drafts.append((seq, ts, int(root_users[i]), "root", None, tags, us, 0, langs[root_langs[i]]))
-        seq += 1
-        if not spawn[i]:
-            continue
-        n_children = int(np.searchsorted(size_cdf, rng.random(), side="right")) + 1
-        gaps_ms = np.maximum(1, (config.inter_arrival_model.draw(rng, n_children) * 1000.0).astype(np.int64))
-        child_ts = ts + np.cumsum(gaps_ms)
-        child_ts = child_ts[child_ts < end_ms]
-        if child_ts.size == 0:
-            continue
-        kinds = rng.choice(len(child_types), size=child_ts.size, p=child_p)
-        child_users = _sample_ranks(user_cdf, rng, child_ts.size)
-        for j in range(child_ts.size):
-            kind = child_types[kinds[j]]
-            inherit = kind in ("retweet", "quote")
-            drafts.append((seq, int(child_ts[j]), int(child_users[j]), kind, root_seq,
-                           tags if inherit else (), us if inherit else (), 0, langs[root_langs[i]]))
-            seq += 1
+    # the loop: per spawning root, the uniforms owed since the last cascade
+    # (that cascade's kinds and users, the entity ranks of the roots after it
+    # up to this one, and this cascade's size) in one call, then the gaps
+    spawning = np.flatnonzero(spawn)
+    entities = bounds_of(tag_counts + url_counts)   # entity uniforms before each root
+    owed = np.diff(entities[spawning + 1], prepend=0) + 1
+    uniforms, child_ts, sizes = [], [np.empty(0, np.int64)], []
+    u_block, ts_block = [], []
+    kept, draw = 0, config.inter_arrival_model.draw
+    for start, k in zip(root_ts[spawning].tolist(), owed.tolist()):
+        u = rng.random(2 * kept + k)
+        gaps_ms = (draw(rng, int(size_cdf.searchsorted(u[-1], "right")) + 1) * 1000.0).astype(np.int64)
+        ts = start + np.maximum(1, gaps_ms).cumsum()
+        ts = ts[ts < end_ms]
+        kept = len(ts)
+        sizes.append(kept)
+        u_block.append(u)
+        ts_block.append(ts)
+        if len(u_block) == _FOLD_EVERY:
+            uniforms.append(np.concatenate(u_block))
+            child_ts.append(np.concatenate(ts_block))
+            u_block, ts_block = [], []
+    tail = entities[-1] - entities[spawning[-1] + 1 if len(spawning) else 0]
+    u = np.concatenate(uniforms + u_block + [rng.random(2 * kept + int(tail))])
+    child_ts = np.concatenate(child_ts + ts_block)
 
-    drafts.sort(key=itemgetter(1, 0))   # by (ts, seq): ids are given in this order
-    seqs, root_seqs = _row_column(drafts, "id"), _row_column(drafts, "root")
-    id_of_seq = np.argsort(seqs)
-    # follower counts are drawn in id order
-    followers = np.fromiter(map(users.followers, map(itemgetter(2), drafts)), np.int64, len(drafts))
-    return StreamBundle.from_columns(columns_of_rows(
-        drafts, id=np.arange(len(drafts)), root=np.where(root_seqs < 0, -1, id_of_seq[root_seqs]),
-        followers=followers))
+    # u holds five runs per root: its hashtag ranks, its URL ranks, its
+    # size, its children's kinds, their users
+    children = np.zeros(total_roots, np.int64)
+    children[spawning] = sizes
+    runs = bounds_of(np.column_stack((tag_counts, url_counts, spawn, children, children)).ravel())
+    tag_u, url_u, _, kind_u, user_u = (u[csr_gather(runs, np.arange(k, 5 * total_roots, 5))[1]] for k in range(5))
+    tags = _distinct_ranks(tag_cdf, tag_u, tag_counts)
+    urls = _distinct_ranks(url_cdf, url_u, url_counts)
+    kinds = np.array([_TYPE_CODE[t] for t in child_types], np.int64)[_ranks(child_cdf, kind_u)]
+    child_users = _ranks(user_cdf, user_u)
+
+    # the events in creation order (each root, then its children), then
+    # ordered by (ts, creation order): ids are given in that order
+    owner = np.repeat(np.arange(total_roots), children + 1)
+    first = bounds_of(children + 1)[:-1]
+    is_child = np.ones(len(owner), bool)
+    is_child[first] = False
+    columns = {"ts": root_ts[owner], "user": root_users[owner], "type": np.full(len(owner), _TYPE_CODE["root"])}
+    for name, values in (("ts", child_ts), ("user", child_users), ("type", kinds)):
+        columns[name][is_child] = values
+    order = np.argsort(columns["ts"], kind="stable")
+    id_of = np.empty(len(order), np.int64)
+    id_of[order] = np.arange(len(order))
+    columns = {name: col[order] for name, col in columns.items()}
+    root = np.where(is_child, id_of[first[owner]], -1)[order]
+
+    # hashtags and URLs: a root's own, which its retweets and quotes carry;
+    # a reply points at the empty row past the roots'
+    owner = owner[order]
+    rows = np.where(columns["type"] == _TYPE_CODE["reply"], total_roots, owner)
+    for base, prefix, (bounds, ranks) in (("hashtag", "h", tags), ("url", "u", urls)):
+        columns[f"{base}_bounds"], entries = csr_gather(np.append(bounds, bounds[-1]), rows)
+        columns[f"{base}_codes"], distinct = _first_use(ranks[entries])
+        columns[f"{base}_table"] = tuple(f"{prefix}{r}" for r in distinct.tolist())
+    columns["lang"], distinct = _first_use(root_langs[owner])
+    columns["lang_table"] = tuple(langs[i] for i in distinct.tolist())
+    # follower counts are drawn per user, in the order of first appearance by id
+    codes, distinct = _first_use(columns["user"])
+    columns["followers"] = (rng.pareto(1.2, size=len(distinct)) * 50.0).astype(np.int64)[codes]
+    return StreamBundle.from_columns(columns_of_rows((), id=np.arange(len(order)), root=root, **columns))
 
 
 def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[np.ndarray, list]:

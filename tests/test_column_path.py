@@ -1,10 +1,10 @@
 """Bundles held as columns: a sidecar hit builds no ``Event`` rows.
 
-``read_bundle`` returns a bundle held as columns, and the counting layers,
-the samplers, the writer and the cascade measures read those columns.
-Here the one columns-to-rows function raises, so any layer or command that
-still builds rows fails; each must give what it gives on a bundle built
-from rows.
+``read_bundle`` returns a bundle held as columns, and the simulator, the
+counting layers, the samplers, the writer and the cascade measures read or
+build those columns.  Here the one columns-to-rows function and the checked
+``Event`` constructor raise, so any layer or command that still builds rows
+fails; each must give what it gives on a bundle built from rows.
 """
 
 from __future__ import annotations
@@ -30,8 +30,11 @@ from streamfid.io import iter_records, read_bundle, write_bundle
 from conftest import ev
 
 
+@contextlib.contextmanager
 def no_rows():
-    return mock.patch.object(model, "_rows", side_effect=AssertionError("built Event rows"))
+    with mock.patch.object(model, "_rows", side_effect=AssertionError("built Event rows")), \
+            mock.patch.object(model.Event, "__new__", side_effect=AssertionError("built an Event")):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +372,19 @@ def test_samplers_equal_the_loop(stamps, threshold, anchor_ms, rate, seed):
                 source, rate, seed)
         assert (by_threshold.events, by_threshold.messages) == (tuple(delivered), tuple(messages))
         assert by_rate.events == tuple(kept) and by_rate.messages == ()
+
+
+def test_simulator_and_samplers_build_no_rows():
+    config = sf.GeneratorConfig(duration_s=30.0, base_rate=40.0, cascade_fraction=0.5, seed=8,
+                                type_mix={"root": 0.25, "retweet": 0.55, "quote": 0.08, "reply": 0.12})
+    with no_rows():
+        complete = sf.generate_stream(config)
+        by_threshold, by_rate = sf.rate_limited_bundle(complete, 4, 657), sf.bernoulli_bundle(complete, 0.5, 3)
+    events = list(complete.events)
+    assert len(events) > 300 and {e.event_type for e in events} == set(sf.model.EVENT_TYPES)
+    assert complete == sf.StreamBundle(events)
+    assert by_threshold == sf.StreamBundle(*sf.rate_limited_sample(events, 4, 657)) and by_threshold.messages
+    assert by_rate == sf.StreamBundle(sf.bernoulli_sample(events, 0.5, 3))
 
 
 def jsonl_by_json(bundle):

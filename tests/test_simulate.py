@@ -26,6 +26,18 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(diurnal_amplitude=1.0)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cascade_size_cap_below_one_rejected(self, cap):
+        # a cap of 0 used to give every cascade exactly one child, and a NaN expected count
+        with pytest.raises(ValueError, match="cascade_size_cap"):
+            GeneratorConfig(cascade_size_cap=cap)
+        assert GeneratorConfig(cascade_size_cap=1).mean_cascade_size() == 1.0
+
+    def test_negative_start_rejected(self):
+        # it used to fail only inside from_columns, naming no field
+        with pytest.raises(ValueError, match="start_ms"):
+            GeneratorConfig(start_ms=-1)
+
 
 class TestGenerateStream:
     def test_deterministic_per_seed(self):
