@@ -2,8 +2,11 @@
 
 Every command is a pure function of its input files, flags, and seed;
 reruns produce byte-identical outputs.  Reports embed a run manifest
-(inputs, flags, seed, version).  Exit codes: 1 for a malformed input line,
-2 for flag validation errors.
+(inputs, flags, seed, version).  Each command checks its flags and reads
+its inputs (every input format is read by ``streamfid.io``), calls the
+library and writes its result.  Exit codes: 1 for a malformed input line;
+2 for a flag error, whose message names the flag, or names STREAMFID_SEED
+when the seed taken from it is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -13,89 +16,88 @@ import csv
 import json
 import math
 import os
+import re
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
 from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
 from .cascades import (DEFAULT_REACH_WINDOWS_S, ccdf_tables, compare_cascades,  # noqa: F401
                        inter_arrival_distribution, reconstruct_cascades)
-from .entity import (
-    ENTITY_KEYS,
-    estimate_complete_frequency_vector,
-    estimate_missing_entities,
-    frequency_vector_of,
-)
-from .graphs import (
-    Digraph,
-    bowtie_decompose,
-    bowtie_flow,
-    build_bipartite,
-    build_retweet_network,
-    cluster_flow,
-    spectral_cocluster,
-)
-# iter_records (like inter_arrival_distribution above) is bound here, though
-# no command calls it, for the callers that wrap this module's names
-# (bench/cli_trace.py)
-from .io import LineFormatError, iter_records, read_bundle, write_bundle  # noqa: F401
+from .entity import (ENTITY_KEYS, estimate_complete_frequency_vector, estimate_missing_entities,
+                     frequency_vector_of)
+from .graphs import (BipartiteGraph, Digraph, bowtie_decompose, bowtie_flow, build_bipartite,
+                     build_retweet_network, cluster_flow, spectral_cocluster)
+# bench/cli_trace.py swaps each library name it times here for a wrapper,
+# inter_arrival_distribution and iter_records too, though no command calls
+# them: a name that is not bound fails every traced command, and a call
+# made from inside the library instead of a command body is never timed
+from .io import iter_records, read_assignment, read_bundle, read_edge_csv, write_bundle  # noqa: F401
 from .model import GRANULARITIES, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
 from .ratelimit import segment_stream, validate
-from .simulate import (
-    DEFAULT_ANCHOR_MS,
-    DEFAULT_THRESHOLD,
-    GeneratorConfig,
-    ZipfPopulation,
-    bernoulli_bundle,
-    generate_stream,
-    rate_limited_bundle,
-)
+from .simulate import (DEFAULT_ANCHOR_MS, DEFAULT_THRESHOLD, GeneratorConfig, ZipfPopulation,
+                       bernoulli_bundle, generate_stream, rate_limited_bundle)
 
 SEED_ENV = "STREAMFID_SEED"
 
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+# the simulate flag of each GeneratorConfig field that a flag sets
+_CONFIG_FLAGS = {"duration": "--duration", "base_rate": "--rate", "diurnal_amplitude": "--amplitude",
+                 "cascade_fraction": "--cascade-fraction", "type_mix": "--type-mix"}
+_NEEDS = {1: "{} needs exactly one -i input", 2: "{} needs exactly two -i inputs: complete then sample"}
 
 
-def _manifest(args) -> dict:
-    flags = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None and not callable(v)
-    }
-    flags = {k: (str(v) if isinstance(v, Path) else v) for k, v in flags.items()}
-    m = {
-        "command": args.command,
-        "inputs": [str(p) for p in (getattr(args, "input", None) or [])],
-        "flags": {k: v for k, v in flags.items() if k not in ("command", "input")},
-        "version": __version__,
-    }
-    if hasattr(args, "seed"):
-        m["seed"] = _resolve_seed(args)
-    return m
-
-
-def _write_csv(path, header, rows, manifest):
-    out = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
+def _resolve_seed(args, parser) -> int:
+    """--seed, else $STREAMFID_SEED, else 0: a flag error naming the flag or
+    the variable unless it is a non-negative integer."""
+    if args.seed is not None:
+        source, text = "--seed", str(args.seed)
+    else:
+        source, text = SEED_ENV, os.environ.get(SEED_ENV) or "0"
     try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        parser.error(f"{source} must be a non-negative integer, not {text!r}")
+    return seed
+
+
+@contextmanager
+def _flags_of(parser, names: dict):
+    """Turn a ValueError of the block whose text names a library parameter
+    (a key of ``names``) into a flag error that names its flag instead."""
+    try:
+        yield
+    except ValueError as exc:
+        text = re.sub(r"\b(%s)\b" % "|".join(names), lambda m: names[m[1]], str(exc))
+        if text == str(exc):
+            raise
+        parser.error(text)
+
+
+def _inputs(args, parser, n=2, needs=None) -> list:
+    """The -i paths, which must number ``n``; a flag error otherwise."""
+    if len(args.input) != n:
+        parser.error((needs or _NEEDS[n]).format(args.command))
+    return args.input
+
+
+def _manifest(args, **extra) -> dict:
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "input") and v is not None}
+    return {"command": args.command, "inputs": args.input, "flags": flags, "version": __version__, **extra}
+
+
+def _write_table(path, header, rows, manifest, fmt="csv"):
+    """Rows as JSON, or as CSV after a manifest comment line; to stdout when ``path`` is None."""
+    if fmt == "json":
+        return _write_json(path, {"rows": [dict(zip(header, r)) for r in rows]}, manifest)
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as out:
         out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         w = csv.writer(out)
         w.writerow(header)
         w.writerows(rows)
-    finally:
-        if path is not None:
-            out.close()
-
-
-def _write_table(path, header, rows, manifest, fmt="csv"):
-    if fmt == "json":
-        _write_json(path, {"rows": [dict(zip(header, r)) for r in rows]}, manifest)
-    else:
-        _write_csv(path, header, rows, manifest)
 
 
 def _write_json(path, payload, manifest):
@@ -105,22 +107,6 @@ def _write_json(path, payload, manifest):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _two_inputs(args, parser):
-    if len(args.input) != 2:
-        parser.error(f"{args.command} needs exactly two -i inputs: complete then sample")
-    return args.input
-
-
-def _read_two_bundles(args, parser):
-    return tuple(map(read_bundle, _two_inputs(args, parser)))
-
-
-def _one_input(args, parser):
-    if len(args.input) != 1:
-        parser.error(f"{args.command} needs exactly one -i input")
-    return args.input[0]
 
 
 def _parse_mix(text: str, parser) -> dict:
@@ -134,23 +120,35 @@ def _parse_mix(text: str, parser) -> dict:
     return mix
 
 
+def _window_s(text: str, parser) -> float:
+    try:
+        window = float(text)
+    except ValueError:
+        window = math.nan
+    if not window > 0:
+        parser.error(f"--window-s must be a positive number of seconds or inf, not {text!r}")
+    return window
+
+
 # ---------------------------------------------------------------- commands
+#
+# Each command checks its flags and reads its inputs, calls the library
+# through this module's names, then writes its result.
 
 
 def cmd_simulate(args, parser):
-    seed = _resolve_seed(args)
-    config = GeneratorConfig(
-        duration_s=args.duration,
-        base_rate=args.rate,
-        diurnal_amplitude=args.amplitude,
-        user_population=ZipfPopulation(args.users, args.user_zipf),
-        hashtag_population=ZipfPopulation(args.hashtags, args.hashtag_zipf),
-        cascade_fraction=args.cascade_fraction,
-        type_mix=_parse_mix(args.type_mix, parser),
-        seed=seed,
-    )
-    bundle = generate_stream(config)
-    write_bundle(args.output, bundle)
+    seed, mix = _resolve_seed(args, parser), _parse_mix(args.type_mix, parser)
+    # the library checks the values; its errors are reworded to name the flags
+    with _flags_of(parser, {"population size": "--users", "Zipf exponent": "--user-zipf"}):
+        users = ZipfPopulation(args.users, args.user_zipf)
+    with _flags_of(parser, {"population size": "--hashtags", "Zipf exponent": "--hashtag-zipf"}):
+        hashtags = ZipfPopulation(args.hashtags, args.hashtag_zipf)
+    with _flags_of(parser, _CONFIG_FLAGS):
+        config = GeneratorConfig(duration_s=args.duration, base_rate=args.rate,
+                                 diurnal_amplitude=args.amplitude, user_population=users,
+                                 hashtag_population=hashtags, cascade_fraction=args.cascade_fraction,
+                                 type_mix=mix, seed=seed)
+    write_bundle(args.output, generate_stream(config))
     return 0
 
 
@@ -165,11 +163,10 @@ def cmd_sample(args, parser):
             parser.error("--rate is required for bernoulli sampling")
         if not 0.0 <= args.rate <= 1.0:
             parser.error("--rate must be in [0, 1]")
-    bundle = read_bundle(_one_input(args, parser))
-    if args.mode == "ratelimit":
-        out = rate_limited_bundle(bundle, args.threshold, args.anchor_ms)
-    else:
-        out = bernoulli_bundle(bundle, args.rate, _resolve_seed(args))
+        seed = _resolve_seed(args, parser)
+    bundle = read_bundle(_inputs(args, parser, 1)[0])
+    out = (rate_limited_bundle(bundle, args.threshold, args.anchor_ms) if args.mode == "ratelimit"
+           else bernoulli_bundle(bundle, args.rate, seed))
     write_bundle(args.output, out)
     return 0
 
@@ -181,39 +178,29 @@ def cmd_merge(args, parser):
 
 
 def cmd_validate_ratelimit(args, parser):
-    complete, sample = _read_two_bundles(args, parser)
+    complete, sample = map(read_bundle, _inputs(args, parser))
     segments = segment_stream(complete, sample)
     payload = {"segments": len(segments)}
     if segments:
         report = validate(segments)
-        payload.update(
-            {
-                "median_ape": report.median_ape,
-                "mean_ape": report.mean_ape,
-                "mean_rate": empirical_mean_rate(complete, sample),
-            }
-        )
+        payload.update(median_ape=report.median_ape, mean_ape=report.mean_ape,
+                       mean_rate=empirical_mean_rate(complete, sample))
     _write_json(args.output, payload, _manifest(args))
     return 0
 
 
 def cmd_breakdown(args, parser):
     # both streams are held whole, as columns when their sidecars serve them
-    complete, sample = _read_two_bundles(args, parser)
+    complete, sample = map(read_bundle, _inputs(args, parser))
     breakdown = sampling_rate_breakdown(complete, sample, args.key, args.tz_offset)
     rows = [(r.bucket, r.complete_count, r.sample_count, round(r.rate, 6)) for r in breakdown]
-    _write_table(
-        args.output,
-        ("bucket", "complete_count", "sample_count", "rate"),
-        rows,
-        _manifest(args),
-        args.format,
-    )
+    _write_table(args.output, ("bucket", "complete_count", "sample_count", "rate"), rows, _manifest(args),
+                 args.format)
     return 0
 
 
 def cmd_entity_stats(args, parser):
-    fv = frequency_vector_of(read_bundle(_one_input(args, parser)), args.key)
+    fv = frequency_vector_of(read_bundle(_inputs(args, parser, 1)[0]), args.key)
     rows = [(k, fv.counts[k]) for k in sorted(fv.counts)]
     _write_table(args.output, ("k", "F_sample"), rows, _manifest(args), args.format)
     return 0
@@ -222,166 +209,99 @@ def cmd_entity_stats(args, parser):
 def cmd_estimate_missing(args, parser):
     if args.k_max < 1:
         parser.error("--k-max must be >= 1")
-    sample = read_bundle(_one_input(args, parser))
+    sample = read_bundle(_inputs(args, parser, 1)[0])
     fv = frequency_vector_of(sample, args.key)
-    if args.rate is not None:
-        rate = args.rate
-    elif not sample.messages:
+    if args.rate is None and not sample.messages:
         parser.error("the sample has no rate limit messages to derive the rate from; pass --rate")
-    else:
-        try:
-            rate = mean_rate_from_messages(sample)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        rate = mean_rate_from_messages(sample) if args.rate is None else args.rate
+    except ValueError as exc:
+        parser.error(str(exc))
     if not 0.0 < rate <= 1.0:
         parser.error(f"sampling rate {rate} outside (0,1]")
     result = estimate_complete_frequency_vector(fv, rate, k_max=args.k_max)
     missing = estimate_missing_entities(result.f_hat, rate)
-    manifest = _manifest(args)
-    manifest["rate"] = rate
+    manifest = _manifest(args, rate=rate)
     if args.output:
-        rows = [
-            (k, fv[k], f"{result.f_hat[k]:.4f}")
-            for k in range(1, args.k_max + 1)
-            if fv[k] or result.f_hat[k]
-        ]
-        _write_csv(args.output, ("k", "F_sample", "F_hat"), rows, manifest)
-    _write_json(
-        None,
-        {
-            "estimated_missing": missing,
-            "observed_entities": fv.total_entities(),
-            "estimated_total_entities": fv.total_entities() + missing,
-            "residual": result.residual,
-            "truncation_mass": result.truncation_mass,
-        },
-        manifest,
-    )
+        rows = [(k, fv[k], f"{result.f_hat[k]:.4f}")
+                for k in range(1, args.k_max + 1) if fv[k] or result.f_hat[k]]
+        _write_table(args.output, ("k", "F_sample", "F_hat"), rows, manifest)
+    _write_json(None, {
+        "estimated_missing": missing,
+        "observed_entities": fv.total_entities(),
+        "estimated_total_entities": fv.total_entities() + missing,
+        "residual": result.residual,
+        "truncation_mass": result.truncation_mass,
+    }, manifest)
     return 0
 
 
 def cmd_rank(args, parser):
     if args.k < 2:
         parser.error("--k must be >= 2")
-    complete, sample = _read_two_bundles(args, parser)
+    complete, sample = map(read_bundle, _inputs(args, parser))
     profile = temporal_rates_from_messages(sample, args.granularity)
     report = top_k_rank_table(complete, sample, profile, args.k)
     manifest = _manifest(args)
-    _write_csv(
+    _write_table(
         args.output,
         ("entity", "observed_rank", "true_rank", "estimated_rank", "n_s", "n_c", "estimated_volume"),
-        [
-            (r.entity, r.observed_rank, r.true_rank, r.estimated_rank, r.n_s, r.n_c, f"{r.estimated_volume:.4f}")
-            for r in report.rows
-        ],
+        [(r.entity, r.observed_rank, r.true_rank, r.estimated_rank, r.n_s, r.n_c, f"{r.estimated_volume:.4f}")
+         for r in report.rows],
         manifest,
     )
-    _write_json(
-        None,
-        {"kendall_observed": report.kendall_observed, "kendall_estimated": report.kendall_estimated},
-        manifest,
-    )
+    _write_json(None, {"kendall_observed": report.kendall_observed,
+                       "kendall_estimated": report.kendall_estimated}, manifest)
     return 0
 
 
-def _csv_mapping(path, header: str, key_name: str, convert) -> dict:
-    """{key: value} of the (key, value) ``convert`` gives each row of a CSV
-    file, but for blank rows, lines starting with '#' and the row whose
-    first field is ``header``.  A row it cannot convert, or whose key an
-    earlier row holds, raises LineFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
-    reader = csv.reader(line for _, line in numbered)
-    out = {}
-    for row in reader:
-        if row and row[0] != header:
-            try:
-                key, value = convert(row)
-                if key in out:
-                    raise ValueError(f"repeated {key_name} {key!r}")
-                out[key] = value
-            except (IndexError, ValueError) as exc:
-                reason = str(exc) if isinstance(exc, ValueError) else f"expected at least 2 fields, got {len(row)}"
-                raise LineFormatError(path, numbered[reader.line_num - 1][0], reason) from None
-    return out
+def _write_edges(args, weights):
+    _write_table(args.output, ("src", "dst", "weight"), [(a, b, w) for (a, b), w in sorted(weights.items())],
+                 _manifest(args))
 
 
-def _read_assignment(path, cluster=str) -> dict:
-    """Node -> cluster (``cluster`` of its text) from a (node, cluster) CSV."""
-    return _csv_mapping(path, "node", "node", lambda row: (row[0], cluster(row[1])))
+def cmd_graph_bipartite(args, parser):
+    _write_edges(args, build_bipartite(read_bundle(_inputs(args, parser, 1)[0])).weights)
+    return 0
 
 
-def _read_edge_csv(path, dst=str) -> dict:
-    """Weighted edge list from a (src, dst, weight) CSV of integer sources
-    and weights of at least 1; the weight is 1 when left out."""
-    def edge(row):
-        weight = int(row[2]) if len(row) > 2 else 1
-        if weight < 1:
-            raise ValueError(f"edge weight {weight} is below 1")
-        return (int(row[0]), dst(row[1])), weight
-
-    return _csv_mapping(path, "src", "edge", edge)
-
-
-def cmd_graph(args, parser):
-    sub = args.graph_command
-    manifest = _manifest(args)
-    if sub == "flow":
-        if len(args.input) != 2:
-            parser.error("graph flow needs two -i inputs: complete then sample assignment")
-        flow_of, cluster = (bowtie_flow, str) if args.kind == "bowtie" else (cluster_flow, int)
-        complete, sample = (_read_assignment(p, cluster) for p in args.input)
-        flow = flow_of(complete, sample)
-        rows = []
-        for i, rl in enumerate(flow.row_labels):
-            for j, cl in enumerate(flow.col_labels):
-                rows.append((rl, cl, int(flow.counts[i, j]), f"{flow.ratios[i, j]:.6f}"))
-        _write_csv(args.output, ("complete", "sample", "count", "ratio"), rows, manifest)
-        return 0
-
-    src = _one_input(args, parser)
-    if sub == "bipartite":
+def cmd_graph_cocluster(args, parser):
+    seed, (src,) = _resolve_seed(args, parser), _inputs(args, parser, 1)
+    if src.endswith(".csv"):
+        g = BipartiteGraph.from_weights(read_edge_csv(src))
+    else:
         g = build_bipartite(read_bundle(src))
-        rows = [(u, h, w) for (u, h), w in sorted(g.weights.items())]
-        _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
-    elif sub == "cocluster":
-        if str(src).endswith(".csv"):
-            from .graphs import BipartiteGraph
-
-            weights = _read_edge_csv(src)
-            g = BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
-                               tuple(sorted({h for _, h in weights})))
-        else:
-            g = build_bipartite(read_bundle(src))
-        labels = spectral_cocluster(g, args.k, _resolve_seed(args))
-        _write_csv(args.output, ("node", "cluster"), sorted(labels.items()), manifest)
-    elif sub == "retweet":
-        g = build_retweet_network(read_bundle(src), include_quotes=not args.no_quotes)
-        rows = [(a, b, w) for (a, b), w in sorted(g.edges.items())]
-        _write_csv(args.output, ("src", "dst", "weight"), rows, manifest)
-    elif sub == "bowtie":
-        if str(src).endswith(".csv"):
-            g = Digraph.from_edges(_read_edge_csv(src, int))
-        else:
-            g = build_retweet_network(read_bundle(src), include_quotes=not args.no_quotes)
-        assignment = bowtie_decompose(g)
-        _write_csv(
-            args.output,
-            ("node", "component"),
-            sorted(assignment.components.items()),
-            manifest,
-        )
+    with _flags_of(parser, {"k": "--k", "Seed": "--seed" if args.seed is not None else SEED_ENV}):
+        labels = spectral_cocluster(g, args.k, seed)
+    _write_table(args.output, ("node", "cluster"), sorted(labels.items()), _manifest(args, seed=seed))
     return 0
 
 
-def _window_s(text: str, parser) -> float:
-    try:
-        window = float(text)
-    except ValueError:
-        window = math.nan
-    if not window > 0:
-        parser.error(f"--window-s must be a positive number of seconds or inf, not {text!r}")
-    return window
+def cmd_graph_retweet(args, parser):
+    g = build_retweet_network(read_bundle(_inputs(args, parser, 1)[0]), include_quotes=not args.no_quotes)
+    _write_edges(args, g.edges)
+    return 0
+
+
+def cmd_graph_bowtie(args, parser):
+    src, = _inputs(args, parser, 1)
+    if src.endswith(".csv"):
+        g = Digraph.from_edges(read_edge_csv(src, int))
+    else:
+        g = build_retweet_network(read_bundle(src), include_quotes=not args.no_quotes)
+    components = bowtie_decompose(g).components
+    _write_table(args.output, ("node", "component"), sorted(components.items()), _manifest(args))
+    return 0
+
+
+def cmd_graph_flow(args, parser):
+    paths = _inputs(args, parser, needs="graph flow needs two -i inputs: complete then sample assignment")
+    flow_of, cluster = (bowtie_flow, str) if args.kind == "bowtie" else (cluster_flow, int)
+    flow = flow_of(*(read_assignment(p, cluster) for p in paths))
+    rows = [(rl, cl, int(flow.counts[i, j]), f"{flow.ratios[i, j]:.6f}")
+            for i, rl in enumerate(flow.row_labels) for j, cl in enumerate(flow.col_labels)]
+    _write_table(args.output, ("complete", "sample", "count", "ratio"), rows, _manifest(args))
+    return 0
 
 
 def cmd_cascade(args, parser):
@@ -390,7 +310,7 @@ def cmd_cascade(args, parser):
         parser.error("--retweet-threshold must be >= 0")
     # each stream is read as columns, and its cascades are columns too
     complete, sample = (reconstruct_cascades(read_bundle(p), include_quotes=args.include_quotes)
-                        for p in _two_inputs(args, parser))
+                        for p in _inputs(args, parser))
     rows, summary = compare_cascades(complete, sample, args.retweet_threshold, windows)
     manifest, s, t = _manifest(args), summary, args.retweet_threshold
     _write_json(args.output, {
@@ -405,7 +325,7 @@ def cmd_cascade(args, parser):
     if args.output:
         stem = Path(args.output).with_suffix("")
         for name, (header, table) in ccdf_tables(complete, sample, rows, windows).items():
-            _write_csv(f"{stem}_{name}.csv", header, table, manifest)
+            _write_table(f"{stem}_{name}.csv", header, table, manifest)
     return 0
 
 
@@ -490,17 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="graph construction and decomposition")
     gsub = p.add_subparsers(dest="graph_command", required=True)
-    for name in ("bipartite", "cocluster", "retweet", "bowtie", "flow"):
-        gp = gsub.add_parser(name)
+    commands = {"bipartite": cmd_graph_bipartite, "cocluster": cmd_graph_cocluster,
+                "retweet": cmd_graph_retweet, "bowtie": cmd_graph_bowtie, "flow": cmd_graph_flow}
+    graph = {name: gsub.add_parser(name) for name in commands}
+    for name, gp in graph.items():
         add_io(gp)
-        if name == "cocluster":
-            gp.add_argument("--k", type=int, default=6)
-            gp.add_argument("--seed", type=int, default=None)
-        if name in ("retweet", "bowtie"):
-            gp.add_argument("--no-quotes", action="store_true", help="exclude quotes from edges")
-        if name == "flow":
-            gp.add_argument("--kind", choices=("cluster", "bowtie"), default="cluster")
-        gp.set_defaults(func=cmd_graph)
+        gp.set_defaults(func=commands[name])
+    graph["cocluster"].add_argument("--k", type=int, default=6)
+    graph["cocluster"].add_argument("--seed", type=int, default=None)
+    for name in ("retweet", "bowtie"):
+        graph[name].add_argument("--no-quotes", action="store_true", help="exclude quotes from edges")
+    graph["flow"].add_argument("--kind", choices=("cluster", "bowtie"), default="cluster")
 
     p = sub.add_parser("cascade", help="cascade completeness and diffusion features")
     p.add_argument("--window-s", action="append", default=[],

@@ -53,6 +53,12 @@ class BipartiteGraph:
         if any(w < 1 for w in self.weights.values()):
             raise ValueError("edge weights must be positive")
 
+    @classmethod
+    def from_weights(cls, weights: Mapping) -> "BipartiteGraph":
+        """The graph of {(user, hashtag): weight}, over the sorted users and hashtags of its edges."""
+        return cls(dict(weights), tuple(sorted({u for u, _ in weights})),
+                   tuple(sorted({h for _, h in weights})))
+
     @property
     def node_count(self) -> int:
         return len(self.users) + len(self.hashtags)
@@ -65,8 +71,7 @@ def build_bipartite(events: Union[StreamBundle, EventView]) -> BipartiteGraph:
     # one int object per user, shared by its edges
     weights = Counter(zip(map(users.tolist().__getitem__, user_codes[rows].tolist()),
                           map(t.hashtag_table.__getitem__, codes.tolist())))
-    return BipartiteGraph(dict(weights), tuple(sorted({u for u, _ in weights})),
-                          tuple(sorted({h for _, h in weights})))
+    return BipartiteGraph.from_weights(weights)
 
 
 def user_node(user_id) -> str:

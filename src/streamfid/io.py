@@ -12,10 +12,19 @@ the same bytes loads them instead of parsing the lines again; any other
 read parses.  A number beyond int64 or a negative root id, which no column
 holds, is a malformed line.  The JSONL stays the one source of truth, and
 a sidecar is safe to delete.
+
+The graph commands also read two CSV inputs: an edge list of
+(src, dst, weight) rows (``read_edge_csv``) and an assignment of
+(node, cluster) rows (``read_assignment``), as the commands write them.
+Blank rows, '#' comment lines and the header row are skipped.  A row
+that is too short, holds text where a number belongs, gives a weight
+below 1 or repeats an earlier edge or node fails like a malformed JSONL
+line: a LineFormatError whose message starts with PATH:LINE.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -47,7 +56,7 @@ _NO_STRINGS: list = []
 
 
 class LineFormatError(ValueError):
-    """A JSONL line could not be parsed; carries the 1-based line number."""
+    """An input line could not be parsed; carries the 1-based line number."""
 
     def __init__(self, path, lineno: int, reason: str):
         super().__init__(f"{path}:{lineno}: {reason}")
@@ -183,6 +192,45 @@ def read_bundle(path) -> StreamBundle:
     if regular:
         _save_sidecar(sidecar, digest.hexdigest(), bundle)
     return bundle
+
+
+def _csv_mapping(path, header: str, key_name: str, convert) -> dict:
+    """{key: value} of the (key, value) ``convert`` gives each row of a CSV
+    file, but for blank rows, lines starting with '#' and the row whose
+    first field is ``header``.  A row it cannot convert, or whose key an
+    earlier row holds, raises LineFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        numbered = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    reader = csv.reader(line for _, line in numbered)
+    out = {}
+    for row in reader:
+        if row and row[0] != header:
+            try:
+                key, value = convert(row)
+                if key in out:
+                    raise ValueError(f"repeated {key_name} {key!r}")
+                out[key] = value
+            except (IndexError, ValueError) as exc:
+                reason = str(exc) if isinstance(exc, ValueError) else f"expected at least 2 fields, got {len(row)}"
+                raise LineFormatError(path, numbered[reader.line_num - 1][0], reason) from None
+    return out
+
+
+def read_assignment(path, cluster=str) -> dict:
+    """Node -> cluster (``cluster`` of its text) from a (node, cluster) CSV."""
+    return _csv_mapping(path, "node", "node", lambda row: (row[0], cluster(row[1])))
+
+
+def read_edge_csv(path, dst=str) -> dict:
+    """Weighted edge list from a (src, dst, weight) CSV of integer sources
+    and weights of at least 1; the weight is 1 when left out."""
+    def edge(row):
+        weight = int(row[2]) if len(row) > 2 else 1
+        if weight < 1:
+            raise ValueError(f"edge weight {weight} is below 1")
+        return (int(row[0]), dst(row[1])), weight
+
+    return _csv_mapping(path, "src", "edge", edge)
 
 
 # one template per record kind, in the key order of the format above; a

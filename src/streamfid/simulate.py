@@ -83,8 +83,8 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.base_rate <= 0:
-            raise ValueError("duration and base_rate must be positive")
+        if not (0 < self.duration_s < math.inf and 0 < self.base_rate < math.inf):
+            raise ValueError("duration and base_rate must be positive and finite")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0,1)")
         if not 0.0 <= self.cascade_fraction <= 1.0:
@@ -229,7 +229,10 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     kept, draw = 0, config.inter_arrival_model.draw
     for start, k in zip(root_ts[spawning].tolist(), owed.tolist()):
         u = rng.random(2 * kept + k)
-        gaps_ms = (draw(rng, int(size_cdf.searchsorted(u[-1], "right")) + 1) * 1000.0).astype(np.int64)
+        # a gap capped at the span left lands at end_ms and is dropped, as a
+        # longer one would be; the cap keeps a gap past 2**63 ms from wrapping
+        gaps = draw(rng, int(size_cdf.searchsorted(u[-1], "right")) + 1) * 1000.0
+        gaps_ms = np.minimum(gaps, end_ms - start).astype(np.int64)
         ts = start + np.maximum(1, gaps_ms).cumsum()
         ts = ts[ts < end_ms]
         kept = len(ts)

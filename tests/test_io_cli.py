@@ -554,3 +554,44 @@ def test_bad_csv_row_exits_one_naming_its_line(tmp_path, capsys, command, good, 
     inputs = ("-i", path, "-i", path) if command[1] == "flow" else ("-i", path)
     assert run_cli(*command, *inputs) == 1
     assert capsys.readouterr().err == f"error: {path}:4: {reason}\n"
+
+
+SIMULATE = ("simulate", "--duration", "5", "--rate", "10")
+
+# (argv, STREAMFID_SEED, what the error names): every flag error exits 2
+# and names its flag, or the variable; "IN" stands for a JSONL input
+FLAG_ERRORS = [
+    pytest.param((*SIMULATE, "--users", "0"), None, "--users", id="users"),
+    pytest.param((*SIMULATE, "--hashtags", "0"), None, "--hashtags", id="hashtags"),
+    pytest.param((*SIMULATE, "--user-zipf", "0"), None, "--user-zipf", id="user-zipf"),
+    pytest.param((*SIMULATE, "--duration", "0"), None, "--duration", id="duration"),
+    pytest.param((*SIMULATE, "--duration", "nan"), None, "--duration", id="duration-nan"),
+    pytest.param((*SIMULATE, "--rate", "inf"), None, "--rate", id="rate-inf"),
+    pytest.param((*SIMULATE, "--amplitude", "1.5"), None, "--amplitude", id="amplitude"),
+    pytest.param((*SIMULATE, "--cascade-fraction", "2"), None, "--cascade-fraction", id="cascade-fraction"),
+    pytest.param((*SIMULATE, "--type-mix", "root=0.5"), None, "--type-mix", id="type-mix"),
+    pytest.param((*SIMULATE, "--seed", "-1"), None, "--seed", id="simulate-seed"),
+    pytest.param(SIMULATE, "abc", "STREAMFID_SEED", id="env-seed"),
+    pytest.param(SIMULATE, "-2", "STREAMFID_SEED", id="env-seed-negative"),
+    pytest.param(("sample", "--mode", "bernoulli", "--rate", "0.5", "-i", "IN", "--seed", "-1"), None,
+                 "--seed", id="sample-seed"),
+    pytest.param(("graph", "cocluster", "-i", "IN", "--seed", "-1"), None, "--seed", id="cocluster-seed"),
+    pytest.param(("graph", "cocluster", "-i", "IN", "--k", "2", "--seed", str(2**32)), None, "--seed",
+                 id="cocluster-seed-past-32-bits"),
+    pytest.param(("graph", "cocluster", "-i", "IN", "--k", "0"), None, "--k", id="cocluster-k"),
+]
+
+
+@pytest.mark.parametrize("argv, env_seed, named", FLAG_ERRORS)
+def test_flag_error_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch, argv, env_seed, named):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out"
+    write_bundle(src, StreamBundle.build([ev(i, i, user=i % 3, hashtags=("a", "b")[i % 2:]) for i in range(6)]))
+    monkeypatch.delenv("STREAMFID_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("STREAMFID_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(src if a == "IN" else a for a in argv), "-o", out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("streamfid: error: ") and named in err
+    assert not out.exists()

@@ -209,8 +209,7 @@ def random_bipartite(rng, n_users: int, n_tags: int, n_edges: int) -> BipartiteG
     """Up to n_edges user-hashtag edges drawn uniformly, weights 1 to 29."""
     weights = {(int(u), f"t{t}"): int(w) for u, t, w in zip(
         rng.integers(0, n_users, n_edges), rng.integers(0, n_tags, n_edges), rng.integers(1, 30, n_edges))}
-    return BipartiteGraph(weights, tuple(sorted({u for u, _ in weights})),
-                          tuple(sorted({h for _, h in weights})))
+    return BipartiteGraph.from_weights(weights)
 
 
 # the last graph's smaller side is above 512 nodes, so its SVD is randomized

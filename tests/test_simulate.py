@@ -76,6 +76,20 @@ class TestGenerateStream:
             assert root.timestamp_ms <= ch.timestamp_ms
             assert root.id < ch.id
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gaps_past_int64_milliseconds_stay_past_the_end(self):
+        # alpha=0.2 draws gaps beyond 2**63 ms, which once cast to INT64_MIN
+        # ("invalid value encountered in cast") and were lifted to 1 ms
+        cfg = GeneratorConfig(duration_s=600.0, base_rate=50.0, cascade_fraction=1.0,
+                              type_mix={"root": 0.5, "retweet": 0.5},
+                              inter_arrival_model=InterArrivalModel("power-law", alpha=0.2), seed=0)
+        t = generate_stream(cfg).table
+        root_ts = dict(zip(t.id.tolist(), t.ts.tolist()))
+        child = t.root >= 0
+        assert child.any()
+        starts = np.array([root_ts[r] for r in t.root[child].tolist()])
+        assert (starts <= t.ts[child]).all() and (t.ts[child] < cfg.start_ms + 600_000).all()
+
     def test_followers_heavy_tailed_and_frozen_per_user(self):
         cfg = GeneratorConfig(duration_s=60.0, base_rate=100.0, seed=5,
                               user_population=ZipfPopulation(50, 1.2))
