@@ -316,20 +316,6 @@ def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: Ca
     return tables
 
 
-def relative_potential_reach(
-    sample_c: Cascade, complete_c: Cascade, window_s: float = float("inf")
-) -> Optional[float]:
-    """Sample-to-complete reach ratio within a window after the root.
-
-    Returns None (undefined) when the complete cascade has no reach in the
-    window; such cascades are excluded from CCDFs.
-    """
-    if sample_c.root_id != complete_c.root_id:
-        raise ValueError("mismatched root_id")
-    ratio = _relative_reach(_columns([sample_c]), _columns([complete_c]), np.zeros(1, np.intp), window_s)[0]
-    return None if math.isnan(ratio) else ratio.item()
-
-
 def _relative_reach(sample: CascadeSet, complete: CascadeSet, ref: np.ndarray, window_s: float) -> np.ndarray:
     """Each sample cascade's reach over that of complete cascade ``ref``, both
     within ``window_s`` after the complete root (NaN when the latter is 0).

@@ -27,7 +27,7 @@ from .cascades import (DEFAULT_REACH_WINDOWS_S, ccdf_tables, compare_cascades,  
                        inter_arrival_distribution, reconstruct_cascades)
 from .entity import (ENTITY_KEYS, estimate_complete_frequency_vector, estimate_missing_entities,
                      frequency_vector_of)
-from .graphs import (BipartiteGraph, Digraph, bowtie_decompose, bowtie_flow, build_bipartite,
+from .graphs import (BipartiteGraph, Digraph, bowtie_component, bowtie_decompose, bowtie_flow, build_bipartite,
                      build_retweet_network, cluster_flow, spectral_cocluster)
 # bench/cli_trace.py swaps each library name it times here for a wrapper,
 # inter_arrival_distribution and iter_records too, though no command calls
@@ -296,7 +296,7 @@ def cmd_graph_bowtie(args, parser):
 
 def cmd_graph_flow(args, parser):
     paths = _inputs(args, parser, needs="graph flow needs two -i inputs: complete then sample assignment")
-    flow_of, cluster = (bowtie_flow, str) if args.kind == "bowtie" else (cluster_flow, int)
+    flow_of, cluster = (bowtie_flow, bowtie_component) if args.kind == "bowtie" else (cluster_flow, int)
     flow = flow_of(*(read_assignment(p, cluster) for p in paths))
     rows = [(rl, cl, int(flow.counts[i, j]), f"{flow.ratios[i, j]:.6f}")
             for i, rl in enumerate(flow.row_labels) for j, cl in enumerate(flow.col_labels)]

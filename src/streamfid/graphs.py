@@ -326,7 +326,10 @@ def cluster_flow(labels_complete: Mapping, labels_sample: Mapping) -> FlowMatrix
 
 
 def bowtie_flow(complete_assignment: Mapping, sample_assignment: Mapping) -> FlowMatrix:
-    """6 x 7 movement matrix over bow-tie components in fixed order."""
+    """6 x 7 movement matrix over bow-tie components in fixed order (a
+    component outside ``BOWTIE_COMPONENTS`` raises ValueError)."""
+    for assignment in (complete_assignment, sample_assignment):
+        BowtieAssignment(assignment)
     return _flow(
         complete_assignment,
         sample_assignment,
@@ -375,6 +378,13 @@ def build_retweet_network(events: Union[StreamBundle, EventView], include_quotes
     return Digraph(dict(weights), frozenset(nodes), authors.count(None))
 
 
+def bowtie_component(name: str) -> str:
+    """``name`` if it is one of ``BOWTIE_COMPONENTS``, else ValueError."""
+    if name not in BOWTIE_COMPONENTS:
+        raise ValueError(f"unknown bow-tie component {name!r}")
+    return name
+
+
 @dataclass(frozen=True)
 class BowtieAssignment:
     """Total map node -> bow-tie component."""
@@ -382,9 +392,8 @@ class BowtieAssignment:
     components: Mapping
 
     def __post_init__(self):
-        bad = set(self.components.values()) - set(BOWTIE_COMPONENTS)
-        if bad:
-            raise ValueError(f"unknown components {bad}")
+        for name in set(self.components.values()):
+            bowtie_component(name)
 
     def __getitem__(self, node):
         return self.components[node]

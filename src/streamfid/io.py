@@ -18,8 +18,9 @@ The graph commands also read two CSV inputs: an edge list of
 (node, cluster) rows (``read_assignment``), as the commands write them.
 Blank rows, '#' comment lines and the header row are skipped.  A row
 that is too short, holds text where a number belongs, gives a weight
-below 1 or repeats an earlier edge or node fails like a malformed JSONL
-line: a LineFormatError whose message starts with PATH:LINE.
+below 1, repeats an earlier edge or node or is a JSON object fails like a
+malformed JSONL line: a LineFormatError whose message starts with
+PATH:LINE.
 """
 
 from __future__ import annotations
@@ -206,6 +207,8 @@ def _csv_mapping(path, header: str, key_name: str, convert) -> dict:
     for row in reader:
         if row and row[0] != header:
             try:
+                if row[0].startswith("{"):
+                    raise ValueError("a JSON object, not a CSV row")
                 key, value = convert(row)
                 if key in out:
                     raise ValueError(f"repeated {key_name} {key!r}")

@@ -40,9 +40,10 @@ def bucket_of(timestamp_ms, granularity: str, tz_offset_hours: int = 0,
     Hour of day, minute of hour, second of minute, or the millisecond of
     the second divided into bands of ``band_ms`` (1 gives one bucket per
     millisecond).  A numpy array of timestamps gives the array of their
-    buckets.
+    buckets.  Every bucket repeats within a day, so only the offset's hours
+    modulo 24 count.
     """
-    ts = timestamp_ms + tz_offset_hours * 3_600_000
+    ts = timestamp_ms + (tz_offset_hours % 24) * 3_600_000
     if granularity == "millisecond":
         return (ts % 1_000) // band_ms
     try:
@@ -226,7 +227,7 @@ class StreamBundle:
             raise ValueError("id, timestamp_ms and follower_count must be non-negative")
         step = np.diff(ts)
         if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
-            raise ValueError("events must be strictly sorted by (timestamp_ms, id)")
+            raise ValueError("unsorted events: must be strictly sorted by (timestamp_ms, id)")
         ordered = np.sort(ids)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):

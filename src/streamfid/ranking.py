@@ -149,51 +149,3 @@ def top_k_rank_table(
     tau_obs = kendall_tau(sorted(selected, key=lambda u: observed[u]), by_true)
     tau_est = kendall_tau(sorted(selected, key=lambda u: estimated[u]), by_true)
     return RankReport(rows, tau_obs, tau_est)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n in ascending order, tied values sharing their mean rank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return ((ends - counts + 1 + ends) / 2)[inverse]
-
-
-@dataclass(frozen=True)
-class PercentileRow:
-    n_c: int
-    true_percentile: float
-    observed_mean: float
-    observed_sd: float
-    entities: int
-
-
-def rank_percentiles(
-    complete_counts: Mapping[int, int],
-    sample_counts: Mapping[int, int],
-) -> list[PercentileRow]:
-    """True vs observed rank percentiles grouped by complete frequency.
-
-    Percentile = rank / population with average ranks over ties; smaller
-    means higher ranked.  Entities absent from the sample count as 0.
-    """
-    if not complete_counts:
-        raise ValueError("no entities")
-    entities = sorted(complete_counts)
-    nc = np.array([complete_counts[e] for e in entities], dtype=float)
-    ns = np.array([sample_counts.get(e, 0) for e in entities], dtype=float)
-    n = len(entities)
-    true_pct = _average_ranks(-nc) / n
-    obs_pct = _average_ranks(-ns) / n
-    rows = []
-    for value in sorted(set(nc.astype(int))):
-        mask = nc == value
-        rows.append(
-            PercentileRow(
-                n_c=int(value),
-                true_percentile=float(true_pct[mask].mean()),
-                observed_mean=float(obs_pct[mask].mean()),
-                observed_sd=float(obs_pct[mask].std()),
-                entities=int(mask.sum()),
-            )
-        )
-    return rows

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (_TYPE_CODE, Event, RateLimitMessage, StreamBundle, _row_column, bounds_of, columns_of_rows,
+from .model import (_TYPE_CODE, Event, RateLimitMessage, StreamBundle, bounds_of, columns_of_rows,
                     csr_gather, take)
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
@@ -312,20 +312,9 @@ def rate_limited_sample(
     threshold: int = DEFAULT_THRESHOLD,
     anchor_ms: int = DEFAULT_ANCHOR_MS,
 ) -> tuple[list[Event], list[RateLimitMessage]]:
-    """Threshold sampler: first ``threshold`` events of each 1-second window.
-
-    Windows start at ``anchor_ms`` within each wall-clock second.  Whenever a
-    window drops at least one event, a single message is emitted at the last
-    millisecond of that window carrying the cumulative dropped count since
-    the start of the stream.
-    """
-    events = events if isinstance(events, (tuple, list)) else tuple(events)
-    ids, ts = _row_column(events, "id"), _row_column(events, "ts")
-    keep, messages = _threshold_sampler(ts, threshold, anchor_ms)
-    step = np.diff(ts)
-    if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
-        raise ValueError("unsorted input")
-    return list(compress(events, keep.tolist())), messages
+    """``rate_limited_bundle`` of events sorted by (timestamp_ms, id), as lists."""
+    sample = rate_limited_bundle(StreamBundle(events), threshold, anchor_ms)
+    return list(sample.events), list(sample.messages)
 
 
 def rate_limited_bundle(
@@ -333,7 +322,14 @@ def rate_limited_bundle(
     threshold: int = DEFAULT_THRESHOLD,
     anchor_ms: int = DEFAULT_ANCHOR_MS,
 ) -> StreamBundle:
-    """``rate_limited_sample`` of a bundle, held as the bundle is (see ``take``)."""
+    """Threshold sampler: first ``threshold`` events of each 1-second window,
+    held as the bundle is (see ``take``).
+
+    Windows start at ``anchor_ms`` within each wall-clock second.  Whenever a
+    window drops at least one event, a single message is emitted at the last
+    millisecond of that window carrying the cumulative dropped count since
+    the start of the stream.
+    """
     return take(complete, *_threshold_sampler(complete.table.ts, threshold, anchor_ms))
 
 

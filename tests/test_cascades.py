@@ -3,12 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from streamfid.cascades import (
-    compare_cascades,
-    inter_arrival_distribution,
-    reconstruct_cascades,
-    relative_potential_reach,
-)
+from streamfid.cascades import compare_cascades, inter_arrival_distribution, reconstruct_cascades
 from streamfid.simulate import bernoulli_sample
 
 from conftest import ev
@@ -163,43 +158,45 @@ class TestInterArrival:
             assert ds.quantile(q) >= dc.quantile(q)
 
 
+def reach_ratio(sample, complete, window_s=float("inf")):
+    """The reach ratio of ``sample``'s row in ``compare_cascades``."""
+    (row,), _ = compare_cascades([complete], [sample], reach_windows_s=(window_s,))
+    return row.relative_potential_reach[window_s]
+
+
 class TestRelativePotentialReach:
     def test_identical_is_one(self):
         c = make_cascade(gaps_s=(1, 2), followers=[10, 20])
-        assert relative_potential_reach(c, c) == 1.0
+        assert reach_ratio(c, c) == 1.0
 
     def test_half_when_one_of_two_equal_retweeters_kept(self):
         complete = make_cascade(gaps_s=(1, 2), followers=[15, 15])
         sample = cascade_of(complete.root, *complete.retweets[:1])
-        assert relative_potential_reach(sample, complete) == 0.5
+        assert reach_ratio(sample, complete) == 0.5
 
     def test_window_restricts_both_sides(self):
         complete = make_cascade(gaps_s=(100, 700), followers=[10, 90])
         sample = cascade_of(complete.root, *complete.retweets[1:])
         # within 600 s only the first retweet exists; the sample missed it
-        assert relative_potential_reach(sample, complete, window_s=600) == 0.0
-        assert relative_potential_reach(sample, complete) == pytest.approx(0.9)
+        assert reach_ratio(sample, complete, window_s=600) == 0.0
+        assert reach_ratio(sample, complete) == pytest.approx(0.9)
 
     def test_window_holds_its_last_millisecond(self):
         complete = make_cascade(gaps_s=(600, 1), followers=[10, 30])
         sample = cascade_of(complete.root, *complete.retweets[:1])
-        assert relative_potential_reach(sample, complete, window_s=600) == 1.0
-        assert relative_potential_reach(sample, complete, window_s=599.999) is None
+        assert reach_ratio(sample, complete, window_s=600) == 1.0
+        assert reach_ratio(sample, complete, window_s=599.999) is None
 
     def test_zero_over_zero_undefined(self):
         complete = make_cascade(gaps_s=(700,), followers=[10])
         sample = cascade_of(complete.root)
-        assert relative_potential_reach(sample, complete, window_s=600) is None
-
-    def test_mismatched_roots_rejected(self):
-        with pytest.raises(ValueError, match="mismatched root_id"):
-            relative_potential_reach(make_cascade(root_id=0), make_cascade(root_id=1))
+        assert reach_ratio(sample, complete, window_s=600) is None
 
     def test_monotone_as_retweets_removed(self):
         complete = make_cascade(gaps_s=(1, 2, 3, 4), followers=[5, 10, 20, 40])
         prev = 1.0
         for keep in range(4, -1, -1):
             sample = cascade_of(complete.root, *complete.retweets[:keep])
-            ratio = relative_potential_reach(sample, complete)
+            ratio = reach_ratio(sample, complete)
             assert ratio <= prev
             prev = ratio

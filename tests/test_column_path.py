@@ -460,7 +460,6 @@ def test_cascade_reach_equals_the_loop(events, rate, include_quotes, window_s):
         denominator = reach_by_loop(ref, horizon)
         want = None if denominator == 0 else reach_by_loop(c, horizon) / denominator
         assert row.relative_potential_reach == {window_s: want}
-        assert sf.relative_potential_reach(c, ref, window_s) == want
     assert rows == sf.compare_cascades(list(complete), list(sample), reach_windows_s=(window_s,))[0]
 
 

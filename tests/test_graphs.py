@@ -366,3 +366,8 @@ class TestBowtieFlow:
     def test_fixed_component_order(self):
         flow = bowtie_flow({1: TENDRILS}, {})
         assert flow.col_labels[:-1] == BOWTIE_COMPONENTS
+
+    def test_unknown_component_rejected(self):
+        for complete, sample in (({1: "0"}, {}), ({1: LSCC}, {1: "lscc"})):
+            with pytest.raises(ValueError, match="unknown bow-tie component"):
+                bowtie_flow(complete, sample)

@@ -556,6 +556,38 @@ def test_bad_csv_row_exits_one_naming_its_line(tmp_path, capsys, command, good, 
     assert capsys.readouterr().err == f"error: {path}:4: {reason}\n"
 
 
+def test_cluster_labels_read_as_bowtie_exit_one(tmp_path, capsys):
+    src, labels = tmp_path / "c.jsonl", tmp_path / "cl.csv"
+    run_cli("simulate", "--duration", 20, "--rate", 20, "--seed", 1, "-o", src)
+    run_cli("graph", "cocluster", "-i", src, "--k", 2, "--seed", 1, "-o", labels)
+    assert run_cli("graph", "flow", "--kind", "bowtie", "-i", labels, "-i", labels) == 1
+    assert capsys.readouterr().err.startswith(f"error: {labels}:3: unknown bow-tie component ")
+
+
+def test_jsonl_given_as_csv_exits_one(tmp_path, capsys):
+    src, renamed = tmp_path / "c.jsonl", tmp_path / "x.csv"
+    run_cli("simulate", "--duration", 5, "--rate", 10, "--seed", 1, "-o", src)
+    renamed.write_bytes(src.read_bytes())
+    for argv, path in ((("graph", "flow", "-i", src, "-i", src), src),
+                       (("graph", "cocluster", "-i", renamed), renamed)):
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: a JSON object, not a CSV row\n"
+
+
+def test_breakdown_takes_any_tz_offset_modulo_a_day(tmp_path):
+    c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+    run_cli("simulate", "--duration", 60, "--rate", 20, "--seed", 6, "-o", c)
+    run_cli("sample", "--mode", "bernoulli", "--rate", "0.5", "--seed", 1, "-i", c, "-o", s)
+    bodies = []
+    for offset in (9999999999999, 9999999999999 % 24, -(9999999999999 // 24 * 24 + 9)):
+        out = tmp_path / f"{offset}.csv"
+        assert run_cli("breakdown", "-i", c, "-i", s, "--key", "hour", "--tz-offset", offset, "-o", out) == 0
+        bodies.append(out.read_text().splitlines()[1:])   # all but the manifest, which names the offset
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert bodies[0][1].startswith("15,")
+
+
 SIMULATE = ("simulate", "--duration", "5", "--rate", "10")
 
 # (argv, STREAMFID_SEED, what the error names): every flag error exits 2

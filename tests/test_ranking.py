@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy.stats import kendalltau, rankdata
+from scipy.stats import kendalltau
 
 from streamfid.model import RateLimitMessage, StreamBundle, TemporalRateProfile
 from streamfid.ranking import (
-    _average_ranks,
     _corrected_volumes,
     kendall_tau,
-    rank_percentiles,
     temporal_rates_from_messages,
     top_k_rank_table,
 )
@@ -181,35 +179,3 @@ class TestTopKRankTable:
         base = _rank_by(list(score), score)
         scaled = _rank_by(list(score), {u: 37.1 * v for u, v in score.items()})
         assert base == scaled
-
-
-class TestRankPercentiles:
-    def test_average_ranks_equal_rankdata_on_ties(self, rng):
-        for n in (1, 2, 7, 100, 1000):
-            values = rng.integers(0, max(n // 4, 1), size=n).astype(float)
-            assert _average_ranks(values).tolist() == rankdata(values, method="average").tolist()
-            assert _average_ranks(-values).tolist() == rankdata(-values, method="average").tolist()
-
-    def test_single_entity(self):
-        rows = rank_percentiles({7: 5}, {7: 3})
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.true_percentile == pytest.approx(1.0)
-        assert row.observed_mean == pytest.approx(1.0)
-
-    def test_two_entities_direct_arithmetic(self):
-        # entity 1 leads in complete but trails in sample
-        rows = rank_percentiles({1: 10, 2: 4}, {1: 2, 2: 3})
-        by_nc = {r.n_c: r for r in rows}
-        assert by_nc[10].true_percentile == pytest.approx(0.5)
-        assert by_nc[4].true_percentile == pytest.approx(1.0)
-        assert by_nc[10].observed_mean == pytest.approx(1.0)
-        assert by_nc[4].observed_mean == pytest.approx(0.5)
-
-    def test_grouping_and_sd(self):
-        complete = {i: (5 if i < 4 else 50) for i in range(8)}
-        sample = {0: 1, 1: 2, 2: 0, 3: 5, 4: 30, 5: 28, 6: 25, 7: 31}
-        rows = rank_percentiles(complete, sample)
-        assert [r.n_c for r in rows] == [5, 50]
-        assert rows[0].entities == 4
-        assert rows[0].observed_sd > 0
