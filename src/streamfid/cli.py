@@ -25,7 +25,7 @@ from . import __version__
 from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
 from .cascades import (DEFAULT_REACH_WINDOWS_S, ccdf_tables, compare_cascades,  # noqa: F401
                        inter_arrival_distribution, reconstruct_cascades)
-from .entity import (ENTITY_KEYS, estimate_complete_frequency_vector, estimate_missing_entities,
+from .entity import (ENTITY_KEYS, K_MAX_CEILING, estimate_complete_frequency_vector, estimate_missing_entities,
                      frequency_vector_of)
 from .graphs import (BipartiteGraph, Digraph, bowtie_component, bowtie_decompose, bowtie_flow, build_bipartite,
                      build_retweet_network, cluster_flow, spectral_cocluster)
@@ -207,11 +207,11 @@ def cmd_entity_stats(args, parser):
 
 
 def cmd_estimate_missing(args, parser):
-    if args.k_max < 1:
-        parser.error("--k-max must be >= 1")
+    if not 1 <= args.k_max <= K_MAX_CEILING:
+        parser.error(f"--k-max must be in [1, {K_MAX_CEILING}]")
     sample = read_bundle(_inputs(args, parser, 1)[0])
     fv = frequency_vector_of(sample, args.key)
-    if args.rate is None and not sample.messages:
+    if args.rate is None and not len(sample.msg_ts):
         parser.error("the sample has no rate limit messages to derive the rate from; pass --rate")
     try:
         rate = mean_rate_from_messages(sample) if args.rate is None else args.rate

@@ -22,6 +22,7 @@ import numpy as np
 from .model import Event, EventView, FrequencyVector, StreamBundle, distinct_per_event
 
 DEFAULT_K_MAX = 100
+K_MAX_CEILING = 1000   # the kernel and the solver hold k_max**2 floats
 
 ENTITY_KEYS = ("user", "hashtag", "url")
 
@@ -323,8 +324,8 @@ def estimate_complete_frequency_vector(
     """
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0,1]")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not 1 <= k_max <= K_MAX_CEILING:
+        raise ValueError(f"k_max must be in [1, {K_MAX_CEILING}]")
     over = {k: v for k, v in f_sample.counts.items() if k > k_max}
     clamped = sum(over.values())
     if over:

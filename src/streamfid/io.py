@@ -36,7 +36,6 @@ from contextlib import suppress
 from functools import partial
 from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from sys import intern
 from typing import Iterator, Optional, TextIO, Union
@@ -44,7 +43,7 @@ from typing import Iterator, Optional, TextIO, Union
 import numpy as np
 
 from .model import (EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, check_bounds,
-                    collector_paused, field_blocks, message_columns)
+                    collector_paused, field_blocks)
 
 Record = Union[Event, RateLimitMessage]
 
@@ -186,9 +185,7 @@ def read_bundle(path) -> StreamBundle:
         with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)), encoding="utf-8") as fh:
             for rec in _records(fh, path):
                 (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
-    events.sort(key=itemgetter(1, 0))   # by (timestamp_ms, id)
-    messages.sort(key=itemgetter(0))
-    bundle = StreamBundle(events, messages)
+    bundle = StreamBundle.build(events, messages)
     del events   # before the sidecar is packed
     if regular:
         _save_sidecar(sidecar, digest.hexdigest(), bundle)
@@ -264,10 +261,10 @@ def write_bundle(path, bundle: StreamBundle) -> None:
     quoted = t._replace(**{name: tuple(map(encode_basestring_ascii, getattr(t, name)))
                            for name in ("lang_table", "hashtag_table", "url_table")})
     lines = chain.from_iterable(map(_event_lines, field_blocks(quoted)))
-    messages = sorted(bundle.messages)
-    at = np.searchsorted(t.ts, [m.timestamp_ms for m in messages], side="right").tolist()
+    order = np.lexsort((bundle.msg_missed, bundle.msg_ts))
+    at = np.searchsorted(t.ts, bundle.msg_ts[order], side="right").tolist()
     parts, done = [], 0
-    for i, msg in zip(at, messages):
+    for i, msg in zip(at, zip(bundle.msg_ts[order].tolist(), bundle.msg_missed[order].tolist())):
         parts += (islice(lines, i - done), (_MESSAGE_LINE % msg,))
         done = i
     ordered = chain.from_iterable((*parts, lines))
@@ -317,7 +314,7 @@ def _unpack(z, name: str) -> list[str]:
 
 
 def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
-    cols = {**bundle.table._asdict(), **message_columns(bundle.messages)}
+    cols = bundle.columns()
     for name in EventTable._fields:
         if name.endswith("_table"):
             cols[f"{name}_text"], cols[f"{name}_bounds"] = _pack(cols.pop(name))

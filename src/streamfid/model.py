@@ -26,6 +26,8 @@ GRANULARITIES = ("hour", "minute", "second", "millisecond")
 # the numbers a table's int64 columns hold
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
+NON_MONOTONE = "non-monotone counter: messages of several sampler threads, separate them with map_threads first"
+
 # millisecond-of-second rate profiles are banded to bound sparsity
 MILLISECOND_BAND_MS = 50
 
@@ -142,13 +144,14 @@ def collector_paused():
 class StreamBundle:
     """An ordered interleaving of events and rate limit messages.
 
-    A bundle holds its events as one ``EventTable``, checked whole by
-    ``from_columns``; rows given to the constructor or to ``build`` are
-    converted to columns once.  ``events`` is an ``EventView`` of the table,
-    which builds rows only while it is iterated or indexed.
+    A bundle holds its events as one ``EventTable`` and its messages as the
+    int64 columns ``msg_ts`` and ``msg_missed``, read-only and checked whole
+    by ``from_columns``; rows given to the constructor or to ``build`` are
+    converted once.  ``events`` (an ``EventView`` of the table) and
+    ``messages`` build rows only when they are read.
     """
 
-    __slots__ = ("table", "messages")
+    __slots__ = ("table", "msg_ts", "msg_missed")
 
     def __init__(self, events: Sequence[Event] = (), messages: Iterable[RateLimitMessage] = ()):
         events = events if isinstance(events, (tuple, list)) else tuple(events)
@@ -164,28 +167,39 @@ class StreamBundle:
     def events(self) -> "EventView":
         return EventView(self.table)
 
+    @property
+    def messages(self) -> tuple[RateLimitMessage, ...]:
+        # from_columns checked the columns whole, so no row is checked again
+        return tuple(map(tuple.__new__, repeat(RateLimitMessage), zip(self.msg_ts.tolist(), self.msg_missed.tolist())))
+
     def __len__(self) -> int:
         return len(self.table.id)
 
     def __eq__(self, other):
-        """Equal messages and equal events, compared field by field on the
-        two tables stacked, so that no row is built."""
+        """Equal message columns and equal events, compared field by field on
+        the two tables stacked, so that no row is built."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.messages != other.messages or len(self) != len(other):
+        if (not np.array_equal(self.msg_ts, other.msg_ts) or not np.array_equal(self.msg_missed, other.msg_missed)
+                or len(self) != len(other)):
             return False
         n = len(self)
         return not np.any(_differs(EventTable(**stacked([self.table, other.table])), np.arange(n), np.arange(n, 2 * n)))
 
     def __hash__(self) -> int:
         # values that equality compares, in one width
-        return hash((self.messages, *(getattr(self.table, name).astype(np.int64).tobytes() for name in ("id", "ts"))))
+        return hash((self.msg_ts.tobytes(), self.msg_missed.tobytes(),
+                     *(getattr(self.table, name).astype(np.int64).tobytes() for name in ("id", "ts"))))
 
     def __repr__(self) -> str:
         return f"StreamBundle(events={tuple(self.events)!r}, messages={self.messages!r})"
 
     def __reduce__(self):
-        return self.__class__.from_columns, ({**self.table._asdict(), **message_columns(self.messages)},)
+        return self.__class__.from_columns, (self.columns(),)
+
+    def columns(self) -> dict:
+        """The columns that ``from_columns`` takes, as the bundle holds them."""
+        return {**self.table._asdict(), "msg_ts": self.msg_ts, "msg_missed": self.msg_missed}
 
     @classmethod
     def build(cls, events: Sequence[Event], messages: Iterable[RateLimitMessage] = ()) -> "StreamBundle":
@@ -241,8 +255,8 @@ class StreamBundle:
             raise ValueError("messages must be sorted by timestamp_ms")
         object.__setattr__(self, "table", EventTable(**{name: tables[name] if name in tables else c[name]
                                                         for name in EventTable._fields}))
-        object.__setattr__(self, "messages", tuple(map(tuple.__new__, repeat(RateLimitMessage),
-                                                       zip(msg_ts.tolist(), missed.tolist()))))
+        object.__setattr__(self, "msg_ts", msg_ts)
+        object.__setattr__(self, "msg_missed", missed)
 
 
 class EventView(Sequence):
@@ -406,7 +420,7 @@ def _row_column(rows: Sequence[tuple], name: str):
     return np.fromiter(values, np.int64)
 
 
-def columns_of_rows(rows: Sequence[tuple], messages: Sequence[RateLimitMessage] = (), **given) -> dict:
+def columns_of_rows(rows: Sequence[tuple], messages: Sequence[tuple] = (), **given) -> dict:
     """The ``from_columns`` columns of sorted event rows (or of tuples in
     ``Event``'s field order) and ``messages``, the ``EventTable`` fields in
     ``given`` taken from it, and ``INT32_COLUMNS`` int32 where their values
@@ -415,7 +429,8 @@ def columns_of_rows(rows: Sequence[tuple], messages: Sequence[RateLimitMessage] 
     for name in INT32_COLUMNS:
         if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
             cols[name] = cols[name].astype(np.int32)
-    return {**cols, **message_columns(messages)}
+    cols["msg_ts"], cols["msg_missed"] = np.array(messages, np.int64).reshape(-1, 2).T.copy()
+    return cols
 
 
 def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -427,11 +442,12 @@ def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tupl
     return events[first], codes[first]
 
 
-def take(bundle: StreamBundle, keep: np.ndarray, messages: Sequence[RateLimitMessage] = ()) -> StreamBundle:
+def take(bundle: StreamBundle, keep: np.ndarray, msg_ts: np.ndarray = np.zeros(0, np.int64),
+         msg_missed: np.ndarray = np.zeros(0, np.int64)) -> StreamBundle:
     """The events of ``bundle`` where the boolean mask ``keep`` is set, with
-    ``messages``."""
+    the messages of the int64 columns ``msg_ts`` and ``msg_missed``."""
     return StreamBundle.from_columns({**subtable(bundle.table, np.flatnonzero(keep))._asdict(),
-                                      **message_columns(messages)})
+                                      "msg_ts": msg_ts, "msg_missed": msg_missed})
 
 
 def subtable(t: EventTable, rows: np.ndarray) -> EventTable:
@@ -478,12 +494,6 @@ def stacked(tables: Sequence[EventTable]) -> dict:
         if base != "lang":
             cols[f"{base}_bounds"] = bounds_of(np.concatenate([np.diff(getattr(t, f"{base}_bounds")) for t in tables]))
     return cols
-
-
-def message_columns(messages: Sequence[RateLimitMessage]) -> dict:
-    """The ``from_columns`` columns msg_ts and msg_missed of ``messages``."""
-    return {name: np.fromiter(map(itemgetter(i), messages), np.int64, len(messages))
-            for i, name in enumerate(("msg_ts", "msg_missed"))}
 
 
 @dataclass(frozen=True)
@@ -570,21 +580,16 @@ def empirical_mean_rate(complete: StreamBundle, sample: StreamBundle) -> float:
     return len(sample) / len(complete)
 
 
-def missed_increments(messages: Iterable[RateLimitMessage]) -> list[int]:
+def missed_increments(msg_missed: np.ndarray) -> np.ndarray:
     """Each message's increase of the cumulative missed counter, counting from 0.
 
     The increments sum to the final counter.  A decreasing counter means the
     messages interleave several sampler threads, which ``map_threads`` must
     separate first.
     """
-    increments = []
-    prev = 0
-    for m in messages:
-        if m.cumulative_missed < prev:
-            raise ValueError("non-monotone counter: messages of several sampler threads, "
-                             "separate them with map_threads first")
-        increments.append(m.cumulative_missed - prev)
-        prev = m.cumulative_missed
+    increments = np.diff(msg_missed, prepend=0)
+    if np.any(increments < 0):
+        raise ValueError(NON_MONOTONE)
     return increments
 
 
@@ -595,9 +600,9 @@ def mean_rate_from_messages(sample: StreamBundle) -> float:
     cumulative counter of the sample's rate limit messages.  This is the
     estimate available when no complete stream was collected.
     """
-    if not len(sample) and not sample.messages:
+    if not len(sample) and not len(sample.msg_ts):
         raise ValueError("empty sample stream")
-    missed = sum(missed_increments(sample.messages))
+    missed = int(missed_increments(sample.msg_missed).sum())
     delivered = len(sample)
     return delivered / (delivered + missed) if delivered + missed else 1.0
 
@@ -628,7 +633,7 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
                          f"{name}{'s' if name in ('hashtag', 'url') else ''} differs")
     messages: Counter = Counter()
     for bundle in bundles:
-        messages |= Counter(bundle.messages)
+        messages |= Counter(zip(bundle.msg_ts.tolist(), bundle.msg_missed.tolist()))
     keep = order[first]
     keep = keep[np.lexsort((t.id[keep], t.ts[keep]))]
     # columns_of_rows narrows the gathered columns; a message is its own sort key

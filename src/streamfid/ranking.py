@@ -14,7 +14,6 @@ lowered Kendall tau against the true ranks instead of raising it.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -52,10 +51,11 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
     profile, so they read its default rate 1 rather than rate 0.
     """
     buckets, delivered = np.unique(bucket_of(sample.table.ts, granularity), return_counts=True)
-    missed: Counter = Counter()
-    for msg, inc in zip(sample.messages, missed_increments(sample.messages)):
-        missed[bucket_of(msg.timestamp_ms, granularity)] += inc
-    rates = {b: d / (d + missed[b]) for b, d in zip(buckets.tolist(), delivered.tolist())}
+    at = bucket_of(sample.msg_ts, granularity)
+    missed = np.zeros(int(max(buckets.max(initial=-1), at.max(initial=-1))) + 1, np.int64)
+    np.add.at(missed, at, missed_increments(sample.msg_missed))
+    # Python ints, so that each rate is the quotient of the exact counts
+    rates = {b: d / (d + m) for b, d, m in zip(buckets.tolist(), delivered.tolist(), missed[buckets].tolist())}
     return TemporalRateProfile(granularity, rates, default_rate=1.0)
 
 

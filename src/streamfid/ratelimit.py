@@ -13,13 +13,12 @@ cumulative counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from statistics import mean, median
 from typing import Sequence
 
 import numpy as np
 
-from .model import RateLimitMessage, StreamBundle, missed_increments
+from .model import NON_MONOTONE, RateLimitMessage, StreamBundle
 
 DEFAULT_MAX_THREADS = 4
 
@@ -64,20 +63,16 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
     known to be intact there.  Returns an empty list when the sample carries
     fewer than two messages.
     """
-    msgs = sample.messages
-    if len(msgs) < 2:
-        return []
-    stamps = np.fromiter(map(itemgetter(0), msgs), np.int64, len(msgs))
-    lo, hi = stamps[:-1], stamps[1:]
+    lo, hi = sample.msg_ts[:-1], sample.msg_ts[1:]
 
     def count_in(timestamps: np.ndarray) -> np.ndarray:
         # events with lo < ts <= hi
         return np.searchsorted(timestamps, hi, "right") - np.searchsorted(timestamps, lo, "right")
 
-    complete_msg_ts = np.fromiter(map(itemgetter(0), complete.messages), np.int64, len(complete.messages))
-    kept = np.flatnonzero((lo < hi) & (count_in(complete_msg_ts) == 0))
+    kept = np.flatnonzero((lo < hi) & (count_in(complete.msg_ts) == 0))
     sample_counts = count_in(sample.table.ts)[kept].tolist()
     complete_counts = count_in(complete.table.ts)[kept].tolist()
+    msgs = sample.messages
     return [
         Segment(
             start_ms=msgs[i].timestamp_ms,
@@ -92,8 +87,10 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
 
 def estimate_missing(segment: Segment) -> int:
     """Missing volume as the difference of the two bounding counters."""
-    # the second increment is the counter difference across the segment
-    return missed_increments(segment.bounding_messages)[1]
+    (_, first), (_, last) = segment.bounding_messages
+    if last < first:
+        raise ValueError(NON_MONOTONE)
+    return last - first
 
 
 def validate(segments: Sequence[Segment]) -> ValidationReport:

@@ -289,10 +289,10 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     return StreamBundle.from_columns(columns_of_rows((), id=np.arange(len(order)), root=root, **columns))
 
 
-def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[np.ndarray, list]:
-    """Keep mask and messages of the threshold sampler over sorted times
-    ``ts``: an event's rank in its window is its position less that of the
-    window's first event, and messages carry the running sum of drops."""
+def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep mask, message times and counters of the threshold sampler over
+    sorted times ``ts``: an event's rank in its window is its position less
+    that of the window's first event, and counters are running sums of drops."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     if not 0 <= anchor_ms < 1000:
@@ -304,7 +304,7 @@ def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[
     dropped = np.maximum(sizes - min(threshold, len(ts)), 0)
     hit = dropped > 0
     stamps = anchor_ms + (window[first[hit]] + 1) * 1000 - 1
-    return keep, list(map(RateLimitMessage, stamps.tolist(), np.cumsum(dropped)[hit].tolist()))
+    return keep, stamps, np.cumsum(dropped)[hit]
 
 
 def rate_limited_sample(

@@ -231,6 +231,24 @@ def volume_by_loop(events, profile):
     return total
 
 
+def increments_by_loop(messages):
+    increments, prev = [], 0
+    for m in messages:
+        if m.cumulative_missed < prev:
+            raise ValueError("non-monotone counter")
+        increments.append(m.cumulative_missed - prev)
+        prev = m.cumulative_missed
+    return increments
+
+
+def rates_by_loop(events, messages, granularity):
+    delivered = Counter(sf.model.bucket_of(e.timestamp_ms, granularity) for e in events)
+    missed = Counter()
+    for m, inc in zip(messages, increments_by_loop(messages)):
+        missed[sf.model.bucket_of(m.timestamp_ms, granularity)] += inc
+    return {b: d / (d + missed[b]) for b, d in delivered.items()}
+
+
 @st.composite
 def streams_of_rows(draw):
     tags = st.lists(st.sampled_from(("a", "b", "c", "\ud800", "")), max_size=4)
@@ -269,10 +287,10 @@ def test_events_view_is_a_sequence_of_its_rows(events, block, data):
 def backwards(bundle):
     """``bundle`` held as int64 columns, its string tables listed backwards."""
     cols = {name: col.astype(np.int64) if isinstance(col, np.ndarray) else col
-            for name, col in bundle.table._asdict().items()}
+            for name, col in bundle.columns().items()}
     for codes, table in (("lang", "lang_table"), ("hashtag_codes", "hashtag_table"), ("url_codes", "url_table")):
         cols[codes], cols[table] = len(cols[table]) - 1 - cols[codes], cols[table][::-1]
-    return sf.StreamBundle.from_columns({**cols, **model.message_columns(bundle.messages)})
+    return sf.StreamBundle.from_columns(cols)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -323,6 +341,21 @@ def test_column_layers_equal_the_row_loops(events, granularity, rate, include_qu
             assert {r.bucket: r.complete_count for r in rows} == truth
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(streams_of_rows(), st.lists(st.tuples(st.integers(0, 4 * 3_600_000), st.integers(0, 2 ** 62)), max_size=12),
+       st.booleans())
+def test_message_layers_equal_the_row_loops(events, marks, huge):
+    # stamps and counters up to the int64 limit, and several messages in one bucket
+    stamps, counters = (sorted(x) for x in zip(*marks)) if marks else ((), ())
+    top = 2 ** 63 - 1 if huge else 0
+    messages = [sf.RateLimitMessage(t, n) for t, n in zip(stamps, counters)] + [sf.RateLimitMessage(top, top)] * huge
+    bundle = sf.StreamBundle(events, messages)
+    assert sf.model.missed_increments(bundle.msg_missed).tolist() == increments_by_loop(messages)
+    for granularity in sf.model.GRANULARITIES:
+        profile = sf.temporal_rates_from_messages(bundle, granularity)
+        assert profile.rates == rates_by_loop(events, messages, granularity)
+
+
 # the sampler loop and the per-cascade reach sum the column code replaced,
 # kept as references
 def sampler_by_loop(events, threshold, anchor_ms):
@@ -352,7 +385,8 @@ def reach_by_loop(cascade, horizon_ms):
 def as_columns(events, messages=()):
     """The bundle of sorted ``events`` and ``messages`` held as int64 columns."""
     return sf.StreamBundle.from_columns({**{name: model._row_column(events, name) for name in model.EventTable._fields},
-                                         **model.message_columns(messages)})
+                                         "msg_ts": np.array([m[0] for m in messages], np.int64),
+                                         "msg_missed": np.array([m[1] for m in messages], np.int64)})
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

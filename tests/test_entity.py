@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import binom, nbinom
 
 from streamfid.entity import (
+    K_MAX_CEILING,
     DiscreteDistribution,
     binomial_kernel,
     binomial_mixture_model,
@@ -217,6 +218,11 @@ class TestFrequencyInversion:
 
     @pytest.mark.parametrize("k_max", [0, -3])
     def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            estimate_complete_frequency_vector(FrequencyVector({1: 3}), 0.5, k_max=k_max)
+
+    @pytest.mark.parametrize("k_max", [K_MAX_CEILING + 1, 99999999999999])
+    def test_k_max_above_ceiling_rejected(self, k_max):
         with pytest.raises(ValueError, match="k_max"):
             estimate_complete_frequency_vector(FrequencyVector({1: 3}), 0.5, k_max=k_max)
 

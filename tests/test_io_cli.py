@@ -354,8 +354,8 @@ class TestCliEntity:
         assert exc.value.code == 2
         assert "non-monotone" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k_max", [0, -3])
-    def test_estimate_missing_rejects_k_max_below_one(self, tmp_path, capsys, k_max):
+    @pytest.mark.parametrize("k_max", [0, -3, 1001, 99999999999999])
+    def test_estimate_missing_rejects_k_max_outside_its_range(self, tmp_path, capsys, k_max):
         s = tmp_path / "s.jsonl"
         write_bundle(s, StreamBundle.build([ev(0, 0, user=1), ev(1, 1, user=2)]))
         with pytest.raises(SystemExit) as exc:

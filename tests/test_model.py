@@ -1,5 +1,7 @@
+import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from streamfid.cascades import reconstruct_cascades
@@ -14,7 +16,7 @@ from streamfid.model import (
     mean_rate_from_messages,
     merge_streams,
 )
-from streamfid.simulate import bernoulli_sample
+from streamfid.simulate import bernoulli_sample, rate_limited_bundle
 
 from conftest import ev, random_bundle
 
@@ -113,6 +115,20 @@ class TestStreamBundle:
     def test_build_sorts(self):
         b = StreamBundle.build([ev(1, 100), ev(0, 50)])
         assert [e.id for e in b.events] == [0, 1]
+
+    @pytest.mark.parametrize("kind", ["empty", "messages only", "threshold sample"])
+    def test_pickle_round_trip(self, kind):
+        messages = (RateLimitMessage(5, 1), RateLimitMessage(5, 3), RateLimitMessage(9, 3))
+        bundle = {"empty": StreamBundle(), "messages only": StreamBundle((), messages),
+                  "threshold sample": rate_limited_bundle(StreamBundle([ev(i, 40 * i) for i in range(60)]), 4)}[kind]
+        assert bool(bundle.messages) == (kind != "empty")
+        again = pickle.loads(pickle.dumps(bundle))
+        assert again == bundle and hash(again) == hash(bundle)
+        assert again.messages == bundle.messages and again.events == bundle.events
+        for column in (again.msg_ts, again.msg_missed):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
 
 
 class TestEmpiricalMeanRate:
