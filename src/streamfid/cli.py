@@ -172,6 +172,8 @@ def cmd_sample(args, parser):
 
 
 def cmd_merge(args, parser):
+    if not args.input:
+        parser.error("merge needs at least one -i input")
     bundles = [read_bundle(p) for p in args.input]
     write_bundle(args.output, merge_streams(bundles))
     return 0

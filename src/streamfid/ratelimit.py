@@ -2,8 +2,8 @@
 
 A segment is a span bounded by two consecutive sample-set messages during
 which the reference (complete) stream reported no message of its own, so
-its true missing volume is known exactly.  Counter differences across a
-segment estimate that volume; ``validate`` scores the estimates.
+its true missing volume is known exactly.  The sample's counter increase
+across a segment estimates that volume; ``validate`` scores the estimates.
 
 ``map_threads`` untangles interleaved counters from samplers that spread
 rate limit messages over several parallel threads, each with its own
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NON_MONOTONE, RateLimitMessage, StreamBundle
+from .model import NON_MONOTONE, StreamBundle, missed_increments
 
 DEFAULT_MAX_THREADS = 4
 
@@ -29,17 +29,20 @@ class ThreadOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class Segment:
-    """A message-bounded span with event counts from both streams."""
+    """A message-bounded span: the increase of the sample's missed counter
+    across it, and the event counts of both streams."""
 
     start_ms: int
     end_ms: int
-    bounding_messages: tuple[RateLimitMessage, RateLimitMessage]
+    reported_missing: int
     sample_event_count: int
     complete_event_count: int
 
     def __post_init__(self):
         if self.start_ms >= self.end_ms:
             raise ValueError("segment must have positive duration")
+        if self.reported_missing < 0:
+            raise ValueError(NON_MONOTONE)
         if self.complete_event_count < self.sample_event_count:
             raise ValueError("sample count exceeds complete count")
 
@@ -61,7 +64,9 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
     A candidate span (m_i, m_i+1] is kept only when the complete stream
     emitted no rate limit message inside it, i.e. the complete stream is
     known to be intact there.  Returns an empty list when the sample carries
-    fewer than two messages.
+    fewer than two messages.  A span reports the increase of the sample's
+    missed counter, so counters of several sampler threads raise the
+    ``missed_increments`` error, even where no span is kept.
     """
     lo, hi = sample.msg_ts[:-1], sample.msg_ts[1:]
 
@@ -70,27 +75,15 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
         return np.searchsorted(timestamps, hi, "right") - np.searchsorted(timestamps, lo, "right")
 
     kept = np.flatnonzero((lo < hi) & (count_in(complete.msg_ts) == 0))
-    sample_counts = count_in(sample.table.ts)[kept].tolist()
-    complete_counts = count_in(complete.table.ts)[kept].tolist()
-    msgs = sample.messages
-    return [
-        Segment(
-            start_ms=msgs[i].timestamp_ms,
-            end_ms=msgs[i + 1].timestamp_ms,
-            bounding_messages=(msgs[i], msgs[i + 1]),
-            sample_event_count=n_s,
-            complete_event_count=n_c,
-        )
-        for i, n_s, n_c in zip(kept.tolist(), sample_counts, complete_counts)
-    ]
+    reported = missed_increments(sample.msg_missed)[1:]   # the counter's increase over each span
+    # in the order of Segment's fields
+    columns = (lo, hi, reported, count_in(sample.table.ts), count_in(complete.table.ts))
+    return [Segment(*row) for row in zip(*(c[kept].tolist() for c in columns))]
 
 
 def estimate_missing(segment: Segment) -> int:
-    """Missing volume as the difference of the two bounding counters."""
-    (_, first), (_, last) = segment.bounding_messages
-    if last < first:
-        raise ValueError(NON_MONOTONE)
-    return last - first
+    """Missing volume as the increase of the missed counter across the segment."""
+    return segment.reported_missing
 
 
 def validate(segments: Sequence[Segment]) -> ValidationReport:

@@ -32,9 +32,9 @@ class ZipfPopulation:
     exponent: float = 1.5
 
     def __post_init__(self):
-        if self.size < 1:
+        if not self.size >= 1:
             raise ValueError("population size must be >= 1")
-        if self.exponent <= 0:
+        if not 0 < self.exponent < math.inf:
             raise ValueError("Zipf exponent must be positive")
 
     def cdf(self) -> np.ndarray:
@@ -54,7 +54,7 @@ class InterArrivalModel:
     def __post_init__(self):
         if self.kind not in ("exponential", "power-law"):
             raise ValueError("inter-arrival kind must be exponential or power-law")
-        if self.mean_s <= 0 or self.alpha <= 0 or self.xmin_s <= 0:
+        if not all(0 < x < math.inf for x in (self.mean_s, self.alpha, self.xmin_s)):
             raise ValueError("inter-arrival parameters must be positive")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -92,18 +92,20 @@ class GeneratorConfig:
         for name, mix in (("type_mix", self.type_mix), ("lang_mix", self.lang_mix)):
             if not mix:
                 raise ValueError(f"{name} must not be empty")
-            if any(p < 0 for p in mix.values()):
+            if not all(p >= 0 for p in mix.values()):
                 raise ValueError(f"{name} probabilities must be non-negative")
-            if abs(sum(mix.values()) - 1.0) > 1e-9:
+            if not abs(sum(mix.values()) - 1.0) <= 1e-9:
                 raise ValueError(f"{name} must sum to 1")
         unknown = set(self.type_mix) - {"root", "retweet", "quote", "reply"}
         if unknown:
             raise ValueError(f"unknown event types in type_mix: {sorted(unknown)}")
-        if self.hashtags_per_event < 0 or self.urls_per_event < 0:
+        if not (0 <= self.hashtags_per_event < math.inf and 0 <= self.urls_per_event < math.inf):
             raise ValueError("per-event entity means must be non-negative")
-        if self.cascade_size_cap < 1:
+        if not math.isfinite(self.cascade_size_tail):
+            raise ValueError("cascade_size_tail must be finite")
+        if not self.cascade_size_cap >= 1:
             raise ValueError("cascade_size_cap must be >= 1")
-        if self.start_ms < 0:
+        if not self.start_ms >= 0:
             raise ValueError("start_ms must be non-negative")
 
     def mean_cascade_size(self) -> float:

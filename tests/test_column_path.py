@@ -32,8 +32,12 @@ from conftest import ev
 
 @contextlib.contextmanager
 def no_rows():
+    def messages(bundle):
+        raise AssertionError("built message rows")
+
     with mock.patch.object(model, "_rows", side_effect=AssertionError("built Event rows")), \
-            mock.patch.object(model.Event, "__new__", side_effect=AssertionError("built an Event")):
+            mock.patch.object(model.Event, "__new__", side_effect=AssertionError("built an Event")), \
+            mock.patch.object(model.StreamBundle, "messages", property(messages)):
         yield
 
 

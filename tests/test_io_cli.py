@@ -611,6 +611,15 @@ FLAG_ERRORS = [
     pytest.param(("graph", "cocluster", "-i", "IN", "--k", "2", "--seed", str(2**32)), None, "--seed",
                  id="cocluster-seed-past-32-bits"),
     pytest.param(("graph", "cocluster", "-i", "IN", "--k", "0"), None, "--k", id="cocluster-k"),
+    pytest.param(("merge",), None, "-i input", id="merge-no-input"),
+    # a NaN used to pass these range checks: the first three ran to exit 0
+    # with a skewed stream, the last to exit 1 naming no flag
+    pytest.param((*SIMULATE, "--type-mix", "root=0.25,retweet=0.75", "--user-zipf", "nan"), None, "--user-zipf",
+                 id="user-zipf-nan"),
+    pytest.param((*SIMULATE, "--hashtag-zipf", "nan"), None, "--hashtag-zipf", id="hashtag-zipf-nan"),
+    pytest.param((*SIMULATE, "--type-mix", "root=0.5,retweet=nan,quote=0.5"), None, "--type-mix",
+                 id="type-mix-nan"),
+    pytest.param((*SIMULATE, "--type-mix", "root=nan,retweet=1"), None, "--type-mix", id="type-mix-nan-root"),
 ]
 
 

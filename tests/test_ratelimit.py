@@ -19,7 +19,7 @@ from workloads import thread_counter_instance
 
 
 def seg(lo, hi, sample=0, complete=0):
-    return Segment(lo[0], hi[0], (RateLimitMessage(*lo), RateLimitMessage(*hi)), sample, complete)
+    return Segment(lo[0], hi[0], hi[1] - lo[1], sample, complete)
 
 
 class TestSegmentStream:
@@ -40,6 +40,16 @@ class TestSegmentStream:
         sample = StreamBundle.build(events[:6],
                                     [RateLimitMessage(1000, 5), RateLimitMessage(5000, 9)])
         assert segment_stream(complete, sample) == []
+
+    def test_interleaved_counters_raise_even_in_a_discarded_span(self):
+        # two sampler threads; the counter drops only in (2000, 3000], which
+        # the complete stream's message at 2500 discards
+        events = [ev(i, 500 * i) for i in range(10)]
+        complete = StreamBundle.build(events, [RateLimitMessage(2500, 1)])
+        sample = StreamBundle.build(events[::2], [RateLimitMessage(1000, 5), RateLimitMessage(2000, 50),
+                                                  RateLimitMessage(3000, 7), RateLimitMessage(4000, 60)])
+        with pytest.raises(ValueError, match="map_threads"):
+            segment_stream(complete, sample)
 
     def test_fewer_than_two_messages_is_empty(self):
         events = [ev(i, i * 100) for i in range(5)]

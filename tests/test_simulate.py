@@ -39,6 +39,24 @@ class TestGeneratorConfig:
             GeneratorConfig(start_ms=-1)
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: ZipfPopulation(10, float("nan")),
+        lambda: ZipfPopulation(10, float("inf")),
+        lambda: InterArrivalModel(mean_s=float("nan")),
+        lambda: InterArrivalModel("power-law", alpha=float("nan")),
+        lambda: GeneratorConfig(type_mix={"root": 0.5, "retweet": float("nan"), "quote": 0.5}),
+        lambda: GeneratorConfig(type_mix={"root": float("nan"), "retweet": 1.0}),
+        lambda: GeneratorConfig(hashtags_per_event=float("nan")),
+        lambda: GeneratorConfig(urls_per_event=float("inf")),
+        lambda: GeneratorConfig(lang_mix={"en": float("nan"), "ja": 1.0}),
+        lambda: GeneratorConfig(cascade_size_tail=float("nan")),
+    ])
+    def test_non_finite_parameter_rejected(self, build):
+        # each used to pass its range check, as NaN compares false
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestGenerateStream:
     def test_deterministic_per_seed(self):
         cfg = GeneratorConfig(duration_s=1.0, base_rate=10.0, seed=1)
