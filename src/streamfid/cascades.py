@@ -14,28 +14,18 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import eq
 from typing import Optional, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, Event, EventTable, EventView, StreamBundle, bounds_of, csr_gather, rows_at
+from .model import EVENT_TYPES, Event, EventTable, EventView, RowView, StreamBundle, bounds_of, csr_gather, rows_at
 
 MS_PER_S = 1000.0
 
 # reach windows compare_cascades and the cascade command report by default
 DEFAULT_REACH_WINDOWS_S = (600.0, 3600.0, float("inf"))
-
-
-class _Lazy(Sequence):
-    """A sequence that builds item ``i`` as ``_item(i)`` when it is indexed or iterated."""
-
-    def __getitem__(self, i):
-        at = range(len(self))[i]
-        return list(map(self._item, at)) if isinstance(at, range) else self._item(at)
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
+# retweets from which a cascade counts as large, by default
+DEFAULT_RETWEET_THRESHOLD = 50
 
 
 class Cascade:
@@ -87,7 +77,7 @@ class Cascade:
         return hash(self._fields())
 
 
-class CascadeSet(_Lazy):
+class CascadeSet(RowView):
     """Cascades as columns over their stream's ``EventTable``: root ids, the
     table position of each root (-1 when it was not observed), and CSR
     ``bounds`` into ``members``, the positions of each cascade's retweets in
@@ -104,8 +94,8 @@ class CascadeSet(_Lazy):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _item(self, at: int) -> Cascade:
-        return Cascade(self, at)
+    def _rows(self, positions: np.ndarray) -> list[Cascade]:
+        return [Cascade(self, at) for at in positions.tolist()]
 
     def take(self, at: np.ndarray) -> "CascadeSet":
         """The cascades at positions ``at``, in that order."""
@@ -181,11 +171,11 @@ class CascadeSummary:
     median_interarrival_sample_s: Optional[float]
 
 
-class CascadeRows(_Lazy):
+class CascadeRows(RowView):
     """The rows of ``compare_cascades`` as columns (root ids, complete and
     sample sizes, the fully-observed mask) and ``reach``, a column of ratios
-    per window, NaN where undefined.  A ``Sequence[CascadeRow]`` that builds
-    a row only when read, and equals any list or tuple of the same rows.
+    per window, NaN where undefined: a ``Sequence[CascadeRow]`` that builds
+    a row only when read (see ``RowView``).
     """
 
     def __init__(self, root_id, complete_size, sample_size, is_fully_observed, reach: dict):
@@ -194,20 +184,16 @@ class CascadeRows(_Lazy):
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def _item(self, i: int) -> CascadeRow:
-        return CascadeRow(*(col[i].item() for col in self.columns),
-                          {w: None if math.isnan(r[i]) else r[i].item() for w, r in self.reach.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, (CascadeRows, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+    def _rows(self, positions: np.ndarray) -> list[CascadeRow]:
+        return [CascadeRow(*(col[i].item() for col in self.columns),
+                           {w: None if math.isnan(r[i]) else r[i].item() for w, r in self.reach.items()})
+                for i in positions.tolist()]
 
 
 def compare_cascades(
     complete: Sequence[Cascade],
     sample: Sequence[Cascade],
-    retweet_threshold: int = 50,
+    retweet_threshold: int = DEFAULT_RETWEET_THRESHOLD,
     reach_windows_s: Sequence[float] = DEFAULT_REACH_WINDOWS_S,
 ) -> tuple[CascadeRows, CascadeSummary]:
     """Per-cascade observation status plus corpus-level summary statistics.
@@ -234,7 +220,7 @@ def compare_cascades(
     mean = [int(n.sum()) / len(n) if len(n) else 0.0 for n in retweets]
     return rows, CascadeSummary(len(complete_real), len(observed), fully,
                                 fully / len(observed) if len(observed) else 0.0, *large, *mean,
-                                _median_gap_s(complete_real), _median_gap_s(observed))
+                                _median_gap_s(_gaps(complete_real)), _median_gap_s(_gaps(observed)))
 
 
 def _gaps(cascades: CascadeSet, include_root: bool = True) -> np.ndarray:
@@ -246,9 +232,9 @@ def _gaps(cascades: CascadeSet, include_root: bool = True) -> np.ndarray:
     return np.concatenate((cascades.ts[cascades.bounds[:-1][led]] - cascades.root_ts[led], gaps))
 
 
-def _median_gap_s(cascades: CascadeSet) -> Optional[float]:
-    gaps = _gaps(cascades)
-    return round(float(np.median(gaps)) / MS_PER_S, 1) if len(gaps) else None
+def _median_gap_s(gaps_ms: np.ndarray) -> Optional[float]:
+    """The median of gaps in milliseconds, in seconds to one decimal; None for no gap."""
+    return round(float(np.median(gaps_ms)) / MS_PER_S, 1) if len(gaps_ms) else None
 
 
 @dataclass(frozen=True)
@@ -283,7 +269,7 @@ def inter_arrival_distribution(
         grid = np.geomspace(lo, deltas.max() + 0.1, 200)
     else:
         grid = np.asarray(grid_s, dtype=float)
-    return InterArrivalDistribution(deltas, grid, ccdf(deltas, grid), round(float(np.median(deltas)), 1))
+    return InterArrivalDistribution(deltas, grid, ccdf(deltas, grid), _median_gap_s(gaps_ms))
 
 
 def ccdf(sorted_values: np.ndarray, grid) -> np.ndarray:
@@ -297,12 +283,14 @@ def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: Ca
     """The cascade report's CCDF tables, name -> (header, rows of text).
 
     ``interarrival_complete`` and ``interarrival_sample`` hold the gaps of
-    the complete and the rooted sample cascades, and ``reach_<window>`` the
-    defined reach ratios of ``rows`` (from ``compare_cascades``) in each
-    window; a table with no values is left out.
+    the rooted complete and sample cascades, whose medians
+    ``compare_cascades`` reports, and ``reach_<window>`` the defined reach
+    ratios of ``rows`` (from ``compare_cascades``) in each window; a table
+    with no values is left out.
     """
     tables = {}
-    for name, cascades in (("complete", _columns(complete)), ("sample", _columns(sample).rooted())):
+    for name, cascades in (("complete", complete), ("sample", sample)):
+        cascades = _columns(cascades).rooted()
         dist = inter_arrival_distribution(cascades) if len(cascades) else None
         if dist is not None and dist.median_s is not None:
             tables[f"interarrival_{name}"] = (("x_s", "ccdf"), [
@@ -311,9 +299,14 @@ def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: Ca
     for w in reach_windows_s:
         ratios = np.sort(rows.reach[w][~np.isnan(rows.reach[w])])
         if len(ratios):
-            tables["reach_inf" if math.isinf(w) else f"reach_{int(w)}s"] = (("x", "ccdf"), [
+            tables[reach_table_name(w)] = (("x", "ccdf"), [
                 (f"{x:.2f}", f"{y:.6f}") for x, y in zip(grid, ccdf(ratios, grid))])
     return tables
+
+
+def reach_table_name(window_s: float) -> str:
+    """The name of the reach CCDF table of a window: its whole seconds, or inf."""
+    return "reach_inf" if math.isinf(window_s) else f"reach_{int(window_s)}s"
 
 
 def _relative_reach(sample: CascadeSet, complete: CascadeSet, ref: np.ndarray, window_s: float) -> np.ndarray:

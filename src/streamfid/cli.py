@@ -23,10 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
-from .cascades import (DEFAULT_REACH_WINDOWS_S, ccdf_tables, compare_cascades,  # noqa: F401
-                       inter_arrival_distribution, reconstruct_cascades)
-from .entity import (ENTITY_KEYS, K_MAX_CEILING, estimate_complete_frequency_vector, estimate_missing_entities,
-                     frequency_vector_of)
+from .cascades import (DEFAULT_REACH_WINDOWS_S, DEFAULT_RETWEET_THRESHOLD, ccdf_tables,  # noqa: F401
+                       compare_cascades, inter_arrival_distribution, reach_table_name, reconstruct_cascades)
+from .entity import (DEFAULT_K_MAX, ENTITY_KEYS, K_MAX_CEILING, estimate_complete_frequency_vector,
+                     estimate_missing_entities, frequency_vector_of)
 from .graphs import (BipartiteGraph, Digraph, bowtie_component, bowtie_decompose, bowtie_flow, build_bipartite,
                      build_retweet_network, cluster_flow, spectral_cocluster)
 # bench/cli_trace.py swaps each library name it times here for a wrapper,
@@ -220,7 +220,7 @@ def cmd_estimate_missing(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     if not 0.0 < rate <= 1.0:
-        parser.error(f"sampling rate {rate} outside (0,1]")
+        parser.error(f"{'sampling rate' if args.rate is None else '--rate'} {rate} outside (0,1]")
     result = estimate_complete_frequency_vector(fv, rate, k_max=args.k_max)
     missing = estimate_missing_entities(result.f_hat, rate)
     manifest = _manifest(args, rate=rate)
@@ -308,6 +308,11 @@ def cmd_graph_flow(args, parser):
 
 def cmd_cascade(args, parser):
     windows = [_window_s(w, parser) for w in args.window_s] or DEFAULT_REACH_WINDOWS_S
+    named = {}
+    for w in windows:
+        name = reach_table_name(w)
+        if named.setdefault(name, w) != w:
+            parser.error(f"--window-s {named[name]:g} and {w:g} would both write table {name}")
     if args.retweet_threshold < 0:
         parser.error("--retweet-threshold must be >= 0")
     # each stream is read as columns, and its cascades are columns too
@@ -356,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "the rest (--rate 120 gives about 52 events/s with the defaults)")
     p.add_argument("--amplitude", type=float, default=0.0, help="diurnal amplitude [0,1)")
     p.add_argument("--cascade-fraction", type=float, default=0.5)
-    p.add_argument("--users", type=int, default=10_000)
-    p.add_argument("--user-zipf", type=float, default=1.5)
-    p.add_argument("--hashtags", type=int, default=2_000)
-    p.add_argument("--hashtag-zipf", type=float, default=1.2)
+    config = GeneratorConfig()
+    p.add_argument("--users", type=int, default=config.user_population.size)
+    p.add_argument("--user-zipf", type=float, default=config.user_population.exponent)
+    p.add_argument("--hashtags", type=int, default=config.hashtag_population.size)
+    p.add_argument("--hashtag-zipf", type=float, default=config.hashtag_population.exponent)
     p.add_argument("--type-mix", default="root=0.25,retweet=0.55,quote=0.08,reply=0.12")
     p.add_argument("--seed", type=int, default=None, help=f"falls back to ${SEED_ENV}, then 0")
     p.add_argument("-o", "--output", required=True)
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None,
                    help="mean sampling rate; derived from the sample's rate limit messages "
                         "when omitted, so required for a sample without them")
-    p.add_argument("--k-max", type=int, default=100)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     add_io(p)
     p.set_defaults(func=cmd_estimate_missing)
 
@@ -427,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cascade", help="cascade completeness and diffusion features")
     p.add_argument("--window-s", action="append", default=[],
                    help="reach window in seconds or 'inf' (repeatable)")
-    p.add_argument("--retweet-threshold", type=int, default=50)
+    p.add_argument("--retweet-threshold", type=int, default=DEFAULT_RETWEET_THRESHOLD)
     p.add_argument("--include-quotes", action="store_true")
     add_io(p)
     p.set_defaults(func=cmd_cascade)

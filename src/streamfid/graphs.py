@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, EventView, StreamBundle, csr_gather, distinct_per_event
+from .model import EVENT_TYPES, EventView, StreamBundle, bounds_of, csr_gather, distinct_per_event
 
 LSCC = "LSCC"
 IN = "IN"
@@ -177,14 +177,18 @@ def _normalized_weights(g: BipartiteGraph) -> tuple[_Sparse, np.ndarray, np.ndar
 def _truncated_svd(m: _Sparse, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading singular vectors, deterministically.
 
-    ARPACK's svds is not reproducible on degenerate spectra, so matrices
-    whose smaller side has at most 512 nodes go through dense LAPACK.
-    Larger ones go through a seeded randomized range finder with subspace
-    iteration (Halko, Martinsson & Tropp 2011): each step re-orthonormalizes
-    both half products, and a Rayleigh-Ritz step extracts the top-k pairs.
-    Iteration stops once the relative residual ||M V_k - U_k S_k||_F / s_1
-    falls below _SVD_TOL; if _MAX_POWER_ITERS steps do not get there, a
-    warning reports the residual reached and the last basis is returned.
+    Matrices whose smaller side has at most 512 nodes go through dense
+    LAPACK.  That keeps the labels of small graphs, whose spectra are
+    degenerate (each isolated user-hashtag pair adds a singular value of
+    exactly 1), on the basis LAPACK picks; removing the path waits for the
+    co-clustering rework of ROADMAP item 4, which moves those labels on
+    purpose.  Larger matrices go through a seeded randomized range finder
+    with subspace iteration (Halko, Martinsson & Tropp 2011): each step
+    re-orthonormalizes both half products, and a Rayleigh-Ritz step
+    extracts the top-k pairs.  Iteration stops once the relative residual
+    ||M V_k - U_k S_k||_F / s_1 falls below _SVD_TOL; if _MAX_POWER_ITERS
+    steps do not get there, a warning reports the residual reached and the
+    last basis is returned.
     """
     if min(m.shape) <= 512:
         u, _, vt = np.linalg.svd(m.toarray(), full_matrices=False)
@@ -292,21 +296,15 @@ def _flow(
 
     cols = list(col_order)
     if greedy_diagonal and cols:
-        body = counts[:, :-1]
-        assigned: list[Optional[int]] = [None] * len(row_order)
-        free_rows = set(range(len(row_order)))
-        free_cols = set(range(len(cols)))
-        while free_rows and free_cols:
-            best = max(
-                ((body[i, j], -i, -j, i, j) for i in free_rows for j in free_cols)
-            )
-            _, _, _, i, j = best
-            assigned[i] = j
-            free_rows.discard(i)
-            free_cols.discard(j)
-        order = [j for j in assigned if j is not None]
+        # pair the largest free count's row and column, first in row-major
+        # order on ties: smallest row, then smallest column
+        free, assigned = counts[:, :-1].copy(), np.full(len(row_order), -1)
+        for _ in range(min(free.shape)):
+            i, j = divmod(int(free.argmax()), free.shape[1])
+            assigned[i], free[i], free[:, j] = j, -1, -1
+        order = assigned[assigned >= 0].tolist()
         order += [j for j in range(len(cols)) if j not in order]
-        counts = np.concatenate([body[:, order], counts[:, -1:]], axis=1)
+        counts = counts[:, order + [-1]]
         cols = [cols[j] for j in order]
 
     sums = np.maximum(counts.sum(axis=1, keepdims=True), 1)
@@ -408,9 +406,7 @@ class BowtieAssignment:
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR row pointer and column indices of the n x n pattern of (rows, cols)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[np.argsort(rows, kind="stable")]
+    return bounds_of(np.bincount(rows, minlength=n)), cols[np.argsort(rows, kind="stable")]
 
 
 def _strong_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import tempfile
 import zipfile
 from contextlib import suppress
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from sys import intern
@@ -42,8 +42,7 @@ from typing import Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .model import (EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, check_bounds,
-                    collector_paused, field_blocks)
+from .model import EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, collector_paused, field_blocks
 
 Record = Union[Event, RateLimitMessage]
 
@@ -280,12 +279,11 @@ def write_bundle(path, bundle: StreamBundle) -> None:
 #
 # The sidecar holds the columns that ``StreamBundle.from_columns`` takes:
 # the ``EventTable`` fields (int32 where allowed and the values fit), then
-# msg_ts and msg_missed.  A string table
-# <name> is stored as <name>_text, the UTF-8 of its strings joined, and
-# <name>_bounds, where each string starts, in characters, plus the end.
+# msg_ts and msg_missed.  A string table is stored as its JSON text, in
+# which a lone surrogate or a NUL is an ASCII escape.
 
 SIDECAR_SUFFIX = ".streamfid.npz"
-SIDECAR_FORMAT = "streamfid-event-columns/3"
+SIDECAR_FORMAT = "streamfid-event-columns/4"
 
 _COLUMNS = (*EventTable._fields, "msg_ts", "msg_missed")
 
@@ -294,30 +292,9 @@ _COLUMNS = (*EventTable._fields, "msg_ts", "msg_missed")
 _UNREADABLE = (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError, ValueError)
 
 
-def _pack(strings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    # surrogatepass: a JSON string may hold a lone surrogate, which plain
-    # UTF-8 cannot encode; each stays one character on the way back
-    text = "".join(strings).encode("utf-8", "surrogatepass")
-    bounds = np.fromiter(accumulate(map(len, strings), initial=0), np.int64, len(strings) + 1)
-    return np.frombuffer(text, np.uint8), bounds
-
-
-def _unpack(z, name: str) -> list[str]:
-    raw = z[f"{name}_text"]
-    if raw.dtype != np.uint8 or raw.ndim != 1:
-        raise ValueError(f"sidecar column {name}_text is not UTF-8 bytes")
-    text = raw.tobytes().decode("utf-8", "surrogatepass")
-    bounds = z[f"{name}_bounds"]
-    check_bounds(bounds, None, len(text), f"{name}_bounds")
-    b = bounds.tolist()
-    return list(map(text.__getitem__, map(slice, b, b[1:])))
-
-
 def _save_sidecar(sidecar: Path, digest: str, bundle: StreamBundle) -> None:
-    cols = bundle.columns()
-    for name in EventTable._fields:
-        if name.endswith("_table"):
-            cols[f"{name}_text"], cols[f"{name}_bounds"] = _pack(cols.pop(name))
+    cols = {name: np.array(json.dumps(col)) if name.endswith("_table") else col
+            for name, col in bundle.columns().items()}
     try:
         fd, tmp = tempfile.mkstemp(prefix=f"{sidecar.name}.", suffix=".tmp", dir=sidecar.parent)
     except OSError:
@@ -342,7 +319,7 @@ def _load_sidecar(sidecar: Path, digest: str) -> Optional[StreamBundle]:
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if z["format"].tolist() != SIDECAR_FORMAT or z["digest"].tolist() != digest:
                 return None
-            columns = {name: _unpack(z, name) if name.endswith("_table") else z[name]
+            columns = {name: json.loads(z[name].tolist()) if name.endswith("_table") else z[name]
                        for name in _COLUMNS}
         return StreamBundle.from_columns(columns)
     except _UNREADABLE:

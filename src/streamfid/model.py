@@ -259,12 +259,36 @@ class StreamBundle:
         object.__setattr__(self, "msg_missed", missed)
 
 
-class EventView(Sequence):
-    """The events of an ``EventTable`` as a read-only ``Sequence[Event]``.
+class RowView(Sequence):
+    """A read-only sequence whose rows are built only when read:
+    ``_rows(positions)`` builds the rows at an array of positions.  A slice
+    is a tuple.  A view equals any view, tuple or list of equal rows, and
+    hashes as the tuple of its rows.
+    """
 
-    Its length is the table's.  Iterating, indexing or slicing it builds
-    the rows wanted, a block at a time; a slice is a tuple.  A view equals
-    any view, tuple or list of the same events.
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        rows = self._rows(np.array(at if isinstance(at, range) else [at], np.intp))
+        return tuple(rows) if isinstance(at, range) else rows[0]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows(np.arange(len(self))))
+
+    def __eq__(self, other):
+        if not isinstance(other, (RowView, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class EventView(RowView):
+    """The events of an ``EventTable`` as a read-only ``Sequence[Event]``
+    (see ``RowView``) whose length is the table's; iterating it builds the
+    rows a block at a time.
     """
 
     __slots__ = ("table",)
@@ -275,21 +299,11 @@ class EventView(Sequence):
     def __len__(self) -> int:
         return len(self.table.id)
 
-    def __getitem__(self, i):
-        at = range(len(self))[i]
-        rows = rows_at(self.table, np.array(at if isinstance(at, range) else [at], np.intp))
-        return rows if isinstance(at, range) else rows[0]
+    def _rows(self, positions: np.ndarray) -> tuple[Event, ...]:
+        return rows_at(self.table, positions)
 
     def __iter__(self) -> Iterator[Event]:
-        return _rows(self.table)
-
-    def __eq__(self, other):
-        if not isinstance(other, (EventView, tuple, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+        return _rows(self.table)   # the module's builder, a block at a time
 
     def __repr__(self) -> str:
         return f"EventView({list(self)!r})"
@@ -341,13 +355,12 @@ def _int_column(col, name: str) -> np.ndarray:
     return col
 
 
-def check_bounds(bounds: np.ndarray, rows: Optional[int], total: int, name: str) -> None:
+def check_bounds(bounds: np.ndarray, rows: int, total: int, name: str) -> None:
     """Raise unless ``bounds`` is a 1-d int64 or int32 array of CSR row
-    bounds: ``rows + 1`` (any number when None) non-decreasing offsets from
-    0 to ``total``."""
+    bounds: ``rows + 1`` non-decreasing offsets from 0 to ``total``."""
     if (bounds.__class__ is not np.ndarray or bounds.dtype not in (np.int64, np.int32) or bounds.ndim != 1
-            or (rows is not None and len(bounds) != rows + 1) or len(bounds) == 0 or bounds[0] != 0
-            or bounds[-1] != total or np.any(np.diff(bounds) < 0)):
+            or len(bounds) != rows + 1 or bounds[0] != 0 or bounds[-1] != total
+            or np.any(np.diff(bounds) < 0)):
         raise ValueError(f"column {name} holds no CSR bounds")
 
 

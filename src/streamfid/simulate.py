@@ -35,7 +35,7 @@ class ZipfPopulation:
         if not self.size >= 1:
             raise ValueError("population size must be >= 1")
         if not 0 < self.exponent < math.inf:
-            raise ValueError("Zipf exponent must be positive")
+            raise ValueError("Zipf exponent must be positive and finite")
 
     def cdf(self) -> np.ndarray:
         w = np.arange(1, self.size + 1, dtype=float) ** -self.exponent
@@ -55,7 +55,7 @@ class InterArrivalModel:
         if self.kind not in ("exponential", "power-law"):
             raise ValueError("inter-arrival kind must be exponential or power-law")
         if not all(0 < x < math.inf for x in (self.mean_s, self.alpha, self.xmin_s)):
-            raise ValueError("inter-arrival parameters must be positive")
+            raise ValueError("inter-arrival parameters must be positive and finite")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "exponential":
@@ -100,7 +100,7 @@ class GeneratorConfig:
         if unknown:
             raise ValueError(f"unknown event types in type_mix: {sorted(unknown)}")
         if not (0 <= self.hashtags_per_event < math.inf and 0 <= self.urls_per_event < math.inf):
-            raise ValueError("per-event entity means must be non-negative")
+            raise ValueError("per-event entity means must be non-negative and finite")
         if not math.isfinite(self.cascade_size_tail):
             raise ValueError("cascade_size_tail must be finite")
         if not self.cascade_size_cap >= 1:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from streamfid.cascades import compare_cascades, inter_arrival_distribution, reconstruct_cascades
+from streamfid.cascades import ccdf_tables, compare_cascades, inter_arrival_distribution, reconstruct_cascades
 from streamfid.simulate import bernoulli_sample
 
 from conftest import ev
@@ -147,6 +147,19 @@ class TestInterArrival:
         c = make_cascade(root_ts=0, gaps_s=(10, 20, 30))
         dist = inter_arrival_distribution([c], grid_s=[5, 15, 25, 35])
         assert dist.ccdf.tolist() == pytest.approx([1.0, 2 / 3, 1 / 3, 0.0])
+
+    def test_cascade_report_pools_rooted_cascades_on_both_sides(self):
+        # cascade 0 is rooted, with gaps of 10 s and 20 s; the retweets of
+        # root 1, which the stream lacks, are 100 s apart
+        complete = reconstruct_cascades(cascade_events(gaps_s=(10, 20))
+                                        + cascade_events(root_ts=500, gaps_s=(0, 100), root_id=1, with_root=False))
+        assert [c.is_rootless for c in complete] == [False, True]
+        rows, summary = compare_cascades(complete, complete)
+        tables = ccdf_tables(complete, complete, rows, ())
+        rooted = inter_arrival_distribution(complete.rooted())
+        assert tables["interarrival_complete"] == tables["interarrival_sample"]
+        assert tables["interarrival_complete"][1][-1] == (f"{rooted.grid_s[-1]:.3f}", "0.000000")
+        assert summary.median_interarrival_complete_s == rooted.median_s == 15.0
 
     def test_sample_dominates_complete(self):
         events = cascade_corpus(11, n_cascades=300)

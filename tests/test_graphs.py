@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamfid import graphs
 from streamfid.graphs import (
@@ -227,6 +229,37 @@ class TestClusterFlow:
     def test_sample_superset_rejected(self):
         with pytest.raises(ValueError):
             cluster_flow({1: 0}, {1: 0, 2: 0})
+
+
+def pairing_loop(counts):
+    """The column order of the greedy diagonal as a loop over every free
+    (row, column) pair: largest count, then smallest row, then smallest column."""
+    free_rows, free_cols = set(range(counts.shape[0])), set(range(counts.shape[1]))
+    assigned = [None] * counts.shape[0]
+    while free_rows and free_cols:
+        _, _, _, i, j = max((counts[i, j], -i, -j, i, j) for i in free_rows for j in free_cols)
+        assigned[i] = j
+        free_rows.discard(i)
+        free_cols.discard(j)
+    order = [j for j in assigned if j is not None]
+    return order + [j for j in range(counts.shape[1]) if j not in order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 4), st.none() | st.integers(0, 5)), max_size=40))
+def test_cluster_flow_pairs_as_the_loop_does(labels):
+    # few labels over few entities: most draws tie some counts
+    complete = dict(enumerate(c for c, _ in labels))
+    sample = {i: s for i, (_, s) in enumerate(labels) if s is not None}
+    flow = cluster_flow(complete, sample)
+    rows = sorted(set(complete.values()))
+    cols = sorted(set(sample.values()) | set(rows))
+    counts = np.zeros((len(rows), len(cols) + 1), np.int64)
+    for entity, c in complete.items():
+        counts[rows.index(c), cols.index(sample[entity]) if entity in sample else -1] += 1
+    order = pairing_loop(counts[:, :-1]) if cols else []
+    assert flow.col_labels == (*(cols[j] for j in order), "missing")
+    assert flow.counts.tolist() == counts[:, order + [-1]].tolist()
 
 
 class TestBuildRetweetNetwork:

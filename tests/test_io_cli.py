@@ -620,6 +620,13 @@ FLAG_ERRORS = [
     pytest.param((*SIMULATE, "--type-mix", "root=0.5,retweet=nan,quote=0.5"), None, "--type-mix",
                  id="type-mix-nan"),
     pytest.param((*SIMULATE, "--type-mix", "root=nan,retweet=1"), None, "--type-mix", id="type-mix-nan-root"),
+    pytest.param((*SIMULATE, "--user-zipf", "inf"), None, "--user-zipf must be positive and finite",
+                 id="user-zipf-inf"),
+    *(pytest.param(("estimate-missing", "--key", "user", "-i", "IN", "--rate", rate), None, "--rate",
+                   id=f"estimate-missing-rate-{rate}") for rate in ("0", "nan", "1.5")),
+    # both windows would be written to one reach_60s table
+    pytest.param(("cascade", "-i", "IN", "-i", "IN", "--window-s", "60.2", "--window-s", "60.7"), None,
+                 "--window-s", id="cascade-windows-one-table"),
 ]
 
 

@@ -4,11 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from streamfid.cascades import reconstruct_cascades
+from streamfid.cascades import compare_cascades, reconstruct_cascades
 from streamfid.model import (
     Event,
     FrequencyVector,
     RateLimitMessage,
+    RowView,
     StreamBundle,
     TemporalRateProfile,
     bucket_of,
@@ -244,3 +245,29 @@ class TestTemporalRateProfile:
     def test_rejects_out_of_range_rates(self):
         with pytest.raises(ValueError):
             TemporalRateProfile("hour", {0: 1.5})
+
+
+def row_views():
+    bundle = StreamBundle.build([ev(0, 10, user=1, hashtags=("a",)), ev(1, 20, kind="retweet", root_id=0),
+                                 ev(2, 30, user=2), ev(3, 40, kind="retweet", root_id=2, followers=5),
+                                 ev(4, 50, kind="retweet", root_id=9)])
+    cascades = reconstruct_cascades(bundle)
+    return {"EventView": bundle.events, "CascadeSet": cascades,
+            "CascadeRows": compare_cascades(cascades, cascades)[0]}
+
+
+@pytest.mark.parametrize("name", ["EventView", "CascadeSet", "CascadeRows"])
+def test_row_views_follow_one_set_of_rules(name):
+    view = row_views()[name]
+    rows = [view[i] for i in range(len(view))]
+    assert isinstance(view, RowView) and len(rows) >= 2
+    assert [view[i] for i in range(-len(rows), 0)] == rows and list(view) == rows
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for where in (slice(None), slice(1, None), slice(None, None, -1), slice(5, 9)):
+        assert isinstance(view[where], tuple) and view[where] == tuple(rows[where])
+    assert view == rows and view == tuple(rows) and rows == view and tuple(rows) == view
+    assert view == row_views()[name] and view != rows[1:] and view != set(range(len(rows)))
+    if name != "CascadeRows":   # a CascadeRow holds a dict, so it has no hash
+        assert hash(view) == hash(tuple(rows))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import os
 import tempfile
 from unittest import mock
@@ -207,7 +208,8 @@ INVALID = {
     "float-column": lambda z: {"followers": z["followers"].astype(float)},
     "short-column": lambda z: {"user": z["user"][:2]},
     "two-d-column": lambda z: {"ts": z["ts"].reshape(1, 3)},
-    "table-bounds-past-text": lambda z: {"lang_table_bounds": np.array([0, 2, 9])},
+    "table-not-json": lambda z: {"lang_table": np.array('["ja", "en"')},
+    "table-holds-a-non-string": lambda z: {"lang_table": np.array('["ja", 1]')},
     "negative-missed": lambda z: {"msg_missed": np.array([-2])},
     # rows built from columns skip the record constructors, so these rules
     # hold only through the columns' own checks
@@ -363,6 +365,26 @@ def test_sidecar_of_an_older_reader_is_not_served(tmp_path):
     rewrite(sidecar_of(path), format=np.array("streamfid-event-columns/1"))
     with pytest.raises(LineFormatError, match="ts_ms must be an integer, not float"):
         read_bundle(path)
+
+
+def test_format_3_sidecar_is_replaced_by_format_4(cached):
+    # format 3 kept each string table as UTF-8 bytes plus character bounds
+    path, bundle = cached
+    with np.load(sidecar_of(path), allow_pickle=False) as z:
+        cols = {k: z[k] for k in z.files if not k.endswith("_table")}
+        for name in ("lang_table", "hashtag_table", "url_table"):
+            strings = json.loads(z[name].tolist())
+            cols[f"{name}_text"] = np.frombuffer("".join(strings).encode(), np.uint8)
+            cols[f"{name}_bounds"] = np.cumsum([0, *map(len, strings)])
+    cols["format"] = np.array("streamfid-event-columns/3")
+    with open(sidecar_of(path), "wb") as fh:
+        np.savez(fh, **cols)
+    assert parsed_read(path) == bundle
+    with np.load(sidecar_of(path), allow_pickle=False) as z:
+        assert z["format"].tolist() == sio.SIDECAR_FORMAT == "streamfid-event-columns/4"
+        assert "lang_table_text" not in z.files
+    with no_parse():
+        assert read_bundle(path) == bundle
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

@@ -56,6 +56,15 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: ZipfPopulation(10, float("inf")),
+        lambda: InterArrivalModel("power-law", xmin_s=float("inf")),
+        lambda: GeneratorConfig(urls_per_event=float("inf")),
+    ], ids=["zipf", "inter-arrival", "per-event-mean"])
+    def test_infinite_parameter_is_refused_as_not_finite(self, build):
+        with pytest.raises(ValueError, match="and finite$"):
+            build()
+
 
 class TestGenerateStream:
     def test_deterministic_per_seed(self):
