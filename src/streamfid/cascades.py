@@ -200,8 +200,10 @@ def compare_cascades(
 
     Rootless sample cascades are dropped (their cascade is considered
     missed).  ``retweet_threshold`` mirrors the common "large cascade"
-    filter of diffusion studies.
+    filter of diffusion studies; a negative one raises ValueError.
     """
+    if retweet_threshold < 0:
+        raise ValueError(f"retweet_threshold must be >= 0, not {retweet_threshold}")
     complete, sample = _columns(complete), _columns(sample)
     order = np.argsort(complete.ids)
     # each sample root id's complete cascade; an id past the last complete id reads cascade 0

@@ -48,9 +48,9 @@ _CONFIG_FLAGS = {"duration": "--duration", "base_rate": "--rate", "diurnal_ampli
 _NEEDS = {1: "{} needs exactly one -i input", 2: "{} needs exactly two -i inputs: complete then sample"}
 
 
-def _resolve_seed(args, parser) -> int:
+def _resolve_seed(args, parser, limit=math.inf) -> int:
     """--seed, else $STREAMFID_SEED, else 0: a flag error naming the flag or
-    the variable unless it is a non-negative integer."""
+    the variable unless it is an integer in [0, limit)."""
     if args.seed is not None:
         source, text = "--seed", str(args.seed)
     else:
@@ -59,8 +59,8 @@ def _resolve_seed(args, parser) -> int:
         seed = int(text)
     except ValueError:
         seed = -1
-    if seed < 0:
-        parser.error(f"{source} must be a non-negative integer, not {text!r}")
+    if not 0 <= seed < limit:
+        parser.error(f"{source} must be an integer in [0, {limit}), not {text!r}")
     return seed
 
 
@@ -211,6 +211,8 @@ def cmd_entity_stats(args, parser):
 def cmd_estimate_missing(args, parser):
     if not 1 <= args.k_max <= K_MAX_CEILING:
         parser.error(f"--k-max must be in [1, {K_MAX_CEILING}]")
+    if args.rate is not None and not 0.0 < args.rate <= 1.0:
+        parser.error(f"--rate {args.rate} outside (0,1]")
     sample = read_bundle(_inputs(args, parser, 1)[0])
     fv = frequency_vector_of(sample, args.key)
     if args.rate is None and not len(sample.msg_ts):
@@ -220,7 +222,7 @@ def cmd_estimate_missing(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     if not 0.0 < rate <= 1.0:
-        parser.error(f"{'sampling rate' if args.rate is None else '--rate'} {rate} outside (0,1]")
+        parser.error(f"sampling rate {rate} outside (0,1]")
     result = estimate_complete_frequency_vector(fv, rate, k_max=args.k_max)
     missing = estimate_missing_entities(result.f_hat, rate)
     manifest = _manifest(args, rate=rate)
@@ -268,12 +270,15 @@ def cmd_graph_bipartite(args, parser):
 
 
 def cmd_graph_cocluster(args, parser):
-    seed, (src,) = _resolve_seed(args, parser), _inputs(args, parser, 1)
+    # k-means seeds a legacy RandomState, which takes 32-bit seeds only
+    seed, (src,) = _resolve_seed(args, parser, limit=2**32), _inputs(args, parser, 1)
+    if args.k < 1:
+        parser.error("--k must be >= 1")
     if src.endswith(".csv"):
         g = BipartiteGraph.from_weights(read_edge_csv(src))
     else:
         g = build_bipartite(read_bundle(src))
-    with _flags_of(parser, {"k": "--k", "Seed": "--seed" if args.seed is not None else SEED_ENV}):
+    with _flags_of(parser, {"k": "--k"}):
         labels = spectral_cocluster(g, args.k, seed)
     _write_table(args.output, ("node", "cluster"), sorted(labels.items()), _manifest(args, seed=seed))
     return 0

@@ -86,9 +86,10 @@ def spectral_cocluster(g: BipartiteGraph, k: int, seed: int = 0) -> dict[str, in
     """Co-cluster users and hashtags into k groups (Dhillon-style).
 
     The degree-normalized weight matrix D_u^-1/2 W D_h^-1/2 is factored for
-    its top ceil(log2 k)+1 singular vectors; user and hashtag embeddings are
-    stacked and clustered with seeded k-means++.  Keys are namespaced
-    ("u:..." / "h:...") so both sides share one labeling.
+    its top ceil(log2 k)+1 singular vectors (at most the smaller side's node
+    count) by seeded randomized subspace iteration; user and hashtag
+    embeddings are stacked and clustered with seeded k-means++.  Keys are
+    namespaced ("u:..." / "h:...") so both sides share one labeling.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -96,21 +97,15 @@ def spectral_cocluster(g: BipartiteGraph, k: int, seed: int = 0) -> dict[str, in
     if k > n_u + n_h:
         raise ValueError(f"k={k} exceeds node count {n_u + n_h}")
     normalized, su, sh = _normalized_weights(g)
-    n_vec = int(np.ceil(np.log2(k))) + 1 if k > 1 else 1
-    n_vec = min(n_vec, min(n_u, n_h))
+    n_vec = min(int(np.ceil(np.log2(k))) + 1, n_u, n_h)
     u_vec, v_vec = _truncated_svd(normalized, n_vec, seed)
     emb = np.vstack([su[:, None] * u_vec, sh[:, None] * v_vec])
     # degree scaling stretches each cluster along a ray from the origin;
     # unit rows make k-means cut by direction instead of radius
     emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
 
-    rng_labels = _seeded_kmeans(emb, k, seed)
-    out: dict[str, int] = {}
-    for i, u in enumerate(g.users):
-        out[user_node(u)] = int(rng_labels[i])
-    for j, h in enumerate(g.hashtags):
-        out[hashtag_node(h)] = int(rng_labels[n_u + j])
-    return out
+    nodes = [*map(user_node, g.users), *map(hashtag_node, g.hashtags)]
+    return dict(zip(nodes, _seeded_kmeans(emb, k, seed).tolist()))
 
 
 def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence):
@@ -128,12 +123,13 @@ def _sparse(weights: Mapping, row_order: Sequence, col_order: Sequence):
 class _Sparse:
     """A sparse matrix held as coordinate arrays sorted by (row, col).
 
-    It has what the SVD needs: ``shape``, ``toarray()``, ``.T`` (a copy
-    sorted by (col, row)) and ``@`` with a dense block.  A product gathers
-    the block's rows of every entry, scales them by its value and sums them
-    into the output rows with one ``np.bincount``, which adds in entry
-    order: each output row is summed in column order, as scipy's CSR and
-    CSC products sum it, so the results are theirs bit for bit.
+    It has what the SVD and the bow-tie searches need: ``shape``, ``.T`` (a
+    copy sorted by (col, row)), ``indptr`` (the CSR row pointer over
+    ``cols``) and ``@`` with a dense block.  A product gathers the block's
+    rows of every entry, scales them by its value and sums them into the
+    output rows with one ``np.bincount``, which adds in entry order: each
+    output row is summed in column order, as scipy's CSR and CSC products
+    sum it, so the results are theirs bit for bit.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
@@ -159,10 +155,9 @@ class _Sparse:
         products = np.take(x, self.cols, axis=0) * self.vals[:, None]
         return np.bincount(flat, products.ravel(), minlength=n_rows * width).reshape(n_rows, width)
 
-    def toarray(self) -> np.ndarray:
-        a = np.zeros(self.shape)
-        a[self.rows, self.cols] = self.vals
-        return a
+    @property
+    def indptr(self) -> np.ndarray:
+        return bounds_of(np.bincount(self.rows, minlength=self.shape[0]))
 
 
 def _normalized_weights(g: BipartiteGraph) -> tuple[_Sparse, np.ndarray, np.ndarray]:
@@ -175,24 +170,15 @@ def _normalized_weights(g: BipartiteGraph) -> tuple[_Sparse, np.ndarray, np.ndar
 
 
 def _truncated_svd(m: _Sparse, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading singular vectors, deterministically.
+    """Leading singular vectors, deterministically, at every matrix size.
 
-    Matrices whose smaller side has at most 512 nodes go through dense
-    LAPACK.  That keeps the labels of small graphs, whose spectra are
-    degenerate (each isolated user-hashtag pair adds a singular value of
-    exactly 1), on the basis LAPACK picks; removing the path waits for the
-    co-clustering rework of ROADMAP item 4, which moves those labels on
-    purpose.  Larger matrices go through a seeded randomized range finder
-    with subspace iteration (Halko, Martinsson & Tropp 2011): each step
-    re-orthonormalizes both half products, and a Rayleigh-Ritz step
-    extracts the top-k pairs.  Iteration stops once the relative residual
-    ||M V_k - U_k S_k||_F / s_1 falls below _SVD_TOL; if _MAX_POWER_ITERS
-    steps do not get there, a warning reports the residual reached and the
-    last basis is returned.
+    A seeded randomized range finder with subspace iteration (Halko,
+    Martinsson & Tropp 2011): each step re-orthonormalizes both half
+    products, and a Rayleigh-Ritz step extracts the top-k pairs.  Iteration
+    stops once the relative residual ||M V_k - U_k S_k||_F / s_1 falls below
+    _SVD_TOL; if _MAX_POWER_ITERS steps do not get there, a warning reports
+    the residual reached and the last basis is returned.
     """
-    if min(m.shape) <= 512:
-        u, _, vt = np.linalg.svd(m.toarray(), full_matrices=False)
-        return u[:, :k], vt[:k].T
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((m.shape[1], k + 16))
     q, _ = np.linalg.qr(m @ omega)
@@ -245,8 +231,6 @@ def _seeded_kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     randint and each later one with uniform() on the cumulated D^2.  A
     cluster left empty keeps its centre, with a warning.
     """
-    if k == 1:
-        return np.zeros(len(points), dtype=int)
     rng = np.random.RandomState(seed)
     centres = np.empty((k, points.shape[1]))
     centres[0] = points[rng.randint(0, len(points))]
@@ -404,11 +388,6 @@ class BowtieAssignment:
         return {name: c.get(name, 0) for name in BOWTIE_COMPONENTS}
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR row pointer and column indices of the n x n pattern of (rows, cols)."""
-    return bounds_of(np.bincount(rows, minlength=n)), cols[np.argsort(rows, kind="stable")]
-
-
 def _strong_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Strongly connected component label of each node (Tarjan 1972, without recursion)."""
     ptr, nbr = indptr.tolist(), indices.tolist()
@@ -476,9 +455,8 @@ def bowtie_decompose(g: Digraph) -> BowtieAssignment:
     if not g.nodes:
         return BowtieAssignment({})
     nodes = sorted(g.nodes)
-    rows, cols, _ = _sparse(g.edges, nodes, nodes)
-    fwd = _csr(rows, cols, len(nodes))
-    rev = _csr(cols, rows, len(nodes))
+    m = _Sparse(*_sparse(g.edges, nodes, nodes), (len(nodes), len(nodes)))
+    fwd, rev = (m.indptr, m.cols), (m.T.indptr, m.T.cols)
     scc = _strong_components(*fwd)
     # nodes are sorted, so the first node in a largest SCC has the smallest id
     core = int(np.argmax(np.bincount(scc)[scc]))

@@ -184,11 +184,25 @@ def read_bundle(path) -> StreamBundle:
         with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)), encoding="utf-8") as fh:
             for rec in _records(fh, path):
                 (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
-    bundle = StreamBundle.build(events, messages)
+    try:
+        bundle = StreamBundle.build(events, messages)
+    except ValueError as exc:
+        # every line passed its own checks, so an id repeats: reread to name its line (not a pipe)
+        raise (regular and _repeated_id(path)) or exc
     del events   # before the sidecar is packed
     if regular:
         _save_sidecar(sidecar, digest.hexdigest(), bundle)
     return bundle
+
+
+def _repeated_id(path) -> Optional[LineFormatError]:
+    """The error naming the first line whose event id an earlier line holds."""
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            obj = json.loads(line) if line.strip() else {"rl_ts_ms": None}
+            if "rl_ts_ms" not in obj and (obj["id"] in seen or seen.add(obj["id"])):
+                return LineFormatError(path, lineno, f"duplicate event id {obj['id']}")
 
 
 def _csv_mapping(path, header: str, key_name: str, convert) -> dict:

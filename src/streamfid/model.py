@@ -239,13 +239,13 @@ class StreamBundle:
             raise ValueError("root_id present iff event_type != root")
         if np.any(ids < 0) or np.any(ts < 0) or np.any(c["followers"] < 0):
             raise ValueError("id, timestamp_ms and follower_count must be non-negative")
-        step = np.diff(ts)
-        if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
-            raise ValueError("unsorted events: must be strictly sorted by (timestamp_ms, id)")
         ordered = np.sort(ids)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise ValueError(f"duplicate event id {repeated[0]}")
+        step = np.diff(ts)
+        if np.any((step < 0) | ((step == 0) & (np.diff(ids) <= 0))):
+            raise ValueError("unsorted events: must be strictly sorted by (timestamp_ms, id)")
         msg_ts, missed = c["msg_ts"], c["msg_missed"]
         if len(missed) != len(msg_ts):
             raise ValueError("column msg_missed is not as long as column msg_ts")

@@ -120,6 +120,12 @@ class TestCompareCascades:
             with pytest.raises(ValueError, match=re.escape(f"not present in complete set: {named}")):
                 compare_cascades(known, reconstruct_cascades([ev(i, i) for i in sample]))
 
+    def test_negative_retweet_threshold_rejected(self):
+        # -1 would count every cascade as large
+        cascades = [make_cascade(root_id=0)]
+        with pytest.raises(ValueError, match="retweet_threshold"):
+            compare_cascades(cascades, cascades, retweet_threshold=-1)
+
     def test_cascades_of_two_sets_rejected(self):
         complete = [make_cascade(root_id=0), make_cascade(root_id=1)]
         with pytest.raises(ValueError, match="several sets"):

@@ -124,11 +124,11 @@ GOLDEN = {
     "cascade_reach_inf.csv":
         "46a31924bf68f287bebf7ffde2a59a0ba183fba96f011730f648bcb85e13cc12",
     "clusters_complete.csv":
-        "17b35b0a64adeb3415704aa5c1c8b22831cc59de2756b368dbe6f491c5cb145c",
+        "7ed48f65f88ac24b10cf9e85d55f7341fe98df9877f062c713590479bc30498e",
     "clusters_edges.csv":
-        "cbb975aa095c8a5be107b1358e0f6b621c4da00fe49f53a33e16830fc9e78e76",
+        "ecd84397ebb87b2cfa7ca10d8cdc493aed791b5d2694be96903853828059c311",
     "clusters_sample.csv":
-        "a0bdd4f7e05938d230394392bcccbadd317751eea93df80ae99df95ac3225a06",
+        "bd0ec8ddc570565e624b225d0e7d0960a93e557ac971d5d743b85e7123b1578d",
     "complete.jsonl":
         "1fbfc4c5c9253f7496d9e46d285951ad3f5dd3d9443d7c904de6d6e13dd155d7",
     "edges.csv":
@@ -150,7 +150,7 @@ GOLDEN = {
     "flow-bowtie:stdout":
         "41d4ed0518518a6adaff9904773c04f2b420c9eb6852818f8e408d7cbc1b1a16",
     "flow_cluster.csv":
-        "36e36e83deca0626c67165db84d87f82ec243eceee28a81d312afe6259c6291d",
+        "d9335be36bd4aa1a78f37bc53a4639e07db4c6c9004cf1466c715063620bec86",
     "graph-retweet-no-quotes:stdout":
         "203825f67bac99ad4a188b665ad7db2036e15a81a4dc796b1665cd63738ce34e",
     "merged.jsonl":

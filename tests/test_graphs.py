@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfid import graphs
+from streamfid.cli import main
 from streamfid.graphs import (
     BOWTIE_COMPONENTS,
     DISCONNECTED,
@@ -14,6 +16,7 @@ from streamfid.graphs import (
     OUT,
     TENDRILS,
     TUBES,
+    BipartiteGraph,
     Digraph,
     bowtie_decompose,
     bowtie_flow,
@@ -24,6 +27,7 @@ from streamfid.graphs import (
     spectral_cocluster,
     user_node,
 )
+from streamfid.io import read_bundle
 from streamfid.model import StreamBundle
 from streamfid.simulate import bernoulli_sample
 
@@ -144,8 +148,8 @@ class TestSpectralCocluster:
             spectral_cocluster(g, k=5, seed=0)
 
     def test_large_graph_randomized_path_separates_components(self, rng):
-        # both hashtag sides above the dense-SVD cutoff forces the seeded
-        # subspace-iteration path; two components must still split exactly
+        # over 512 nodes on both sides, two components must still split
+        # exactly
         triples = []
         for block, (users, tags) in enumerate(((range(400), range(300)),
                                                (range(400, 800), range(300, 600)))):
@@ -160,6 +164,42 @@ class TestSpectralCocluster:
         second = {labels[user_node(u)] for u in range(400, 800)}
         assert len(first) == 1 and len(second) == 1 and first != second
         assert spectral_cocluster(g, k=2, seed=5) == labels
+
+    # graphs of 512 or fewer nodes on a side: one SVD path serves every size
+
+    @staticmethod
+    def labels_without_warning(g, k, seed):
+        """The labels at ``seed``, checked for no warning, a label in [0, k) on
+        every node and the same labels from a second run."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = spectral_cocluster(g, k, seed)
+            assert spectral_cocluster(g, k, seed) == labels
+        assert len(labels) == g.node_count
+        assert all(0 <= c < k for c in labels.values())
+        return labels
+
+    @pytest.mark.parametrize("k", [2, 6, 20])
+    def test_isolated_pairs_beside_a_core(self, rng, k):
+        # each isolated pair adds a singular value of exactly 1
+        core = {(int(u), f"c{t}"): int(w) for u in range(30)
+                for t, w in zip(rng.choice(20, size=4, replace=False), rng.integers(1, 4, 4))}
+        pairs = {(100 + i, f"p{i}"): 1 for i in range(40)}
+        self.labels_without_warning(BipartiteGraph.from_weights({**core, **pairs}), k, seed=k)
+
+    def test_one_user(self):
+        g = BipartiteGraph.from_weights({(1, "a"): 1, (1, "b"): 2, (1, "c"): 3})
+        assert set(self.labels_without_warning(g, 1, seed=4).values()) == {0}
+
+    def test_golden_stream_graph(self, tmp_path):
+        # the complete stream of the golden CLI walkthrough: 188 users, 289 hashtags
+        path = tmp_path / "complete.jsonl"
+        assert main(["simulate", "--duration", "240", "--rate", "40", "--amplitude", "0.5",
+                     "--seed", "42", "-o", str(path)]) == 0
+        g = build_bipartite(read_bundle(path))
+        assert min(len(g.users), len(g.hashtags)) <= 512
+        for seed in (0, 1):
+            self.labels_without_warning(g, 6, seed)
 
     def _two_blocks(self, rng):
         # the same 800-user x ~591-hashtag two-component graph as above
@@ -180,7 +220,9 @@ class TestSpectralCocluster:
             assert len(first) == 1 and len(second) == 1 and first != second, seed
 
         m, _, _ = graphs._normalized_weights(g)
-        u_dense, _, vt_dense = np.linalg.svd(m.toarray(), full_matrices=False)
+        dense = np.zeros(m.shape)
+        dense[m.rows, m.cols] = m.vals
+        u_dense, _, vt_dense = np.linalg.svd(dense, full_matrices=False)
         u, v = graphs._truncated_svd(m, 2, seed=0)
         # distance between the projectors onto the two top-2 subspaces
         for approx, exact in ((u, u_dense[:, :2]), (v, vt_dense[:2].T)):

@@ -202,6 +202,19 @@ class TestReaderErrors:
         assert "deep.jsonl:4: maximum recursion depth exceeded" in capsys.readouterr().err
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("repeat_ts", [9, 5], ids=["later", "same-timestamp"])
+    def test_repeated_id_names_its_first_line(self, tmp_path, capsys, repeat_ts):
+        # id 1 repeats too, but only on a later line
+        path = tmp_path / "dup.jsonl"
+        path.write_text('{"id":7,"ts_ms":5,"user":2,"type":"root"}\n{"rl_ts_ms":5,"missed":1}\n'
+                        f'{{"id":7,"ts_ms":{repeat_ts},"user":3,"type":"root"}}\n'
+                        '{"id":1,"ts_ms":6,"user":3,"type":"root"}\n{"id":1,"ts_ms":8,"user":3,"type":"root"}\n')
+        with pytest.raises(LineFormatError) as err:
+            read_bundle(path)
+        assert (err.value.lineno, err.value.reason) == (3, "duplicate event id 7")
+        assert run_cli("entity-stats", "--key", "user", "-i", path) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: duplicate event id 7\n"
+
     def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
         path = self.write(tmp_path / "ok.jsonl", GOOD_LINE, '{"rl_ts_ms":5,"missed":2}',
                           '  {"id":1,"ts_ms":6,"user":2,"type":"retweet","root_id":0}\t')
@@ -610,6 +623,9 @@ FLAG_ERRORS = [
     pytest.param(("graph", "cocluster", "-i", "IN", "--seed", "-1"), None, "--seed", id="cocluster-seed"),
     pytest.param(("graph", "cocluster", "-i", "IN", "--k", "2", "--seed", str(2**32)), None, "--seed",
                  id="cocluster-seed-past-32-bits"),
+    # k = 1 seeds k-means too
+    pytest.param(("graph", "cocluster", "-i", "IN", "--k", "1", "--seed", str(2**32)), None, "--seed",
+                 id="cocluster-k1-seed-past-32-bits"),
     pytest.param(("graph", "cocluster", "-i", "IN", "--k", "0"), None, "--k", id="cocluster-k"),
     pytest.param(("merge",), None, "-i input", id="merge-no-input"),
     # a NaN used to pass these range checks: the first three ran to exit 0
@@ -630,10 +646,8 @@ FLAG_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv, env_seed, named", FLAG_ERRORS)
-def test_flag_error_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch, argv, env_seed, named):
-    src, out = tmp_path / "in.jsonl", tmp_path / "out"
-    write_bundle(src, StreamBundle.build([ev(i, i, user=i % 3, hashtags=("a", "b")[i % 2:]) for i in range(6)]))
+def exits_two_naming_the_flag(src, out, capsys, monkeypatch, argv, env_seed, named):
+    """Run ``argv`` with ``src`` for each IN and check its flag error."""
     monkeypatch.delenv("STREAMFID_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("STREAMFID_SEED", env_seed)
@@ -643,3 +657,17 @@ def test_flag_error_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("streamfid: error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env_seed, named", FLAG_ERRORS)
+def test_flag_error_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch, argv, env_seed, named):
+    src = tmp_path / "in.jsonl"
+    write_bundle(src, StreamBundle.build([ev(i, i, user=i % 3, hashtags=("a", "b")[i % 2:]) for i in range(6)]))
+    exits_two_naming_the_flag(src, tmp_path / "out", capsys, monkeypatch, argv, env_seed, named)
+
+
+@pytest.mark.parametrize("argv, env_seed, named", FLAG_ERRORS)
+def test_flag_error_comes_before_reading_inputs(tmp_path, capsys, monkeypatch, argv, env_seed, named):
+    # a bad flag is named even when no input could be read
+    exits_two_naming_the_flag(tmp_path / "missing.jsonl", tmp_path / "out", capsys, monkeypatch, argv, env_seed,
+                              named)

@@ -109,6 +109,11 @@ class TestStreamBundle:
         with pytest.raises(ValueError, match="duplicate"):
             StreamBundle((ev(1, 0), ev(1, 10)))
 
+    def test_duplicate_at_one_timestamp_is_named_as_such(self):
+        # sorted by (timestamp_ms, id), a repeated pair would read as unsorted
+        with pytest.raises(ValueError, match="^duplicate event id 1$"):
+            StreamBundle.build([ev(1, 10), ev(1, 10)])
+
     def test_rejects_unsorted_events(self):
         with pytest.raises(ValueError, match="sorted"):
             StreamBundle((ev(0, 100), ev(1, 50)))

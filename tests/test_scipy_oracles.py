@@ -25,10 +25,10 @@ from streamfid import entity
 from streamfid.entity import SolverError, _nnls, binomial_kernel, estimate_complete_frequency_vector
 from streamfid.graphs import (
     BipartiteGraph,
-    _csr,
     _normalized_weights,
     _reach,
     _seeded_kmeans,
+    _Sparse,
     _sparse,
     _strong_components,
     _truncated_svd,
@@ -199,10 +199,11 @@ def test_bowtie_searches_equal_csgraph(case):
     rows, cols, vals = _sparse({e: 1 for e in edges}, range(n), range(n))
     adj = csr_matrix((vals, (rows, cols)), shape=(n, n))
     _, ref = connected_components(adj, directed=True, connection="strong")
-    assert same_partition(_strong_components(*_csr(rows, cols, n)), ref)
-    for (r, c), m in (((rows, cols), adj), ((cols, rows), adj.T)):
+    fwd = _Sparse(rows, cols, vals, (n, n))
+    assert same_partition(_strong_components(fwd.indptr, fwd.cols), ref)
+    for s, m in ((fwd, adj), (fwd.T, adj.T)):
         expected = np.isfinite(dijkstra(m, indices=starts, unweighted=True, min_only=True))
-        np.testing.assert_array_equal(_reach(*_csr(r, c, n), starts), expected)
+        np.testing.assert_array_equal(_reach(s.indptr, s.cols, starts), expected)
 
 
 def random_bipartite(rng, n_users: int, n_tags: int, n_edges: int) -> BipartiteGraph:
@@ -212,7 +213,7 @@ def random_bipartite(rng, n_users: int, n_tags: int, n_edges: int) -> BipartiteG
     return BipartiteGraph.from_weights(weights)
 
 
-# the last graph's smaller side is above 512 nodes, so its SVD is randomized
+# the last graph, the largest, also checks the SVD against dense LAPACK
 @pytest.mark.parametrize("n_users, n_tags, n_edges", [(1, 1, 1), (40, 25, 200), (300, 120, 900),
                                                       (1000, 800, 12000)])
 def test_cocluster_matrix_products_equal_csr_matrix(n_users, n_tags, n_edges):
@@ -226,7 +227,9 @@ def test_cocluster_matrix_products_equal_csr_matrix(n_users, n_tags, n_edges):
     ref = w.multiply(su_ref[:, None]).multiply(sh_ref[None, :]).tocsc()
     np.testing.assert_array_equal(su, su_ref)
     np.testing.assert_array_equal(sh, sh_ref)
-    np.testing.assert_array_equal(m.toarray(), ref.toarray())
+    dense = np.zeros(m.shape)
+    dense[m.rows, m.cols] = m.vals
+    np.testing.assert_array_equal(dense, ref.toarray())
     rng = np.random.default_rng(0)
     for width in (1, 4, 20):
         x = rng.standard_normal((m.shape[1], width))
@@ -238,4 +241,4 @@ def test_cocluster_matrix_products_equal_csr_matrix(n_users, n_tags, n_edges):
         # the randomized path: its Ritz values are the dense singular values
         u, v = _truncated_svd(m, 4, seed=0)
         s = np.einsum("ij,ij->j", u, m @ v)
-        np.testing.assert_allclose(s, np.linalg.svd(m.toarray(), compute_uv=False)[:4], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(s, np.linalg.svd(dense, compute_uv=False)[:4], rtol=0, atol=1e-8)
