@@ -213,16 +213,14 @@ def cmd_estimate_missing(args, parser):
         parser.error(f"--k-max must be in [1, {K_MAX_CEILING}]")
     if args.rate is not None and not 0.0 < args.rate <= 1.0:
         parser.error(f"--rate {args.rate} outside (0,1]")
-    sample = read_bundle(_inputs(args, parser, 1)[0])
+    path = _inputs(args, parser, 1)[0]
+    sample = read_bundle(path)
     fv = frequency_vector_of(sample, args.key)
     if args.rate is None and not len(sample.msg_ts):
         parser.error("the sample has no rate limit messages to derive the rate from; pass --rate")
-    try:
-        rate = mean_rate_from_messages(sample) if args.rate is None else args.rate
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not 0.0 < rate <= 1.0:
-        parser.error(f"sampling rate {rate} outside (0,1]")
+    rate = mean_rate_from_messages(sample) if args.rate is None else args.rate
+    if not rate:
+        raise ValueError(f"{path} holds rate limit messages but no event: its sampling rate is 0")
     result = estimate_complete_frequency_vector(fv, rate, k_max=args.k_max)
     missing = estimate_missing_entities(result.f_hat, rate)
     manifest = _manifest(args, rate=rate)

@@ -9,9 +9,10 @@ line is a message iff it has the key "rl_ts_ms".
 keeps those columns in a sidecar ``<input>.streamfid.npz`` beside the
 input, keyed by the blake2b digest of the file's bytes.  A later read of
 the same bytes loads them instead of parsing the lines again; any other
-read parses.  A number beyond int64 or a negative root id, which no column
-holds, is a malformed line.  The JSONL stays the one source of truth, and
-a sidecar is safe to delete.
+read parses, in one binary pass that hashes each block of lines and
+decodes each line as UTF-8.  Invalid UTF-8, or a number beyond int64 or a
+negative root id, which no column holds, is a malformed line.  The JSONL
+stays the one source of truth, and a sidecar is safe to delete.
 
 The graph commands also read two CSV inputs: an edge list of
 (src, dst, weight) rows (``read_edge_csv``) and an assignment of
@@ -26,7 +27,6 @@ PATH:LINE.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import stat
@@ -38,7 +38,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from sys import intern
-from typing import Iterator, Optional, TextIO, Union
+from typing import BinaryIO, Iterator, Optional, Union
 
 import numpy as np
 
@@ -49,6 +49,8 @@ Record = Union[Event, RateLimitMessage]
 # one C scanner call per line: json.loads wraps the scanner in Python-level
 # checks
 _scan = json.JSONDecoder().scan_once
+
+_BLOCK = 1 << 16   # bytes read at a time
 
 # the default of a missing hashtags or urls field; never mutated
 _NO_STRINGS: list = []
@@ -114,44 +116,39 @@ def _record_from_obj(obj: dict) -> Record:
     )
 
 
-def _records(fh: TextIO, path) -> Iterator[Record]:
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
+def _records(fh: BinaryIO, path, update=None) -> Iterator[tuple[int, Record]]:
+    """(line number, record) of each non-blank line of a binary file, read a
+    block of whole lines at a time; each block goes to ``update`` first.
+    ``splitlines`` ends a line where text mode's universal newlines would:
+    at LF, CR or CRLF."""
+    lineno = 0
+    for chunk in iter(partial(fh.read, _BLOCK), b""):
+        chunk += fh.readline()   # a block ends at the end of a line
+        if update is not None:
+            update(chunk)
+        for line in chunk.splitlines():
+            lineno += 1
             try:
-                obj, end = _scan(line, 0)
-            except (StopIteration, ValueError):
-                end = None
-            if end != len(line):
-                # not one JSON value: json.loads raises the error it names
-                obj = json.loads(line)
-            yield _record_from_obj(obj)
-        # RecursionError: a line nested deeper than the scanner's recursion limit
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise LineFormatError(path, lineno, str(exc)) from None
+                if not (line := line.decode("utf-8").strip()):
+                    continue
+                try:
+                    obj, end = _scan(line, 0)
+                except (StopIteration, ValueError):
+                    end = None
+                if end != len(line):
+                    # not one JSON value: json.loads raises the error it names
+                    obj = json.loads(line)
+                yield lineno, _record_from_obj(obj)
+            # RecursionError: a line nested deeper than the scanner's recursion limit
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+                raise LineFormatError(path, lineno, str(exc)) from None
 
 
 def iter_records(path) -> Iterator[Record]:
     """Stream records from a JSONL file without loading the whole bundle."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from _records(fh, path)
-
-
-class _HashingReader(io.RawIOBase):
-    """A binary file that feeds every byte read from it to a hash."""
-
-    def __init__(self, raw, digest):
-        self.raw, self.digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self.raw.readinto(buffer)
-        self.digest.update(memoryview(buffer)[:n])
-        return n
+    with open(path, "rb") as fh:
+        for _, rec in _records(fh, path):
+            yield rec
 
 
 @collector_paused()
@@ -163,46 +160,43 @@ def read_bundle(path) -> StreamBundle:
     """
     # hashlib loads OpenSSL (5 ms, 3 MB), which a process that reads no
     # file should not pay
+    from array import array
     from hashlib import blake2b
 
     sidecar = Path(f"{path}{SIDECAR_SUFFIX}")
-    with open(path, "rb", buffering=0) as raw:
+    with open(path, "rb") as fh:
         # a pipe can be read only once, and a sidecar could never match it
-        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if regular:
             digest = blake2b()
-            for chunk in iter(partial(raw.read, 1 << 20), b""):
+            for chunk in iter(partial(fh.read, _BLOCK), b""):
                 digest.update(chunk)
             bundle = _load_sidecar(sidecar, digest.hexdigest())
             if bundle is not None:
                 return bundle
-            raw.seek(0)
+            fh.seek(0)
         # parse the bytes that the digest covers, so a file rewritten since it
         # was hashed never gets a sidecar that does not match it
         digest = blake2b()
-        events, messages = [], []
-        with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)), encoding="utf-8") as fh:
-            for rec in _records(fh, path):
-                (messages if isinstance(rec, RateLimitMessage) else events).append(rec)
+        events, messages, event_lines = [], [], array("q")
+        for lineno, rec in _records(fh, path, digest.update):
+            if isinstance(rec, RateLimitMessage):
+                messages.append(rec)
+            else:
+                events.append(rec)
+                event_lines.append(lineno)
     try:
         bundle = StreamBundle.build(events, messages)
-    except ValueError as exc:
-        # every line passed its own checks, so an id repeats: reread to name its line (not a pipe)
-        raise (regular and _repeated_id(path)) or exc
-    del events   # before the sidecar is packed
+    except ValueError:
+        # every line passed its own checks, so an id repeats: name the first
+        # event, in file order, whose id an earlier one holds
+        ids = np.fromiter((e.id for e in events), np.int64, len(events))
+        at = np.setdiff1d(np.arange(len(ids)), np.unique(ids, return_index=True)[1])[0]
+        raise LineFormatError(path, event_lines[at], f"duplicate event id {ids[at]}") from None
+    del events, event_lines   # before the sidecar is packed
     if regular:
         _save_sidecar(sidecar, digest.hexdigest(), bundle)
     return bundle
-
-
-def _repeated_id(path) -> Optional[LineFormatError]:
-    """The error naming the first line whose event id an earlier line holds."""
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            obj = json.loads(line) if line.strip() else {"rl_ts_ms": None}
-            if "rl_ts_ms" not in obj and (obj["id"] in seen or seen.add(obj["id"])):
-                return LineFormatError(path, lineno, f"duplicate event id {obj['id']}")
 
 
 def _csv_mapping(path, header: str, key_name: str, convert) -> dict:

@@ -214,14 +214,16 @@ class StreamBundle:
         The columns are checked whole, in numpy, for their shapes and for
         every rule that ``Event``, ``RateLimitMessage`` and the bundle's order
         enforce; a ValueError, TypeError or KeyError names the first broken
-        one.
+        one.  An int64 column of ``INT32_COLUMNS`` whose values fit is held
+        as int32: a smaller table for every bundle, and a smaller sidecar.
         """
         bundle = cls.__new__(cls)
-        bundle._set_columns(columns)
+        bundle._set_columns(dict(columns))
         return bundle
 
-    def _set_columns(self, columns: Mapping) -> None:
-        c = {name: _int_column(columns[name], name) for name in _INT_COLUMNS}
+    def _set_columns(self, columns: dict) -> None:
+        # popped, so that an int64 column narrowed to int32 is freed at once
+        c = {name: _int_column(columns.pop(name), name) for name in _INT_COLUMNS}
         n = len(c["id"])
         short = next((name for name in _EVENT_COLUMNS if len(c[name]) != n), None)
         if short is not None:
@@ -350,6 +352,9 @@ def _int_column(col, name: str) -> np.ndarray:
     if (col.__class__ is not np.ndarray or col.ndim != 1
             or col.dtype not in ((np.int64, np.int32) if name in INT32_COLUMNS else (np.int64,))):
         raise ValueError(f"column {name} is not a 1-d integer array of a width it may have")
+    if name in INT32_COLUMNS and col.dtype == np.int64 and (
+            not len(col) or -2 ** 31 <= col.min() <= col.max() < 2 ** 31):
+        col = col.astype(np.int32)
     col = col.view()
     col.setflags(write=False)
     return col
@@ -433,15 +438,10 @@ def _row_column(rows: Sequence[tuple], name: str):
     return np.fromiter(values, np.int64)
 
 
-def columns_of_rows(rows: Sequence[tuple], messages: Sequence[tuple] = (), **given) -> dict:
+def columns_of_rows(rows: Sequence[tuple], messages: Sequence[tuple] = ()) -> dict:
     """The ``from_columns`` columns of sorted event rows (or of tuples in
-    ``Event``'s field order) and ``messages``, the ``EventTable`` fields in
-    ``given`` taken from it, and ``INT32_COLUMNS`` int32 where their values
-    fit: a smaller table for every bundle, and a smaller sidecar."""
-    cols = {name: given[name] if name in given else _row_column(rows, name) for name in EventTable._fields}
-    for name in INT32_COLUMNS:
-        if not len(cols[name]) or -2 ** 31 <= cols[name].min() <= cols[name].max() < 2 ** 31:
-            cols[name] = cols[name].astype(np.int32)
+    ``Event``'s field order) and ``messages``."""
+    cols = {name: _row_column(rows, name) for name in EventTable._fields}
     cols["msg_ts"], cols["msg_missed"] = np.array(messages, np.int64).reshape(-1, 2).T.copy()
     return cols
 
@@ -469,8 +469,7 @@ def subtable(t: EventTable, rows: np.ndarray) -> EventTable:
     for name in _EVENT_COLUMNS:
         cols[name] = cols[name][rows]
     for base in ("hashtag", "url"):
-        bounds, at = csr_gather(cols[f"{base}_bounds"], rows)
-        cols[f"{base}_bounds"] = bounds.astype(cols[f"{base}_bounds"].dtype)
+        cols[f"{base}_bounds"], at = csr_gather(cols[f"{base}_bounds"], rows)
         cols[f"{base}_codes"] = cols[f"{base}_codes"][at]
     return EventTable(**cols)
 
@@ -649,8 +648,9 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
         messages |= Counter(zip(bundle.msg_ts.tolist(), bundle.msg_missed.tolist()))
     keep = order[first]
     keep = keep[np.lexsort((t.id[keep], t.ts[keep]))]
-    # columns_of_rows narrows the gathered columns; a message is its own sort key
-    return StreamBundle.from_columns(columns_of_rows((), sorted(messages.elements()), **subtable(t, keep)._asdict()))
+    # a message is its own sort key
+    return StreamBundle.from_columns({**columns_of_rows((), sorted(messages.elements())),
+                                      **subtable(t, keep)._asdict()})
 
 
 def _differs(t: EventTable, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:

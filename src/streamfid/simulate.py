@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (_TYPE_CODE, Event, RateLimitMessage, StreamBundle, bounds_of, columns_of_rows,
-                    csr_gather, take)
+from .model import _TYPE_CODE, Event, RateLimitMessage, StreamBundle, bounds_of, csr_gather, take
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
@@ -288,7 +287,8 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     # follower counts are drawn per user, in the order of first appearance by id
     codes, distinct = _first_use(columns["user"])
     columns["followers"] = (rng.pareto(1.2, size=len(distinct)) * 50.0).astype(np.int64)[codes]
-    return StreamBundle.from_columns(columns_of_rows((), id=np.arange(len(order)), root=root, **columns))
+    return StreamBundle.from_columns({**columns, "id": np.arange(len(order)), "root": root,
+                                      "msg_ts": np.zeros(0, np.int64), "msg_missed": np.zeros(0, np.int64)})
 
 
 def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -289,7 +289,7 @@ def test_events_view_is_a_sequence_of_its_rows(events, block, data):
 
 
 def backwards(bundle):
-    """``bundle`` held as int64 columns, its string tables listed backwards."""
+    """``bundle`` rebuilt from int64 columns, its string tables listed backwards."""
     cols = {name: col.astype(np.int64) if isinstance(col, np.ndarray) else col
             for name, col in bundle.columns().items()}
     for codes, table in (("lang", "lang_table"), ("hashtag_codes", "hashtag_table"), ("url_codes", "url_table")):
@@ -315,7 +315,7 @@ def test_bundle_equality_on_columns_agrees_with_the_rows(events, counters, data)
             del other[at]
     a, b = sf.StreamBundle(events, messages), sf.StreamBundle.build(other, other_messages)
     want = (tuple(a.events), a.messages) == (tuple(b.events), b.messages)
-    # int32 columns against int64, string tables in the order of first use or backwards
+    # bundles built from rows and from int64 columns, string tables in the order of first use or backwards
     sides = [(a, backwards(a)), (b, backwards(b), as_columns(b.events, b.messages))]
     with no_rows():
         for x in sides[0]:
@@ -387,7 +387,7 @@ def reach_by_loop(cascade, horizon_ms):
 
 
 def as_columns(events, messages=()):
-    """The bundle of sorted ``events`` and ``messages`` held as int64 columns."""
+    """The bundle of sorted ``events`` and ``messages`` built from int64 columns."""
     return sf.StreamBundle.from_columns({**{name: model._row_column(events, name) for name in model.EventTable._fields},
                                          "msg_ts": np.array([m[0] for m in messages], np.int64),
                                          "msg_missed": np.array([m[1] for m in messages], np.int64)})

@@ -109,9 +109,8 @@ def generate_by_loop(config):
     seqs, root_seqs = _row_column(drafts, "id"), _row_column(drafts, "root")
     id_of_seq = np.argsort(seqs)
     followers = np.fromiter(map(users.followers, map(itemgetter(2), drafts)), np.int64, len(drafts))
-    return StreamBundle.from_columns(columns_of_rows(
-        drafts, id=np.arange(len(drafts)), root=np.where(root_seqs < 0, -1, id_of_seq[root_seqs]),
-        followers=followers))
+    return StreamBundle.from_columns({**columns_of_rows(drafts), "id": np.arange(len(drafts)), "followers": followers,
+                                      "root": np.where(root_seqs < 0, -1, id_of_seq[root_seqs])})
 
 
 MIXES = (

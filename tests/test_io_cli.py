@@ -1,9 +1,14 @@
+import io
 import json
+import os
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfid import io as sio
 from streamfid.cli import main
 from streamfid.io import LineFormatError, iter_records, read_bundle, write_bundle
 from streamfid.model import RateLimitMessage, StreamBundle
@@ -121,6 +126,21 @@ MALFORMED = [
 ]
 
 
+@contextmanager
+def as_input(path, pipe: bool):
+    """``path``, or a /dev/fd path of a pipe that holds its bytes and can be read once."""
+    if not pipe:
+        yield path
+        return
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())   # far below the pipe's buffer
+        os.close(w)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
 class TestReaderErrors:
     @staticmethod
     def write(path, *lines):
@@ -209,17 +229,53 @@ class TestReaderErrors:
         path.write_text('{"id":7,"ts_ms":5,"user":2,"type":"root"}\n{"rl_ts_ms":5,"missed":1}\n'
                         f'{{"id":7,"ts_ms":{repeat_ts},"user":3,"type":"root"}}\n'
                         '{"id":1,"ts_ms":6,"user":3,"type":"root"}\n{"id":1,"ts_ms":8,"user":3,"type":"root"}\n')
-        with pytest.raises(LineFormatError) as err:
-            read_bundle(path)
-        assert (err.value.lineno, err.value.reason) == (3, "duplicate event id 7")
-        assert run_cli("entity-stats", "--key", "user", "-i", path) == 1
-        assert capsys.readouterr().err == f"error: {path}:3: duplicate event id 7\n"
+        for pipe in (False, True):   # a pipe, which can be read only once, names the line too
+            with as_input(path, pipe) as src:
+                with pytest.raises(LineFormatError) as err:
+                    read_bundle(src)
+            assert (err.value.lineno, err.value.reason) == (3, "duplicate event id 7")
+            with as_input(path, pipe) as src:
+                assert run_cli("entity-stats", "--key", "user", "-i", src) == 1
+            assert capsys.readouterr().err == f"error: {src}:3: duplicate event id 7\n"
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, capsys, pipe):
+        path = self.write(tmp_path / "bad.jsonl", GOOD_LINE, '{"id":3,"ts_ms":4,"user":2,"type":"root","lang":"?"}',
+                          GOOD_LINE)
+        path.write_bytes(path.read_bytes().replace(b"?", b"\xff"))
+        reason = "'utf-8' codec can't decode byte 0xff in position 49: invalid start byte"
+        with as_input(path, pipe) as src:
+            with pytest.raises(LineFormatError) as err:
+                list(iter_records(src))
+        assert (err.value.lineno, err.value.reason) == (4, reason)
+        with as_input(path, pipe) as src:
+            assert run_cli("graph", "bipartite", "-i", src) == 1
+        assert capsys.readouterr().err == f"error: {src}:4: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
     def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
         path = self.write(tmp_path / "ok.jsonl", GOOD_LINE, '{"rl_ts_ms":5,"missed":2}',
                           '  {"id":1,"ts_ms":6,"user":2,"type":"retweet","root_id":0}\t')
         assert list(iter_records(path)) == [
             ev(0, 1, user=2), RateLimitMessage(5, 2), ev(1, 6, user=2, kind="retweet", root_id=0)]
+
+
+# bytes that end a line or count as blank in text mode, which ends a line at
+# LF, CR or CRLF only, and others that str.strip() removes
+TEXT = (b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", "\u0085".encode(), "\u2028".encode(), b" ", b"\t", b"x", b"\xc3\xa9")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(TEXT), max_size=40).map(b"".join), st.integers(1, 8))
+def test_lines_are_numbered_and_stripped_as_in_text_mode(data, block):
+    want = [(n, text) for n, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1)
+            if (text := line.strip())]
+    chunks = []
+    # each stripped line read as its own record
+    with (mock.patch.object(sio, "_BLOCK", block), mock.patch.object(sio, "_scan", lambda line, _: (line, len(line))),
+          mock.patch.object(sio, "_record_from_obj", lambda obj: obj)):
+        assert list(sio._records(io.BytesIO(data), "p", chunks.append)) == want
+    assert b"".join(chunks) == data
 
 
 @st.composite
@@ -359,13 +415,15 @@ class TestCliEntity:
         assert "--rate" in capsys.readouterr().err
 
     def test_estimate_missing_rejects_non_monotone_counters(self, tmp_path, capsys):
+        # a fault of the input, not of a flag, as is a sample whose every event was dropped
         s = tmp_path / "s.jsonl"
         events = [ev(i, 100 * i, user=i % 3) for i in range(6)]
         write_bundle(s, StreamBundle.build(events, [RateLimitMessage(150, 5), RateLimitMessage(350, 2)]))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("estimate-missing", "-i", s, "--key", "user")
-        assert exc.value.code == 2
+        assert run_cli("estimate-missing", "-i", s, "--key", "user") == 1
         assert "non-monotone" in capsys.readouterr().err
+        write_bundle(s, StreamBundle.build([], [RateLimitMessage(150, 5)]))
+        assert run_cli("estimate-missing", "-i", s, "--key", "user") == 1
+        assert capsys.readouterr().err == f"error: {s} holds rate limit messages but no event: its sampling rate is 0\n"
 
     @pytest.mark.parametrize("k_max", [0, -3, 1001, 99999999999999])
     def test_estimate_missing_rejects_k_max_outside_its_range(self, tmp_path, capsys, k_max):
