@@ -125,8 +125,9 @@ def _window_s(text: str, parser) -> float:
         window = float(text)
     except ValueError:
         window = math.nan
-    if not window > 0:
-        parser.error(f"--window-s must be a positive number of seconds or inf, not {text!r}")
+    # a finite window is counted in int64 milliseconds
+    if not (window > 0 and (window == math.inf or window * 1000.0 < 2**63)):
+        parser.error(f"--window-s must be a positive number of seconds under 2**63 ms, or inf, not {text!r}")
     return window
 
 

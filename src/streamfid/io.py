@@ -179,7 +179,7 @@ def read_bundle(path) -> StreamBundle:
         # was hashed never gets a sidecar that does not match it
         digest = blake2b()
         events, messages, event_lines = [], [], array("q")
-        for lineno, rec in _records(fh, path, digest.update):
+        for lineno, rec in _records(fh, path, digest.update if regular else None):
             if isinstance(rec, RateLimitMessage):
                 messages.append(rec)
             else:

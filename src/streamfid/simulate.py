@@ -11,6 +11,7 @@ hashtag populations, and bursty retweet cascades.  Two samplers thin it:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Sequence
@@ -21,6 +22,10 @@ from .model import _TYPE_CODE, Event, RateLimitMessage, StreamBundle, bounds_of,
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
+# a generated stream peaks near 300 bytes of memory per event, and a
+# population near 24 bytes per member: a run at all ceilings fits in 2 GB
+EVENT_CEILING = 4_000_000
+POPULATION_CEILING = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,8 @@ class ZipfPopulation:
     exponent: float = 1.5
 
     def __post_init__(self):
-        if not self.size >= 1:
-            raise ValueError("population size must be >= 1")
+        if not 1 <= self.size <= POPULATION_CEILING:
+            raise ValueError(f"population size must be in [1, {POPULATION_CEILING}]")
         if not 0 < self.exponent < math.inf:
             raise ValueError("Zipf exponent must be positive and finite")
 
@@ -106,6 +111,9 @@ class GeneratorConfig:
             raise ValueError("cascade_size_cap must be >= 1")
         if not self.start_ms >= 0:
             raise ValueError("start_ms must be non-negative")
+        if not self.expected_event_count() <= EVENT_CEILING:
+            raise ValueError(f"duration and base_rate give {self.expected_event_count():.3g} expected events, "
+                             f"over the ceiling of {EVENT_CEILING}")
 
     def mean_cascade_size(self) -> float:
         """Expected retweets per spawned cascade (bounded power-law)."""
@@ -145,8 +153,9 @@ def _distinct_ranks(cdf: np.ndarray, uniforms: np.ndarray, counts: np.ndarray) -
     return bounds_of(np.bincount(key // span, minlength=len(counts))), key % span
 
 
-# the loop's per-cascade arrays are joined this many at a time: fewer,
-# larger blocks lower the generator's peak memory
+# the loop's per-cascade uniforms and its children's times are joined into
+# arrays this many cascades at a time: fewer, larger blocks lower the
+# generator's peak memory
 _FOLD_EVERY = 512
 
 
@@ -175,8 +184,11 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     A rank, a lang, a size or a kind takes one uniform each.  Only the
     gaps, whose exponential draws take a variable number of raw draws, and
     the kept children's count, which depends on them, need a loop over the
-    spawning roots; the loop draws the uniforms owed since the last
-    cascade in one call, and all else is done on whole arrays after it.
+    spawning roots.  Each cascade costs it two numpy calls: the uniforms
+    owed since the last cascade, then all of the cascade's gaps.  The size
+    and the children's times are found on Python scalars, and the walk
+    over the gaps stops at the first child past the stream's end; all else
+    is done on whole arrays after the loop.
     """
     rng = np.random.default_rng(config.seed)
     user_cdf = config.user_population.cdf()
@@ -221,32 +233,35 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
 
     # the loop: per spawning root, the uniforms owed since the last cascade
     # (that cascade's kinds and users, the entity ranks of the roots after it
-    # up to this one, and this cascade's size) in one call, then the gaps
+    # up to this one, and this cascade's size) in one call, then the gaps in
+    # one call; the gaps are walked as Python floats, with numpy's float64
+    # product, cap and truncation toward zero
     spawning = np.flatnonzero(spawn)
     entities = bounds_of(tag_counts + url_counts)   # entity uniforms before each root
     owed = np.diff(entities[spawning + 1], prepend=0) + 1
-    uniforms, child_ts, sizes = [], [np.empty(0, np.int64)], []
-    u_block, ts_block = [], []
-    kept, draw = 0, config.inter_arrival_model.draw
+    size_cdf, draw = size_cdf.tolist(), config.inter_arrival_model.draw
+    uniforms, child_ts, sizes = [], [], []
+    u_block, ts_block, kept = [], [], 0
     for start, k in zip(root_ts[spawning].tolist(), owed.tolist()):
         u = rng.random(2 * kept + k)
         # a gap capped at the span left lands at end_ms and is dropped, as a
-        # longer one would be; the cap keeps a gap past 2**63 ms from wrapping
-        gaps = draw(rng, int(size_cdf.searchsorted(u[-1], "right")) + 1) * 1000.0
-        gaps_ms = np.minimum(gaps, end_ms - start).astype(np.int64)
-        ts = start + np.maximum(1, gaps_ms).cumsum()
-        ts = ts[ts < end_ms]
-        kept = len(ts)
+        # longer one would be; the cap keeps an infinite gap from int()
+        t, span, before = start, float(end_ms - start), len(ts_block)
+        for gap in draw(rng, bisect_right(size_cdf, u.item(-1)) + 1).tolist():
+            t += max(1, int(min(gap * 1000.0, span)))
+            if t >= end_ms:
+                break
+            ts_block.append(t)
+        kept = len(ts_block) - before
         sizes.append(kept)
         u_block.append(u)
-        ts_block.append(ts)
         if len(u_block) == _FOLD_EVERY:
             uniforms.append(np.concatenate(u_block))
-            child_ts.append(np.concatenate(ts_block))
+            child_ts.append(np.array(ts_block, np.int64))
             u_block, ts_block = [], []
     tail = entities[-1] - entities[spawning[-1] + 1 if len(spawning) else 0]
     u = np.concatenate(uniforms + u_block + [rng.random(2 * kept + int(tail))])
-    child_ts = np.concatenate(child_ts + ts_block)
+    child_ts = np.concatenate(child_ts + [np.array(ts_block, np.int64)])
 
     # u holds five runs per root: its hashtag ranks, its URL ranks, its
     # size, its children's kinds, their users

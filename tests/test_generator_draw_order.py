@@ -164,6 +164,17 @@ def test_generate_stream_equals_the_per_root_loop(config):
     assert_same_columns(generate_stream(config), generate_by_loop(config))
 
 
+GAPS_DRAWN = []
+
+
+class _CountedGaps(InterArrivalModel):
+    """An inter-arrival model that notes how many gaps each cascade draws."""
+
+    def draw(self, rng, n):
+        GAPS_DRAWN.append(n)
+        return super().draw(rng, n)
+
+
 FIXED = {
     # the simulator's benchmark shape, cut short: over 512 cascades, so the loop folds its blocks
     "cli-mix": GeneratorConfig(duration_s=60.0, base_rate=120.0, cascade_fraction=0.5,
@@ -175,6 +186,11 @@ FIXED = {
     "no-entities": GeneratorConfig(duration_s=10.0, base_rate=20.0, cascade_fraction=0.7, type_mix=dict(MIXES[3]),
                                    hashtags_per_event=0.0, urls_per_event=0.0, seed=3),
     "no-roots": GeneratorConfig(duration_s=0.001, base_rate=1.0, seed=4),
+    # cascades of hundreds of 20 ms gaps, cut at the stream's end after a
+    # few seconds: most of each one's gaps are drawn but never walked
+    "long-cuts": GeneratorConfig(duration_s=4.0, base_rate=20.0, cascade_fraction=1.0, type_mix=dict(MIXES[1]),
+                                 cascade_size_tail=1.05, cascade_size_cap=1000,
+                                 inter_arrival_model=_CountedGaps("exponential", mean_s=0.02), seed=5),
 }
 
 
@@ -185,3 +201,8 @@ def test_fixed_configs_equal_the_per_root_loop():
         assert len(got) or name == "no-roots", name
     cut = generate_stream(FIXED["cut-cascades"])
     assert (cut.table.type != 0).sum() and cut.table.ts.max() < 1_000_000 + 7_500
+    GAPS_DRAWN.clear()
+    long_cuts = generate_stream(FIXED["long-cuts"])
+    children = int((long_cuts.table.type != 0).sum())
+    assert max(GAPS_DRAWN) >= 500 and sum(GAPS_DRAWN) > 4 * children > 0
+    assert long_cuts.table.ts.max() < 4_000

@@ -562,6 +562,14 @@ class TestCliRankGraphCascade:
         assert sorted(p.name for p in tmp_path.glob("cascade_reach_*.csv")) == [
             "cascade_reach_1000s.csv", "cascade_reach_inf.csv"]
 
+    def test_cascade_window_under_the_int64_ceiling_reads_as_inf(self, cascade_inputs, tmp_path):
+        c, s = cascade_inputs
+        assert run_cli("cascade", "-i", c, "-i", s, "--window-s", "9e15", "--window-s", "inf",
+                       "-o", tmp_path / "cascade.json") == 0
+        longest, inf = ((tmp_path / f"cascade_reach_{n}.csv").read_text().splitlines()[1:]
+                        for n in ("9000000000000000s", "inf"))
+        assert longest == inf
+
     def test_bowtie_accepts_edge_list_csv(self, tmp_path):
         edges = tmp_path / "edges.csv"
         edges.write_text("src,dst,weight\n1,2,3\n2,1,1\n3,1,2\n")
@@ -701,6 +709,19 @@ FLAG_ERRORS = [
     # both windows would be written to one reach_60s table
     pytest.param(("cascade", "-i", "IN", "-i", "IN", "--window-s", "60.2", "--window-s", "60.7"), None,
                  "--window-s", id="cascade-windows-one-table"),
+    # size ceilings, checked before anything is drawn or read: --window-s
+    # 1e308 ended in an OverflowError, 1e300 in "File name too long" and
+    # --rate 1e12 in a MemoryError
+    *(pytest.param(("cascade", "-i", "IN", "-i", "IN", "--window-s", w), None, "--window-s",
+                   id=f"cascade-window-{w}") for w in ("1e308", "1e300", str(2**63 // 1000 + 1))),
+    pytest.param(("simulate", "--duration", "5", "--rate", "1e12"), None, "--duration and --rate",
+                 id="simulate-events"),
+    pytest.param(("simulate", "--duration", "1e300", "--rate", "10"), None, "--duration and --rate",
+                 id="simulate-duration-events"),
+    pytest.param((*SIMULATE, "--users", "10000000000000"), None, "--users must be in [1, 10000000]",
+                 id="users-ceiling"),
+    pytest.param((*SIMULATE, "--hashtags", "10000001"), None, "--hashtags must be in [1, 10000000]",
+                 id="hashtags-ceiling"),
 ]
 
 

@@ -14,8 +14,9 @@ claims, numbered as in the abstract:
    sample: here (criterion 3 checks the model on a Bernoulli sample);
 5. the true ranking can be estimated: partly, by criterion 6 on
    hour-biased input;
-6. sampling alters the network structure: not tested, as the simulator
-   plants no clusters to compare against (ROADMAP item 14);
+6. sampling alters the network structure, and some components are more
+   likely preserved: here for the bow-tie; not tested for clusters, as the
+   simulator plants none to compare against (ROADMAP item 14);
 7. cascade inter-arrival times and influence change: criterion 8.
 """
 
@@ -25,6 +26,7 @@ import pytest
 from streamfid.breakdown import sampling_rate_breakdown
 from streamfid.entity import (DiscreteDistribution, FrequencyVector, binomial_mixture_model, entity_occurrences,
                               ks_d_statistic)
+from streamfid.graphs import IN, LSCC, OUT, bowtie_decompose, bowtie_flow, build_retweet_network
 from streamfid.simulate import GeneratorConfig, generate_stream, rate_limited_bundle
 
 # the simulate command's default --type-mix
@@ -70,3 +72,29 @@ def test_claim_4_bernoulli_model_fits_the_rate_limited_entities(threshold_sample
     observed = DiscreteDistribution.from_weights(*np.unique(seen, return_counts=True))
     model = binomial_mixture_model(FrequencyVector.from_occurrences(in_complete.values()), rate)
     assert ks_d_statistic(observed, model) < 0.01
+
+
+# threshold: (largest LSCC share missing, range of the IN and OUT shares)
+BOWTIE_MISSING_BOUNDS = {50: (0.04, (0.12, 0.22)), 30: (0.22, (0.55, 0.70))}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+def test_claim_6_the_bowtie_core_is_preserved_better_than_its_wings(seed):
+    """The README walkthrough's 600 s stream (base rate 120, cascade
+    fraction 0.5) thinned by the threshold sampler at anchor 657.  The share
+    of each complete bow-tie component's users that are absent from the
+    sample's retweet network, over seeds 1, 2, 3 and 42, measured: at
+    threshold 50 (rate 0.90-0.91) LSCC 0.008-0.020, IN 0.148-0.166, OUT
+    0.140-0.188; at threshold 30 (rate 0.56-0.57) LSCC 0.128-0.173, IN
+    0.584-0.651, OUT 0.609-0.629.  Tendrils and Disconnected hold 7-16
+    users, too few to bound."""
+    complete = generate_stream(GeneratorConfig(duration_s=600, base_rate=120, cascade_fraction=0.5,
+                                               type_mix=CLI_TYPE_MIX, seed=seed))
+    components = bowtie_decompose(build_retweet_network(complete)).components
+    for threshold, (lscc_max, (low, high)) in BOWTIE_MISSING_BOUNDS.items():
+        sample = rate_limited_bundle(complete, threshold, 657)
+        flow = bowtie_flow(components, bowtie_decompose(build_retweet_network(sample)).components)
+        missing = dict(zip(flow.row_labels, flow.counts[:, -1] / flow.counts.sum(axis=1).clip(1)))
+        assert missing[LSCC] < lscc_max, threshold
+        assert low < missing[IN] < high and low < missing[OUT] < high, threshold
+        assert missing[LSCC] < min(missing[IN], missing[OUT]), threshold

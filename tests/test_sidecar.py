@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
@@ -418,3 +419,22 @@ def test_pipe_is_read_once_and_gets_no_sidecar(tmp_path):
         save.assert_not_called()
     finally:
         os.close(r)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_reads_as_its_file_does_unhashed_and_without_a_sidecar(tmp_path):
+    bundle = StreamBundle.build([ev(0, 1, hashtags=("x",)), ev(2, 3)], [RateLimitMessage(2, 1)])
+    path, fifo = tmp_path / "b.jsonl", tmp_path / "b.fifo"
+    write_bundle(path, bundle)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        with mock.patch.object(sio, "_records", wraps=sio._records) as records:
+            from_fifo = read_bundle(fifo)
+    finally:
+        writer.join(10)
+    (_, _, update), = (c.args for c in records.call_args_list)
+    assert update is None   # a pipe never gets a sidecar, so its bytes are not hashed
+    assert from_fifo == read_bundle(path) == bundle
+    assert not sidecar_of(fifo).exists() and sidecar_of(path).exists()

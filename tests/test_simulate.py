@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from streamfid.simulate import (
+    EVENT_CEILING,
+    POPULATION_CEILING,
     GeneratorConfig,
     InterArrivalModel,
     ZipfPopulation,
@@ -37,6 +39,16 @@ class TestGeneratorConfig:
         # it used to fail only inside from_columns, naming no field
         with pytest.raises(ValueError, match="start_ms"):
             GeneratorConfig(start_ms=-1)
+
+    def test_sizes_over_their_ceilings_are_refused_before_any_draw(self):
+        # built, never generated: a run at a ceiling takes gigabytes
+        ZipfPopulation(POPULATION_CEILING)
+        with pytest.raises(ValueError, match="population size"):
+            ZipfPopulation(POPULATION_CEILING + 1)
+        roots_only = {"type_mix": {"root": 1.0}, "base_rate": 50.0}
+        assert GeneratorConfig(duration_s=EVENT_CEILING / 50, **roots_only).expected_event_count() == EVENT_CEILING
+        with pytest.raises(ValueError, match="expected events, over the ceiling"):
+            GeneratorConfig(duration_s=EVENT_CEILING / 50 + 1, **roots_only)
 
 
     @pytest.mark.parametrize("build", [
