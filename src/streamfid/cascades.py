@@ -225,12 +225,13 @@ def compare_cascades(
                                 _median_gap_s(_gaps(complete_real)), _median_gap_s(_gaps(observed)))
 
 
-def _gaps(cascades: CascadeSet, include_root: bool = True) -> np.ndarray:
-    """Milliseconds between consecutive events of each cascade, in no set order."""
+def _gaps(cascades: CascadeSet) -> np.ndarray:
+    """Milliseconds between consecutive events of each cascade, the root's
+    gap to its first retweet included, in no set order."""
     lengths = np.diff(cascades.bounds)
     group = np.repeat(np.arange(len(cascades)), lengths)
     gaps = np.diff(cascades.ts)[group[1:] == group[:-1]]
-    led = (cascades.root_ts >= 0) & (lengths > 0) if include_root else np.zeros(len(cascades), bool)
+    led = (cascades.root_ts >= 0) & (lengths > 0)
     return np.concatenate((cascades.ts[cascades.bounds[:-1][led]] - cascades.root_ts[led], gaps))
 
 
@@ -250,27 +251,18 @@ class InterArrivalDistribution:
         return float(np.quantile(self.deltas_s, q))
 
 
-def inter_arrival_distribution(
-    cascades: Sequence[Cascade],
-    grid_s: Optional[Sequence[float]] = None,
-    include_root: bool = True,
-) -> InterArrivalDistribution:
-    """Pooled CCDF of gaps between consecutive events within each cascade.
-
-    The root -> first-retweet gap is included by default; pass
-    ``include_root=False`` to pool retweet-to-retweet gaps only.
+def inter_arrival_distribution(cascades: Sequence[Cascade]) -> InterArrivalDistribution:
+    """Pooled CCDF of gaps between consecutive events within each cascade,
+    the root -> first-retweet gap included, on a 200-point geometric grid;
+    ``ccdf(dist.deltas_s, grid)`` evaluates it on any other grid.
     """
-    gaps_ms = np.sort(_gaps(_columns(cascades), include_root))
+    gaps_ms = np.sort(_gaps(_columns(cascades)))
     if not len(gaps_ms):
         warnings.warn("no inter-arrival gaps: all cascades have size <= 1", stacklevel=2)
         empty = np.array([])
         return InterArrivalDistribution(empty, empty, empty, None)
     deltas = gaps_ms / MS_PER_S
-    if grid_s is None:
-        lo = max(deltas.min(), 0.1)
-        grid = np.geomspace(lo, deltas.max() + 0.1, 200)
-    else:
-        grid = np.asarray(grid_s, dtype=float)
+    grid = np.geomspace(max(deltas.min(), 0.1), deltas.max() + 0.1, 200)
     return InterArrivalDistribution(deltas, grid, ccdf(deltas, grid), _median_gap_s(gaps_ms))
 
 

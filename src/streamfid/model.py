@@ -417,33 +417,30 @@ def field_blocks(t: EventTable) -> Iterator[tuple]:
                _decoded(t.lang[a:b], t.lang_table))
 
 
-def _row_column(rows: Sequence[tuple], name: str):
-    """The ``EventTable`` field ``name`` of event rows, or of tuples in
-    ``Event``'s field order.  A table lists each string where it is first
-    used."""
-    base, _, part = name.partition("_")
-    values = map(itemgetter(_FIELD.index(base)), rows)
-    if part == "bounds":
-        return np.fromiter(accumulate(map(len, values), initial=0), np.int64, len(rows) + 1)
-    if base in ("lang", "hashtag", "url"):
-        values = tuple(values if base == "lang" else chain.from_iterable(values))
-        table = tuple(dict.fromkeys(values))
-        if part == "table":
-            return table
-        values = map(dict(zip(table, range(len(table)))).__getitem__, values)
-    elif base == "type":
-        values = map(_TYPE_CODE.__getitem__, values)
-    elif base == "root":
-        values = (-1 if r is None else r for r in values)
-    return np.fromiter(values, np.int64)
-
-
 def columns_of_rows(rows: Sequence[tuple], messages: Sequence[tuple] = ()) -> dict:
     """The ``from_columns`` columns of sorted event rows (or of tuples in
-    ``Event``'s field order) and ``messages``."""
-    cols = {name: _row_column(rows, name) for name in EventTable._fields}
+    ``Event``'s field order) and ``messages``, one pass over the rows per
+    field.  A string table lists each string where it is first used."""
+    n = len(rows)
+    field_of = {name: map(itemgetter(i), rows) for i, name in enumerate(_FIELD)}
+    cols = {name: np.fromiter(field_of[name], np.int64, n) for name in ("id", "ts", "user", "followers")}
+    cols["type"] = np.fromiter(map(_TYPE_CODE.__getitem__, field_of["type"]), np.int64, n)
+    cols["root"] = np.fromiter((-1 if r is None else r for r in field_of["root"]), np.int64, n)
+    cols["lang"], cols["lang_table"] = _coded(field_of["lang"])
+    for base in ("hashtag", "url"):
+        lists = tuple(field_of[base])
+        cols[f"{base}_bounds"] = np.fromiter(accumulate(map(len, lists), initial=0), np.int64, n + 1)
+        cols[f"{base}_codes"], cols[f"{base}_table"] = _coded(chain.from_iterable(lists))
     cols["msg_ts"], cols["msg_missed"] = np.array(messages, np.int64).reshape(-1, 2).T.copy()
     return cols
+
+
+def _coded(values: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The codes of ``values`` into the table of their distinct strings in
+    the order of first use, and that table, built in the one pass."""
+    table: dict[str, int] = {}
+    codes = np.fromiter((table.setdefault(v, len(table)) for v in values), np.int64)
+    return codes, tuple(table)
 
 
 def distinct_per_event(bounds: np.ndarray, codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -554,31 +551,21 @@ class FrequencyVector:
 class TemporalRateProfile:
     """Sampling rate keyed by cyclic time bucket.
 
-    ``rates`` maps bucket index -> rate in [0, 1]; buckets never observed
-    fall back to ``default_rate``.
+    ``rates`` maps bucket index -> rate in (0, 1].  A rank correction reads
+    the rate of every bucket that holds a sample event, so each such bucket
+    needs one: a rate of 0 would make its events weigh infinitely.
     """
 
     granularity: str
-    rates: Mapping[int, float] = field(default_factory=dict)
-    default_rate: float = 1.0
+    rates: Mapping[int, float]
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         for b, r in self.rates.items():
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"rate {r} for bucket {b} outside [0,1]")
-        if not 0.0 <= self.default_rate <= 1.0:
-            raise ValueError("default_rate outside [0,1]")
+            if not 0.0 < r <= 1.0:
+                raise ValueError(f"rate {r} for bucket {b} outside (0,1]")
         object.__setattr__(self, "rates", dict(self.rates))
-
-    @classmethod
-    def constant(cls, rate: float, granularity: str = "hour") -> "TemporalRateProfile":
-        """Degenerate single-rate profile (uniform sampling)."""
-        return cls(granularity, {}, rate)
-
-    def rate_at(self, timestamp_ms: int) -> float:
-        return self.rates.get(bucket_of(timestamp_ms, self.granularity), self.default_rate)
 
 
 def empirical_mean_rate(complete: StreamBundle, sample: StreamBundle) -> float:

@@ -9,19 +9,20 @@ buckets themselves, as in hour-biased inputs.  It does not when the loss
 comes from bursts shorter than a bucket: on streams whose threshold-sampler
 loss follows within-second cascade bursts, hour-granularity correction
 lowered Kendall tau against the true ranks instead of raising it.
+
+Every bucket that holds a sample event needs a rate in (0, 1]; the profile
+derived from the sample's own messages gives one to each.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model import StreamBundle, TemporalRateProfile, bucket_of, missed_increments
-
-ZERO_RATE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
 
     rate(bucket) = delivered / (delivered + missed), where each message's
     counter increment is attributed to the bucket containing the message
-    timestamp.  Buckets without a delivered event are left out of the
-    profile, so they read its default rate 1 rather than rate 0.
+    timestamp.  Every bucket with a delivered event has a rate above 0;
+    buckets without one are left out of the profile.
     """
     buckets, delivered = np.unique(bucket_of(sample.table.ts, granularity), return_counts=True)
     at = bucket_of(sample.msg_ts, granularity)
@@ -56,17 +57,20 @@ def temporal_rates_from_messages(sample: StreamBundle, granularity: str) -> Temp
     np.add.at(missed, at, missed_increments(sample.msg_missed))
     # Python ints, so that each rate is the quotient of the exact counts
     rates = {b: d / (d + m) for b, d, m in zip(buckets.tolist(), delivered.tolist(), missed[buckets].tolist())}
-    return TemporalRateProfile(granularity, rates, default_rate=1.0)
+    return TemporalRateProfile(granularity, rates)
 
 
 def _corrected_volumes(groups: np.ndarray, ts: np.ndarray, profile: TemporalRateProfile) -> np.ndarray:
-    """Sum of 1/rate over the events of each group (the rate floored at
-    ZERO_RATE_FLOOR), added in event order."""
+    """Sum of 1/rate over the events of each group, added in event order;
+    a ValueError names the first event bucket that has no rate."""
     buckets, inverse = np.unique(bucket_of(ts, profile.granularity), return_inverse=True)
-    rates = np.array([profile.rates.get(b, profile.default_rate) for b in buckets.tolist()], float)
+    buckets = buckets.tolist()
+    lacking = next((b for b in buckets if b not in profile.rates), None)
+    if lacking is not None:
+        raise ValueError(f"no sampling rate for {profile.granularity} bucket {lacking}, which holds sample events")
+    rates = np.array([profile.rates[b] for b in buckets], float)
     # bincount adds each group's weights one by one in array order
-    return np.bincount(groups, (1.0 / np.maximum(rates, ZERO_RATE_FLOOR))[inverse],
-                       minlength=int(groups.max(initial=0)) + 1)
+    return np.bincount(groups, (1.0 / rates)[inverse], minlength=int(groups.max(initial=0)) + 1)
 
 
 def kendall_tau(rank_a: Sequence, rank_b: Sequence) -> float:
@@ -104,10 +108,9 @@ def _inversions(x: np.ndarray) -> int:
     return count
 
 
-def _rank_by(users: Sequence[int], score: Mapping[int, float]) -> dict[int, int]:
-    # descending score, ties broken by entity id ascending
-    ordered = sorted(users, key=lambda u: (-score[u], u))
-    return {u: i + 1 for i, u in enumerate(ordered)}
+def _ordered(users: Iterable[int], score: Mapping[int, float]) -> list[int]:
+    """``users`` by descending score, ties broken by entity id ascending."""
+    return sorted(users, key=lambda u: (-score[u], u))
 
 
 def top_k_rank_table(
@@ -134,18 +137,13 @@ def top_k_rank_table(
     if len(n_s) < k:
         warnings.warn(f"only {len(n_s)} users observed, shrinking top-k from {k}", stacklevel=2)
         k = len(n_s)
-    selected = sorted(n_s, key=lambda u: (-n_s[u], u))[:k]
-
-    est_vol = {u: volumes[u] for u in selected}
-    observed = _rank_by(selected, {u: n_s[u] for u in selected})
-    true = _rank_by(selected, {u: n_c.get(u, 0) for u in selected})
-    estimated = _rank_by(selected, est_vol)
-
-    rows = tuple(
-        RankRow(u, observed[u], true[u], estimated[u], n_s[u], n_c.get(u, 0), est_vol[u])
-        for u in sorted(selected, key=lambda u: observed[u])
-    )
-    by_true = sorted(selected, key=lambda u: true[u])
-    tau_obs = kendall_tau(sorted(selected, key=lambda u: observed[u]), by_true)
-    tau_est = kendall_tau(sorted(selected, key=lambda u: estimated[u]), by_true)
-    return RankReport(rows, tau_obs, tau_est)
+    # each order of the selection gives one rank column: the selection is
+    # already in observed order
+    selected = _ordered(n_s, n_s)[:k]
+    by_true = _ordered(selected, {u: n_c.get(u, 0) for u in selected})
+    by_estimate = _ordered(selected, volumes)
+    true = {u: i for i, u in enumerate(by_true, 1)}
+    estimated = {u: i for i, u in enumerate(by_estimate, 1)}
+    rows = tuple(RankRow(u, i, true[u], estimated[u], n_s[u], n_c.get(u, 0), volumes[u])
+                 for i, u in enumerate(selected, 1))
+    return RankReport(rows, kendall_tau(selected, by_true), kendall_tau(by_estimate, by_true))

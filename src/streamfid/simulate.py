@@ -22,10 +22,12 @@ from .model import _TYPE_CODE, Event, RateLimitMessage, StreamBundle, bounds_of,
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
-# a generated stream peaks near 300 bytes of memory per event, and a
-# population near 24 bytes per member: a run at all ceilings fits in 2 GB
+# a generated stream peaks near 300 bytes of memory per event, a
+# population near 24 bytes per member, and the root arrivals near 35 bytes
+# per simulated second: a run at all ceilings fits in 2 GB
 EVENT_CEILING = 4_000_000
 POPULATION_CEILING = 10_000_000
+DURATION_CEILING = 31 * 86_400
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,8 @@ class GeneratorConfig:
         if not self.expected_event_count() <= EVENT_CEILING:
             raise ValueError(f"duration and base_rate give {self.expected_event_count():.3g} expected events, "
                              f"over the ceiling of {EVENT_CEILING}")
+        if not self.duration_s <= DURATION_CEILING:
+            raise ValueError(f"duration must be at most {DURATION_CEILING} seconds (31 days), not {self.duration_s:g}")
 
     def mean_cascade_size(self) -> float:
         """Expected retweets per spawned cascade (bounded power-law)."""

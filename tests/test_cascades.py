@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from streamfid.cascades import ccdf_tables, compare_cascades, inter_arrival_distribution, reconstruct_cascades
+from streamfid.cascades import ccdf, ccdf_tables, compare_cascades, inter_arrival_distribution, reconstruct_cascades
 from streamfid.simulate import bernoulli_sample
 
 from conftest import ev
@@ -144,15 +144,17 @@ class TestInterArrival:
             dist = inter_arrival_distribution([make_cascade(gaps_s=())])
         assert dist.median_s is None
 
-    def test_root_gap_excludable(self):
-        c = make_cascade(root_ts=0, gaps_s=(5, 7))
-        dist = inter_arrival_distribution([c], include_root=False)
-        assert dist.deltas_s.tolist() == [7.0]
+    def test_root_gap_pooled(self):
+        c = make_cascade(root_ts=0, gaps_s=(7, 5))
+        dist = inter_arrival_distribution([c])
+        assert dist.deltas_s.tolist() == [5.0, 7.0]
 
     def test_ccdf_on_explicit_grid(self):
         c = make_cascade(root_ts=0, gaps_s=(10, 20, 30))
-        dist = inter_arrival_distribution([c], grid_s=[5, 15, 25, 35])
-        assert dist.ccdf.tolist() == pytest.approx([1.0, 2 / 3, 1 / 3, 0.0])
+        dist = inter_arrival_distribution([c])
+        assert dist.grid_s.tolist() == pytest.approx(np.geomspace(10.0, 30.1, 200).tolist())
+        assert dist.ccdf[0] == pytest.approx(2 / 3) and dist.ccdf[-1] == 0.0
+        assert ccdf(dist.deltas_s, [5, 15, 25, 35]).tolist() == pytest.approx([1.0, 2 / 3, 1 / 3, 0.0])
 
     def test_cascade_report_pools_rooted_cascades_on_both_sides(self):
         # cascade 0 is rooted, with gaps of 10 s and 20 s; the retweets of

@@ -116,7 +116,7 @@ def held(streams):
         return read_bundle(streams / "complete.jsonl"), read_bundle(streams / "sample.jsonl")
 
 
-PROFILE = sf.TemporalRateProfile("minute", {m: 0.1 + m / 100 for m in range(0, 60, 2)}, default_rate=0.9)
+PROFILE = sf.TemporalRateProfile("minute", {m: 0.1 + m / 100 if m % 2 == 0 else 0.9 for m in range(60)})
 
 # layers that take a bundle or its events view
 EVENT_LAYERS = {
@@ -137,8 +137,6 @@ EVENT_LAYERS = {
     "compare-cascades-quotes-windows": lambda c, s: sf.compare_cascades(
         sf.reconstruct_cascades(c, True), sf.reconstruct_cascades(s, True), 5, (60.0, 1e9, float("inf"))),
     "inter-arrival": lambda c, s: distribution(sf.inter_arrival_distribution(sf.reconstruct_cascades(c))),
-    "inter-arrival-no-root": lambda c, s: distribution(
-        sf.inter_arrival_distribution(sf.reconstruct_cascades(s), include_root=False)),
     "ccdf-tables": lambda c, s: ccdf_tables(sf.reconstruct_cascades(c), sf.reconstruct_cascades(s)),
     "cascade-items": lambda c, s: [(x.root_id, x.is_rootless, x.size) for x in sf.reconstruct_cascades(s, True)],
     "inter-arrival-of-items": lambda c, s: distribution(sf.inter_arrival_distribution(
@@ -231,7 +229,7 @@ def retweets_by_loop(events, include_quotes):
 def volume_by_loop(events, profile):
     total = 0.0
     for e in events:
-        total += 1.0 / max(profile.rate_at(e.timestamp_ms), sf.ranking.ZERO_RATE_FLOOR)
+        total += 1.0 / profile.rates[sf.model.bucket_of(e.timestamp_ms, profile.granularity)]
     return total
 
 
@@ -325,9 +323,10 @@ def test_bundle_equality_on_columns_agrees_with_the_rows(events, counters, data)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(streams_of_rows(), st.sampled_from(sf.model.GRANULARITIES), st.floats(0, 1), st.booleans())
+@given(streams_of_rows(), st.sampled_from(sf.model.GRANULARITIES), st.floats(1e-300, 1), st.booleans())
 def test_column_layers_equal_the_row_loops(events, granularity, rate, include_quotes):
-    profile = sf.TemporalRateProfile(granularity, {0: rate, 1: rate / 3, 7: 0.0}, default_rate=0.8)
+    # a rate for each of the up to 60 buckets of a cycle
+    profile = sf.TemporalRateProfile(granularity, {b: (rate, rate / 3, 0.8)[b % 3] for b in range(60)})
     for source in (sf.StreamBundle(events), as_columns(events)):
         for key in ("user", "hashtag", "url"):
             assert sf.entity.entity_occurrences(source, key) == occurrences_by_loop(events, key)
@@ -388,9 +387,7 @@ def reach_by_loop(cascade, horizon_ms):
 
 def as_columns(events, messages=()):
     """The bundle of sorted ``events`` and ``messages`` built from int64 columns."""
-    return sf.StreamBundle.from_columns({**{name: model._row_column(events, name) for name in model.EventTable._fields},
-                                         "msg_ts": np.array([m[0] for m in messages], np.int64),
-                                         "msg_missed": np.array([m[1] for m in messages], np.int64)})
+    return sf.StreamBundle.from_columns(model.columns_of_rows(events, messages))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfid import model
-from streamfid.model import StreamBundle, _row_column, columns_of_rows
+from streamfid.model import StreamBundle, columns_of_rows
 from streamfid.simulate import GeneratorConfig, InterArrivalModel, ZipfPopulation, _diurnal_factor, generate_stream
 
 
@@ -106,10 +106,11 @@ def generate_by_loop(config):
             seq += 1
 
     drafts.sort(key=itemgetter(1, 0))
-    seqs, root_seqs = _row_column(drafts, "id"), _row_column(drafts, "root")
+    cols = columns_of_rows(drafts)
+    seqs, root_seqs = cols["id"], cols["root"]
     id_of_seq = np.argsort(seqs)
     followers = np.fromiter(map(users.followers, map(itemgetter(2), drafts)), np.int64, len(drafts))
-    return StreamBundle.from_columns({**columns_of_rows(drafts), "id": np.arange(len(drafts)), "followers": followers,
+    return StreamBundle.from_columns({**cols, "id": np.arange(len(drafts)), "followers": followers,
                                       "root": np.where(root_seqs < 0, -1, id_of_seq[root_seqs])})
 
 

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 from contextlib import contextmanager
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfid import io as sio
-from streamfid.cli import main
+from streamfid.cli import build_parser, main
 from streamfid.io import LineFormatError, iter_records, read_bundle, write_bundle
 from streamfid.model import RateLimitMessage, StreamBundle
 
@@ -722,7 +724,37 @@ FLAG_ERRORS = [
                  id="users-ceiling"),
     pytest.param((*SIMULATE, "--hashtags", "10000001"), None, "--hashtags must be in [1, 10000000]",
                  id="hashtags-ceiling"),
+    # a 10-event run whose per-second arrays peaked at 351.7 MiB
+    pytest.param(("simulate", "--duration", "10000000", "--rate", "0.000001"), None,
+                 "--duration must be at most 2678400", id="duration-ceiling"),
+    # the edges of every other numeric flag's range
+    pytest.param((*SIMULATE, "--rate", "0"), None, "--rate", id="rate-0"),
+    pytest.param((*SIMULATE, "--amplitude", "1"), None, "--amplitude", id="amplitude-1"),
+    pytest.param((*SIMULATE, "--amplitude", "-0.1"), None, "--amplitude", id="amplitude-negative"),
+    pytest.param((*SIMULATE, "--cascade-fraction", "-0.1"), None, "--cascade-fraction",
+                 id="cascade-fraction-negative"),
+    pytest.param((*SIMULATE, "--hashtag-zipf", "0"), None, "--hashtag-zipf", id="hashtag-zipf-0"),
+    pytest.param(("sample", "--mode", "ratelimit", "-i", "IN", "--threshold", "0"), None, "--threshold",
+                 id="threshold-0"),
+    *(pytest.param(("sample", "--mode", "ratelimit", "-i", "IN", "--anchor-ms", ms), None, "--anchor-ms",
+                   id=f"anchor-ms-{ms}") for ms in ("1000", "-1")),
+    *(pytest.param(("sample", "--mode", "bernoulli", "-i", "IN", "--rate", rate), None, "--rate",
+                   id=f"sample-rate-{rate}") for rate in ("1.5", "-0.1", "nan")),
+    *(pytest.param(("estimate-missing", "--key", "user", "-i", "IN", "--k-max", k), None, "--k-max",
+                   id=f"k-max-{k}") for k in ("0", "1001")),
+    pytest.param(("rank", "-i", "IN", "-i", "IN", "--k", "1"), None, "--k", id="rank-k-1"),
+    pytest.param(("cascade", "-i", "IN", "-i", "IN", "--window-s", "0"), None, "--window-s", id="cascade-window-0"),
+    pytest.param(("cascade", "-i", "IN", "-i", "IN", "--retweet-threshold", "-1"), None, "--retweet-threshold",
+                 id="retweet-threshold-negative"),
 ]
+
+# the numeric flags that refuse no value, and those whose range is open at
+# the top, each with its reason
+UNREFUSED = {("breakdown", "--tz-offset"): "any integer: only the hours modulo 24 count"}
+OPEN_TOPS = {
+    ("rank", "--k"): "a k above the users observed shrinks to their number, with a warning",
+    ("cascade", "--retweet-threshold"): "a threshold above every cascade counts none",
+}
 
 
 def exits_two_naming_the_flag(src, out, capsys, monkeypatch, argv, env_seed, named):
@@ -750,3 +782,30 @@ def test_flag_error_comes_before_reading_inputs(tmp_path, capsys, monkeypatch, a
     # a bad flag is named even when no input could be read
     exits_two_naming_the_flag(tmp_path / "missing.jsonl", tmp_path / "out", capsys, monkeypatch, argv, env_seed,
                               named)
+
+
+def numeric_flags() -> set:
+    """(command, flag) of every int or float flag that ``build_parser``
+    defines, and cascade's --window-s, which is parsed as a number later."""
+    found = {("cascade", "--window-s")}
+    stack = [("", build_parser())]
+    while stack:
+        prefix, parser = stack.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                stack += [(f"{prefix} {name}".strip(), sub) for name, sub in action.choices.items()]
+            elif action.type in (int, float):
+                found.add((prefix, max(action.option_strings, key=len)))
+    return found
+
+
+def test_every_numeric_flag_has_a_refused_case():
+    flags = numeric_flags()
+    assert {("simulate", "--duration"), ("graph cocluster", "--k"), ("breakdown", "--tz-offset")} <= flags
+    covered = set()
+    for param in FLAG_ERRORS:
+        argv, _, named = param.values
+        command = " ".join(argv[:2]) if argv[0] == "graph" else argv[0]
+        covered |= {(command, flag) for flag in argv if re.search(re.escape(flag) + r"(?![\w-])", named)}
+    assert sorted(flags - covered) == sorted(UNREFUSED)
+    assert set(OPEN_TOPS) <= covered

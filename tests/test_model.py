@@ -242,14 +242,10 @@ class TestTemporalRateProfile:
         assert bucket_of(ts, "second") == 7
         assert bucket_of(ts, "millisecond") == 342 // 50
 
-    def test_rate_lookup_with_default(self):
-        p = TemporalRateProfile("hour", {3: 0.5}, default_rate=1.0)
-        assert p.rate_at(3 * 3_600_000) == 0.5
-        assert p.rate_at(0) == 1.0
-
     def test_rejects_out_of_range_rates(self):
-        with pytest.raises(ValueError):
-            TemporalRateProfile("hour", {0: 1.5})
+        for rate in (1.5, 0.0):
+            with pytest.raises(ValueError, match=r"outside \(0,1\]"):
+                TemporalRateProfile("hour", {0: rate})
 
 
 def row_views():

@@ -30,12 +30,10 @@ class TestTemporalRates:
         sample = StreamBundle.build(events, [RateLimitMessage(3_600_656, 4)])
         profile = temporal_rates_from_messages(sample, "hour")
         assert profile.rates == {0: 1.0}
-        assert profile.rate_at(3_600_656) == 1.0
 
     def test_no_messages_all_ones(self, simple_bundle):
         profile = temporal_rates_from_messages(simple_bundle, "hour")
         assert all(r == 1.0 for r in profile.rates.values())
-        assert profile.default_rate == 1.0
 
     def test_non_monotone_counter_rejected(self):
         msgs = [RateLimitMessage(10, 5), RateLimitMessage(20, 3)]
@@ -52,6 +50,11 @@ class TestTemporalRates:
             assert profile.rates[hour] == pytest.approx(rate, abs=0.02)
 
 
+def constant(rate):
+    """A profile of one rate in every hour of the day."""
+    return TemporalRateProfile("hour", dict.fromkeys(range(24), rate))
+
+
 def corrected_volume(stamps, profile, groups=None):
     """``_corrected_volumes`` of events at ``stamps``, all in group 0 by default."""
     groups = np.zeros(len(stamps), np.intp) if groups is None else np.array(groups)
@@ -60,11 +63,11 @@ def corrected_volume(stamps, profile, groups=None):
 
 class TestCorrectedVolume:
     def test_single_event_half_rate(self):
-        profile = TemporalRateProfile.constant(0.5)
+        profile = constant(0.5)
         assert corrected_volume([0], profile) == pytest.approx([2.0])
 
     def test_all_ones_counts_events(self):
-        profile = TemporalRateProfile.constant(1.0)
+        profile = constant(1.0)
         assert corrected_volume(range(9), profile) == pytest.approx([9.0])
         assert corrected_volume(range(9), profile, [2, 0, 2] * 3) == pytest.approx([3.0, 0.0, 6.0])
 
@@ -73,9 +76,20 @@ class TestCorrectedVolume:
         assert corrected_volume([0, 3_600_000], profile) == pytest.approx([6.0])
         assert corrected_volume([0, 3_600_000], profile, [1, 0]) == pytest.approx([4.0, 2.0])
 
-    def test_zero_rate_floored(self):
-        profile = TemporalRateProfile("hour", {0: 0.0})
-        assert corrected_volume([0], profile) == pytest.approx([1000.0])
+    def test_bucket_without_a_rate_is_named(self):
+        # events in hours 0 and 5; the profile has hours 0 and 1 only
+        profile = TemporalRateProfile("hour", {0: 0.5, 1: 0.25})
+        with pytest.raises(ValueError, match="no sampling rate for hour bucket 5, which holds sample events"):
+            corrected_volume([0, 5 * 3_600_000 + 7, 6 * 3_600_000], profile)
+
+    def test_rate_below_the_old_floor_is_used(self):
+        profile = TemporalRateProfile("hour", {0: 1e-4})
+        assert corrected_volume([0], profile) == pytest.approx([10_000.0])
+
+    @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5, float("nan")])
+    def test_rate_outside_zero_one_refused(self, rate):
+        with pytest.raises(ValueError, match=r"for bucket 3 outside \(0,1\]"):
+            TemporalRateProfile("hour", {0: 0.5, 3: rate})
 
 
 class TestKendallTau:
@@ -129,7 +143,7 @@ class TestTopKRankTable:
 
     def test_uniform_rate_preserves_ranks(self):
         complete, sample = self._uniform_pair()
-        profile = TemporalRateProfile.constant(0.5)
+        profile = constant(0.5)
         report = top_k_rank_table(complete, sample, profile, k=10)
         assert report.kendall_observed == pytest.approx(1.0)
         assert report.kendall_estimated == pytest.approx(1.0)
@@ -139,7 +153,7 @@ class TestTopKRankTable:
     def test_single_bucket_profile_estimated_equals_observed(self):
         complete = hour_biased_workload(seed=3, n_users=60, secs_per_hour=120)
         sample = rate_limited_bundle(complete, threshold=2)
-        report = top_k_rank_table(complete, sample, TemporalRateProfile.constant(0.7), k=40)
+        report = top_k_rank_table(complete, sample, constant(0.7), k=40)
         for row in report.rows:
             assert row.estimated_rank == row.observed_rank
 
@@ -161,21 +175,21 @@ class TestTopKRankTable:
 
     def test_k_below_two_rejected(self, simple_bundle):
         with pytest.raises(ValueError, match="k must be >= 2"):
-            top_k_rank_table(simple_bundle, simple_bundle, TemporalRateProfile.constant(1.0), k=1)
+            top_k_rank_table(simple_bundle, simple_bundle, constant(1.0), k=1)
 
     def test_shrinks_below_k_with_warning(self):
         events = [ev(i, i, user=i % 3) for i in range(9)]
         bundle = StreamBundle.build(events)
         with pytest.warns(UserWarning, match="shrinking"):
-            report = top_k_rank_table(bundle, bundle, TemporalRateProfile.constant(1.0), k=10)
+            report = top_k_rank_table(bundle, bundle, constant(1.0), k=10)
         assert len(report.rows) == 3
 
     def test_argmax_invariance_under_scaling(self):
         # scaling every corrected volume by a positive constant cannot
         # change the estimated ranking
-        from streamfid.ranking import _rank_by
+        from streamfid.ranking import _ordered
 
         score = {1: 10.0, 2: 3.5, 3: 3.5, 4: 0.2}
-        base = _rank_by(list(score), score)
-        scaled = _rank_by(list(score), {u: 37.1 * v for u, v in score.items()})
+        base = _ordered(score, score)
+        scaled = _ordered(score, {u: 37.1 * v for u, v in score.items()})
         assert base == scaled

@@ -16,7 +16,6 @@ ROW_INPUTS = {
     "streamfid.model.StreamBundle.__init__",
     "streamfid.model.StreamBundle.build",
     "streamfid.model.columns_of_rows",
-    "streamfid.model._row_column",
     # the acceptance suite's list-in wrappers
     "streamfid.simulate.bernoulli_sample",
     "streamfid.simulate.rate_limited_sample",

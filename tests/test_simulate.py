@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from streamfid.simulate import (
+    DURATION_CEILING,
     EVENT_CEILING,
     POPULATION_CEILING,
     GeneratorConfig,
@@ -49,6 +50,10 @@ class TestGeneratorConfig:
         assert GeneratorConfig(duration_s=EVENT_CEILING / 50, **roots_only).expected_event_count() == EVENT_CEILING
         with pytest.raises(ValueError, match="expected events, over the ceiling"):
             GeneratorConfig(duration_s=EVENT_CEILING / 50 + 1, **roots_only)
+        # the per-second arrays: 10 expected events over the duration ceiling
+        GeneratorConfig(duration_s=DURATION_CEILING, base_rate=1e-6)
+        with pytest.raises(ValueError, match="duration must be at most 2678400 seconds"):
+            GeneratorConfig(duration_s=DURATION_CEILING + 1, base_rate=1e-6)
 
 
     @pytest.mark.parametrize("build", [
