@@ -45,16 +45,17 @@ def sampling_rate_breakdown(
     """Per-bucket (complete count, sample count, rate) table.
 
     Either side is a bundle or its ``events``, counted over the bundle's
-    columns.  Buckets with zero complete count are omitted; the
-    complete-count weighted mean of the rates equals the stream-wide mean
-    rate exactly.
+    columns.  Only buckets with events appear; the complete-count weighted
+    mean of the rates equals the stream-wide mean rate exactly.  A bucket
+    with more sample than complete events (a swapped pair) raises.
     """
     if key not in BREAKDOWN_KEYS:
         raise ValueError(f"key must be one of {BREAKDOWN_KEYS}")
     c_counts, s_counts = (_bucket_counts(side.table, key, tz_offset_hours) for side in (complete, sample))
     rows = []
-    for bucket in sorted(c_counts, key=lambda b: (str(type(b)), b)):
-        c = c_counts[bucket]
-        s = s_counts.get(bucket, 0)
+    for bucket in sorted(c_counts.keys() | s_counts.keys()):
+        c, s = c_counts.get(bucket, 0), s_counts.get(bucket, 0)
+        if s > c:
+            raise ValueError(f"{key} bucket {bucket!r} holds {s} sample events but {c} complete ones")
         rows.append(BreakdownRow(bucket, c, s, s / c))
     return rows

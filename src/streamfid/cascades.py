@@ -14,7 +14,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class Cascade:
 
     def __eq__(self, other):
         return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 class CascadeSet(RowView):
@@ -242,9 +239,10 @@ def _median_gap_s(gaps_ms: np.ndarray) -> Optional[float]:
 
 @dataclass(frozen=True)
 class InterArrivalDistribution:
-    deltas_s: np.ndarray          # pooled gaps, sorted ascending
-    grid_s: np.ndarray
-    ccdf: np.ndarray              # P(gap > x) on the grid
+    """Pooled gaps in seconds, sorted ascending, and their median to one
+    decimal (None for no gap); ``ccdf(deltas_s, grid)`` gives their CCDF."""
+
+    deltas_s: np.ndarray
     median_s: Optional[float]
 
     def quantile(self, q: float) -> float:
@@ -252,18 +250,12 @@ class InterArrivalDistribution:
 
 
 def inter_arrival_distribution(cascades: Sequence[Cascade]) -> InterArrivalDistribution:
-    """Pooled CCDF of gaps between consecutive events within each cascade,
-    the root -> first-retweet gap included, on a 200-point geometric grid;
-    ``ccdf(dist.deltas_s, grid)`` evaluates it on any other grid.
-    """
+    """Pooled gaps between consecutive events within each cascade, the
+    root -> first-retweet gap included."""
     gaps_ms = np.sort(_gaps(_columns(cascades)))
     if not len(gaps_ms):
         warnings.warn("no inter-arrival gaps: all cascades have size <= 1", stacklevel=2)
-        empty = np.array([])
-        return InterArrivalDistribution(empty, empty, empty, None)
-    deltas = gaps_ms / MS_PER_S
-    grid = np.geomspace(max(deltas.min(), 0.1), deltas.max() + 0.1, 200)
-    return InterArrivalDistribution(deltas, grid, ccdf(deltas, grid), _median_gap_s(gaps_ms))
+    return InterArrivalDistribution(gaps_ms / MS_PER_S, _median_gap_s(gaps_ms))
 
 
 def ccdf(sorted_values: np.ndarray, grid) -> np.ndarray:
@@ -272,23 +264,23 @@ def ccdf(sorted_values: np.ndarray, grid) -> np.ndarray:
     return (n - np.searchsorted(sorted_values, grid, side="right")) / n
 
 
-def ccdf_tables(complete: Sequence[Cascade], sample: Sequence[Cascade], rows: CascadeRows,
+def ccdf_tables(interarrival: Mapping[str, InterArrivalDistribution], rows: CascadeRows,
                 reach_windows_s: Sequence[float]) -> dict:
     """The cascade report's CCDF tables, name -> (header, rows of text).
 
-    ``interarrival_complete`` and ``interarrival_sample`` hold the gaps of
-    the rooted complete and sample cascades, whose medians
-    ``compare_cascades`` reports, and ``reach_<window>`` the defined reach
-    ratios of ``rows`` (from ``compare_cascades``) in each window; a table
-    with no values is left out.
+    ``interarrival_<name>`` holds the gaps of each distribution of
+    ``interarrival`` on a 200-point geometric grid, from the shortest gap
+    (0.1 s at least) to 0.1 s past the longest, and ``reach_<window>`` the
+    defined reach ratios of ``rows`` (from ``compare_cascades``) in each
+    window; a table with no values is left out.
     """
     tables = {}
-    for name, cascades in (("complete", complete), ("sample", sample)):
-        cascades = _columns(cascades).rooted()
-        dist = inter_arrival_distribution(cascades) if len(cascades) else None
-        if dist is not None and dist.median_s is not None:
+    for name, dist in interarrival.items():
+        deltas = dist.deltas_s
+        if len(deltas):
+            grid = np.geomspace(max(deltas[0], 0.1), deltas[-1] + 0.1, 200)
             tables[f"interarrival_{name}"] = (("x_s", "ccdf"), [
-                (f"{x:.3f}", f"{y:.6f}") for x, y in zip(dist.grid_s, dist.ccdf)])
+                (f"{x:.3f}", f"{y:.6f}") for x, y in zip(grid, ccdf(deltas, grid))])
     grid = np.arange(101) / 100.0
     for w in reach_windows_s:
         ratios = np.sort(rows.reach[w][~np.isnan(rows.reach[w])])

@@ -23,16 +23,16 @@ from pathlib import Path
 
 from . import __version__
 from .breakdown import BREAKDOWN_KEYS, sampling_rate_breakdown
-from .cascades import (DEFAULT_REACH_WINDOWS_S, DEFAULT_RETWEET_THRESHOLD, ccdf_tables,  # noqa: F401
-                       compare_cascades, inter_arrival_distribution, reach_table_name, reconstruct_cascades)
+from .cascades import (DEFAULT_REACH_WINDOWS_S, DEFAULT_RETWEET_THRESHOLD, ccdf_tables, compare_cascades,
+                       inter_arrival_distribution, reach_table_name, reconstruct_cascades)
 from .entity import (DEFAULT_K_MAX, ENTITY_KEYS, K_MAX_CEILING, estimate_complete_frequency_vector,
                      estimate_missing_entities, frequency_vector_of)
 from .graphs import (BipartiteGraph, Digraph, bowtie_component, bowtie_decompose, bowtie_flow, build_bipartite,
                      build_retweet_network, cluster_flow, spectral_cocluster)
 # bench/cli_trace.py swaps each library name it times here for a wrapper,
-# inter_arrival_distribution and iter_records too, though no command calls
-# them: a name that is not bound fails every traced command, and a call
-# made from inside the library instead of a command body is never timed
+# iter_records too, though no command calls it: a name that is not bound
+# fails every traced command, and a call made from inside the library
+# instead of a command body is never timed
 from .io import iter_records, read_assignment, read_bundle, read_edge_csv, write_bundle  # noqa: F401
 from .model import GRANULARITIES, empirical_mean_rate, mean_rate_from_messages, merge_streams
 from .ranking import temporal_rates_from_messages, top_k_rank_table
@@ -335,7 +335,10 @@ def cmd_cascade(args, parser):
     }, manifest)
     if args.output:
         stem = Path(args.output).with_suffix("")
-        for name, (header, table) in ccdf_tables(complete, sample, rows, windows).items():
+        # the gaps of the rooted cascades, whose medians the summary reports
+        rooted = {"complete": complete.rooted(), "sample": sample.rooted()}
+        interarrival = {name: inter_arrival_distribution(c) for name, c in rooted.items() if len(c)}
+        for name, (header, table) in ccdf_tables(interarrival, rows, windows).items():
             _write_table(f"{stem}_{name}.csv", header, table, manifest)
     return 0
 

@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from sys import intern
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -186,11 +186,6 @@ class StreamBundle:
         n = len(self)
         return not np.any(_differs(EventTable(**stacked([self.table, other.table])), np.arange(n), np.arange(n, 2 * n)))
 
-    def __hash__(self) -> int:
-        # values that equality compares, in one width
-        return hash((self.msg_ts.tobytes(), self.msg_missed.tobytes(),
-                     *(getattr(self.table, name).astype(np.int64).tobytes() for name in ("id", "ts"))))
-
     def __repr__(self) -> str:
         return f"StreamBundle(events={tuple(self.events)!r}, messages={self.messages!r})"
 
@@ -264,8 +259,8 @@ class StreamBundle:
 class RowView(Sequence):
     """A read-only sequence whose rows are built only when read:
     ``_rows(positions)`` builds the rows at an array of positions.  A slice
-    is a tuple.  A view equals any view, tuple or list of equal rows, and
-    hashes as the tuple of its rows.
+    is a tuple.  A view equals any view, tuple or list of equal rows; like
+    a list, it has no hash.
     """
 
     __slots__ = ()
@@ -282,9 +277,6 @@ class RowView(Sequence):
         if not isinstance(other, (RowView, tuple, list)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 class EventView(RowView):
@@ -429,7 +421,7 @@ def columns_of_rows(rows: Sequence[tuple], messages: Sequence[tuple] = ()) -> di
     cols["lang"], cols["lang_table"] = _coded(field_of["lang"])
     for base in ("hashtag", "url"):
         lists = tuple(field_of[base])
-        cols[f"{base}_bounds"] = np.fromiter(accumulate(map(len, lists), initial=0), np.int64, n + 1)
+        cols[f"{base}_bounds"] = bounds_of(np.fromiter(map(len, lists), np.int64, n))
         cols[f"{base}_codes"], cols[f"{base}_table"] = _coded(chain.from_iterable(lists))
     cols["msg_ts"], cols["msg_missed"] = np.array(messages, np.int64).reshape(-1, 2).T.copy()
     return cols
@@ -597,13 +589,13 @@ def mean_rate_from_messages(sample: StreamBundle) -> float:
 
     delivered / (delivered + missed), where the missed volume is the final
     cumulative counter of the sample's rate limit messages.  This is the
-    estimate available when no complete stream was collected.
+    estimate available when no complete stream was collected.  A sample
+    that neither delivered nor missed an event has no rate: ValueError.
     """
-    if not len(sample) and not len(sample.msg_ts):
+    delivered, missed = len(sample), int(missed_increments(sample.msg_missed).sum())
+    if not delivered + missed:
         raise ValueError("empty sample stream")
-    missed = int(missed_increments(sample.msg_missed).sum())
-    delivered = len(sample)
-    return delivered / (delivered + missed) if delivered + missed else 1.0
+    return delivered / (delivered + missed)
 
 
 def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
@@ -622,7 +614,7 @@ def merge_streams(bundles: list[StreamBundle]) -> StreamBundle:
     order = np.argsort(t.id, kind="stable")
     first = np.diff(t.id[order], prepend=-1) != 0
     # each repeat (b) of an id, and the first event (a) of that id
-    a, b = order[np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))][~first], order[~first]
+    a, b = np.repeat(order[first], np.diff(np.flatnonzero(first), append=len(order)))[~first], order[~first]
     differs = _differs(t, a, b)
     conflict = np.any(differs, axis=0)
     if conflict.any():

@@ -123,7 +123,8 @@ def top_k_rank_table(
 
     Users are selected by sample count; all three rank columns are
     permutations of 1..k over that selection.  Both Kendall tau values are
-    measured against the true (complete-count) ranks.
+    measured against the true (complete-count) ranks.  A user with more
+    sample than complete events (a swapped pair) raises.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -132,6 +133,9 @@ def top_k_rank_table(
     n_s = dict(zip(users, counts.tolist()))
     c_users, c_counts = np.unique(complete.table.user, return_counts=True)
     n_c = dict(zip(c_users.tolist(), c_counts.tolist()))
+    over = next((u for u in users if n_s[u] > n_c.get(u, 0)), None)
+    if over is not None:
+        raise ValueError(f"user {over} has {n_s[over]} sample events but {n_c.get(over, 0)} complete ones")
     volumes = dict(zip(users, _corrected_volumes(groups, sample.table.ts, profile).tolist()))
 
     if len(n_s) < k:
@@ -140,10 +144,10 @@ def top_k_rank_table(
     # each order of the selection gives one rank column: the selection is
     # already in observed order
     selected = _ordered(n_s, n_s)[:k]
-    by_true = _ordered(selected, {u: n_c.get(u, 0) for u in selected})
+    by_true = _ordered(selected, n_c)
     by_estimate = _ordered(selected, volumes)
     true = {u: i for i, u in enumerate(by_true, 1)}
     estimated = {u: i for i, u in enumerate(by_estimate, 1)}
-    rows = tuple(RankRow(u, i, true[u], estimated[u], n_s[u], n_c.get(u, 0), volumes[u])
+    rows = tuple(RankRow(u, i, true[u], estimated[u], n_s[u], n_c[u], volumes[u])
                  for i, u in enumerate(selected, 1))
     return RankReport(rows, kendall_tau(selected, by_true), kendall_tau(by_estimate, by_true))

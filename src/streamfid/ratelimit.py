@@ -66,8 +66,11 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
     known to be intact there.  Returns an empty list when the sample carries
     fewer than two messages.  A span reports the increase of the sample's
     missed counter, so counters of several sampler threads raise the
-    ``missed_increments`` error, even where no span is kept.
+    ``missed_increments`` error, even where no span is kept.  A sample with
+    more events than the complete stream (a swapped pair) raises.
     """
+    if len(sample) > len(complete):
+        raise ValueError(f"the sample holds {len(sample)} events but the complete stream {len(complete)}")
     lo, hi = sample.msg_ts[:-1], sample.msg_ts[1:]
 
     def count_in(timestamps: np.ndarray) -> np.ndarray:

@@ -48,6 +48,23 @@ class TestSamplingRateBreakdown:
         rows = sampling_rate_breakdown(complete, sample, "lang")
         assert {r.bucket for r in rows} == {"en", "ja"}
 
+    @pytest.mark.parametrize("key, named", [("hour", "hour bucket 0 holds 100 sample events but 50 complete"),
+                                            ("lang", "lang bucket 'en' holds 100 sample events but 50 complete")],
+                             ids=["hour", "lang"])
+    def test_swapped_pair_names_the_first_bucket_over(self, key, named):
+        complete, sample = split_bundle([ev(i, i) for i in range(100)])
+        with pytest.raises(ValueError, match=named):
+            sampling_rate_breakdown(sample, complete, key)
+
+    def test_bucket_only_the_sample_holds_is_refused(self):
+        # hour 1 and lang ja hold no complete event; they were dropped silently
+        complete = StreamBundle.build([ev(i, i) for i in range(10)])
+        sample = StreamBundle.build([ev(0, 0), ev(99, 3_600_000, lang="ja")])
+        for key, named in (("hour", "hour bucket 1 holds 1 sample events but 0 complete"),
+                           ("lang", "lang bucket 'ja' holds 1 sample events but 0 complete")):
+            with pytest.raises(ValueError, match=named):
+                sampling_rate_breakdown(complete, sample, key)
+
     def test_tz_offset_shifts_hours(self):
         events = [ev(i, i) for i in range(10)]
         complete, sample = split_bundle(events)

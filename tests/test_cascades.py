@@ -152,8 +152,10 @@ class TestInterArrival:
     def test_ccdf_on_explicit_grid(self):
         c = make_cascade(root_ts=0, gaps_s=(10, 20, 30))
         dist = inter_arrival_distribution([c])
-        assert dist.grid_s.tolist() == pytest.approx(np.geomspace(10.0, 30.1, 200).tolist())
-        assert dist.ccdf[0] == pytest.approx(2 / 3) and dist.ccdf[-1] == 0.0
+        header, table = ccdf_tables({"one": dist}, compare_cascades([c], [c])[0], ())["interarrival_one"]
+        assert header == ("x_s", "ccdf") and len(table) == 200
+        assert [float(x) for x, _ in table] == pytest.approx(np.geomspace(10.0, 30.1, 200).tolist(), abs=5e-4)
+        assert table[0][1] == "0.666667" and table[-1][1] == "0.000000"
         assert ccdf(dist.deltas_s, [5, 15, 25, 35]).tolist() == pytest.approx([1.0, 2 / 3, 1 / 3, 0.0])
 
     def test_cascade_report_pools_rooted_cascades_on_both_sides(self):
@@ -163,11 +165,18 @@ class TestInterArrival:
                                         + cascade_events(root_ts=500, gaps_s=(0, 100), root_id=1, with_root=False))
         assert [c.is_rootless for c in complete] == [False, True]
         rows, summary = compare_cascades(complete, complete)
-        tables = ccdf_tables(complete, complete, rows, ())
         rooted = inter_arrival_distribution(complete.rooted())
+        tables = ccdf_tables({"complete": rooted, "sample": rooted}, rows, ())
         assert tables["interarrival_complete"] == tables["interarrival_sample"]
-        assert tables["interarrival_complete"][1][-1] == (f"{rooted.grid_s[-1]:.3f}", "0.000000")
+        assert rooted.deltas_s.tolist() == [10.0, 20.0]
+        assert tables["interarrival_complete"][1][-1] == ("20.100", "0.000000")
         assert summary.median_interarrival_complete_s == rooted.median_s == 15.0
+
+    def test_distribution_without_gaps_gets_no_table(self):
+        c = make_cascade(gaps_s=())
+        with pytest.warns(UserWarning, match="no inter-arrival"):
+            dist = inter_arrival_distribution([c])
+        assert dist.deltas_s.tolist() == [] and ccdf_tables({"one": dist}, compare_cascades([c], [c])[0], ()) == {}
 
     def test_sample_dominates_complete(self):
         events = cascade_corpus(11, n_cascades=300)

@@ -71,7 +71,8 @@ TRACED = {
     ("estimate-missing", "-i", "sample.jsonl", "--key", "user"):
         {"io.read_bundle", "entity.estimate_complete_frequency_vector", "entity.estimate_missing_entities"},
     ("cascade", "-i", "complete.jsonl", "-i", "sample.jsonl"):
-        {"io.read_bundle", "cascades.reconstruct_cascades", "cascades.compare_cascades"},
+        {"io.read_bundle", "cascades.reconstruct_cascades", "cascades.compare_cascades",
+         "cascades.inter_arrival_distribution"},
 }
 
 

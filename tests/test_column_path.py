@@ -150,12 +150,14 @@ def cascade_columns(cascades):
 
 
 def distribution(d):
-    return d.deltas_s.tolist(), d.grid_s.tolist(), d.ccdf.tolist(), d.median_s
+    return d.deltas_s.tolist(), d.median_s
 
 
 def ccdf_tables(complete, sample):
     rows, _ = sf.compare_cascades(complete, sample)
-    return sf.cascades.ccdf_tables(complete, sample, rows, sf.cascades.DEFAULT_REACH_WINDOWS_S)
+    interarrival = {"complete": sf.inter_arrival_distribution(complete.rooted()),
+                    "sample": sf.inter_arrival_distribution(sample.rooted())}
+    return sf.cascades.ccdf_tables(interarrival, rows, sf.cascades.DEFAULT_REACH_WINDOWS_S)
 
 # layers that take bundles only
 BUNDLE_LAYERS = {
@@ -276,7 +278,7 @@ def test_events_view_is_a_sequence_of_its_rows(events, block, data):
         assert view != other and view != list(rows[1:] if rows else other) and view != set(rows)
         assert view != rows + other and view != view.__class__(sf.StreamBundle(other).table)
         assert len(view) == len(rows) and tuple(view) == rows and list(iter(view)) == events
-        assert view == sf.StreamBundle(view).events and hash(view) == hash(rows)
+        assert view == sf.StreamBundle(view).events
         assert [view[i] for i in range(-len(rows), len(rows))] == [rows[i] for i in range(-len(rows), len(rows))]
         for i in (len(rows), -len(rows) - 1):
             with pytest.raises(IndexError):
@@ -319,7 +321,6 @@ def test_bundle_equality_on_columns_agrees_with_the_rows(events, counters, data)
         for x in sides[0]:
             for y in sides[1]:
                 assert (x == y) == want and (y == x) == want and x == x
-                assert not want or hash(x) == hash(y)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

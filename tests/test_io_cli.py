@@ -427,6 +427,13 @@ class TestCliEntity:
         assert run_cli("estimate-missing", "-i", s, "--key", "user") == 1
         assert capsys.readouterr().err == f"error: {s} holds rate limit messages but no event: its sampling rate is 0\n"
 
+    def test_estimate_missing_refuses_a_sample_that_neither_delivered_nor_missed(self, tmp_path, capsys):
+        # its counters stay 0 and it holds no event: no rate, where 1.0 was derived
+        s = tmp_path / "s.jsonl"
+        write_bundle(s, StreamBundle.build([], [RateLimitMessage(150, 0), RateLimitMessage(350, 0)]))
+        assert run_cli("estimate-missing", "-i", s, "--key", "user") == 1
+        assert capsys.readouterr() == ("", "error: empty sample stream\n")
+
     @pytest.mark.parametrize("k_max", [0, -3, 1001, 99999999999999])
     def test_estimate_missing_rejects_k_max_outside_its_range(self, tmp_path, capsys, k_max):
         s = tmp_path / "s.jsonl"
@@ -667,6 +674,29 @@ def test_breakdown_takes_any_tz_offset_modulo_a_day(tmp_path):
         bodies.append(out.read_text().splitlines()[1:])   # all but the manifest, which names the offset
     assert bodies[0] == bodies[1] == bodies[2]
     assert bodies[0][1].startswith("15,")
+
+
+@pytest.fixture(scope="module")
+def threshold_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pair")
+    c, s = d / "complete.jsonl", d / "sample.jsonl"
+    assert run_cli("simulate", "--duration", 60, "--rate", 60, "--seed", 2, "-o", c) == 0
+    assert run_cli("sample", "--mode", "ratelimit", "--threshold", 10, "-i", c, "-o", s) == 0
+    return c, s
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("breakdown", "--key", "second"), r"second bucket \d+ holds \d+ sample events but \d+ complete ones"),
+    (("rank", "--k", "20"), r"user \d+ has \d+ sample events but \d+ complete ones"),
+    (("validate-ratelimit",), r"the sample holds \d+ events but the complete stream \d+"),
+], ids=["breakdown", "rank", "validate-ratelimit"])
+def test_swapped_pair_exits_one_naming_what_is_over(threshold_pair, capsys, argv, named):
+    c, s = threshold_pair
+    assert run_cli(*argv, "-i", c, "-i", s) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "-i", s, "-i", c) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"error: {named}\n", err), err
 
 
 SIMULATE = ("simulate", "--duration", "5", "--rate", "10")

@@ -61,6 +61,21 @@ def corrected_volume(stamps, profile, groups=None):
     return _corrected_volumes(groups, np.array(stamps, np.int64), profile).tolist()
 
 
+class TestSwappedPair:
+    def test_user_with_more_sample_than_complete_events_is_named(self):
+        complete = StreamBundle.build([ev(i, 10 * i, user=i % 3) for i in range(30)])
+        sample = StreamBundle.build([e for e in complete.events if e.user_id or e.id % 2])
+        profile = temporal_rates_from_messages(complete, "hour")
+        with pytest.raises(ValueError, match="^user 0 has 10 sample events but 5 complete ones$"):
+            top_k_rank_table(sample, complete, profile, 2)
+
+    def test_user_only_the_sample_holds_is_named(self):
+        complete = StreamBundle.build([ev(i, i, user=1) for i in range(4)])
+        sample = StreamBundle.build([ev(0, 0, user=1), ev(9, 9, user=7)])
+        with pytest.raises(ValueError, match="^user 7 has 1 sample events but 0 complete ones$"):
+            top_k_rank_table(complete, sample, temporal_rates_from_messages(sample, "hour"), 2)
+
+
 class TestCorrectedVolume:
     def test_single_event_half_rate(self):
         profile = constant(0.5)

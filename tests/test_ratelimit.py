@@ -51,6 +51,14 @@ class TestSegmentStream:
         with pytest.raises(ValueError, match="map_threads"):
             segment_stream(complete, sample)
 
+    def test_swapped_pair_raises_naming_the_counts(self):
+        # the complete stream's messages would discard every span: 0 segments
+        events = [ev(i, 1000 + i * 500) for i in range(8)]
+        complete = StreamBundle.build(events)
+        sample = StreamBundle.build(events[:6], [RateLimitMessage(1000, 5), RateLimitMessage(5000, 9)])
+        with pytest.raises(ValueError, match="^the sample holds 8 events but the complete stream 6$"):
+            segment_stream(sample, complete)
+
     def test_fewer_than_two_messages_is_empty(self):
         events = [ev(i, i * 100) for i in range(5)]
         complete = StreamBundle.build(events)
