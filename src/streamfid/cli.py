@@ -219,6 +219,9 @@ def cmd_estimate_missing(args, parser):
     fv = frequency_vector_of(sample, args.key)
     if args.rate is None and not len(sample.msg_ts):
         parser.error("the sample has no rate limit messages to derive the rate from; pass --rate")
+    if args.rate is None and not len(sample) and not sample.msg_missed.any():
+        raise ValueError(f"{path} holds rate limit messages but no event, and their counters stay 0: "
+                         "it has no sampling rate")
     rate = mean_rate_from_messages(sample) if args.rate is None else args.rate
     if not rate:
         raise ValueError(f"{path} holds rate limit messages but no event: its sampling rate is 0")

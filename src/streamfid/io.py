@@ -5,14 +5,26 @@ One JSON object per line.  Event lines carry {"id", "ts_ms", "user",
 message lines carry {"rl_ts_ms", "missed"}.  Mixed files interleave both; a
 line is a message iff it has the key "rl_ts_ms".
 
-``read_bundle`` returns the bundle, whose events are numpy columns, and
-keeps those columns in a sidecar ``<input>.streamfid.npz`` beside the
-input, keyed by the blake2b digest of the file's bytes.  A later read of
-the same bytes loads them instead of parsing the lines again; any other
-read parses, in one binary pass that hashes each block of lines and
-decodes each line as UTF-8.  Invalid UTF-8, or a number beyond int64 or a
-negative root id, which no column holds, is a malformed line.  The JSONL
-stays the one source of truth, and a sidecar is safe to delete.
+Both directions go straight between lines and a bundle's columns, and
+neither builds a record.  ``write_bundle`` formats a block of events at a
+time: each field's column is turned into a list of strings once (types
+and langs by table lookup, the root member and the joined hashtags and
+urls only for the rows that have them), one f-string per line joins them,
+and the messages go in at their positions.  ``read_bundle`` makes one
+call into the json module's C scanner per line, checks the line by the
+rules of ``Event`` or ``RateLimitMessage`` and appends its numbers to
+int64 columns and its strings to tables in the order of first use; an
+unsorted file is sorted on columns.  ``iter_records`` parses a block of
+lines the same way and builds its records from those columns.
+
+``read_bundle`` keeps the columns in a sidecar ``<input>.streamfid.npz``
+beside the input, keyed by the blake2b digest of the file's bytes.  A
+later read of the same bytes loads them instead of parsing the lines
+again; any other read parses, in one binary pass that hashes each block
+of lines and decodes each line as UTF-8.  Invalid UTF-8, or a number
+beyond int64 or a negative root id, which no column holds, is a malformed
+line.  The JSONL stays the one source of truth, and a sidecar is safe to
+delete.
 
 The graph commands also read two CSV inputs: an edge list of
 (src, dst, weight) rows (``read_edge_csv``) and an assignment of
@@ -34,15 +46,16 @@ import tempfile
 import zipfile
 from contextlib import suppress
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from sys import intern
-from typing import BinaryIO, Iterator, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .model import EVENT_TYPES, Event, EventTable, RateLimitMessage, StreamBundle, collector_paused, field_blocks
+from .model import (_ROW_BLOCK, _TYPE_CODE, EVENT_TYPES, Event, EventTable, EventView, RateLimitMessage, StreamBundle,
+                    _coded, bounds_of, check_event, check_message, message_rows, subtable)
 
 Record = Union[Event, RateLimitMessage]
 
@@ -84,43 +97,11 @@ def _wrong_type(obj: dict):
     raise TypeError(f"lang must be a string, not {type(obj['lang']).__name__}")
 
 
-def _record_from_obj(obj: dict) -> Record:
-    # JSON integers only: int() would truncate 4.9 and read "12" or true.
-    # The checks are inline, as a call per field would slow every line.
-    if "rl_ts_ms" in obj:
-        if (ts := obj["rl_ts_ms"]).__class__ is not int or (missed := obj["missed"]).__class__ is not int:
-            _wrong_type(obj)
-        return RateLimitMessage(ts, missed)
-    if ((id_ := obj["id"]).__class__ is not int or (ts := obj["ts_ms"]).__class__ is not int
-            or (user := obj["user"]).__class__ is not int
-            or ((root_id := obj.get("root_id")) is not None and root_id.__class__ is not int)
-            or (followers := obj.get("followers", 0)).__class__ is not int
-            or (lang := obj.get("lang", "en")).__class__ is not str):
-        _wrong_type(obj)
-    # interned: a stream repeats a handful of types and languages and a
-    # skewed set of entities, which would otherwise be one string per use
-    return Event(
-        id_,
-        ts,
-        user,
-        intern(str(obj["type"])),
-        root_id,
-        (tuple(map(intern, tags)) if tags else ())
-        if (tags := obj.get("hashtags", _NO_STRINGS)).__class__ is list
-        else _not_a_list("hashtags", tags),
-        (tuple(map(intern, urls)) if urls else ())
-        if (urls := obj.get("urls", _NO_STRINGS)).__class__ is list
-        else _not_a_list("urls", urls),
-        followers,
-        intern(lang),
-    )
-
-
-def _records(fh: BinaryIO, path, update=None) -> Iterator[tuple[int, Record]]:
-    """(line number, record) of each non-blank line of a binary file, read a
-    block of whole lines at a time; each block goes to ``update`` first.
-    ``splitlines`` ends a line where text mode's universal newlines would:
-    at LF, CR or CRLF."""
+def _lines(fh: BinaryIO, path, update=None) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of a binary file,
+    read a block of whole lines at a time; each block goes to ``update``
+    first.  ``splitlines`` ends a line where text mode's universal newlines
+    would: at LF, CR or CRLF."""
     lineno = 0
     for chunk in iter(partial(fh.read, _BLOCK), b""):
         chunk += fh.readline()   # a block ends at the end of a line
@@ -129,29 +110,126 @@ def _records(fh: BinaryIO, path, update=None) -> Iterator[tuple[int, Record]]:
         for line in chunk.splitlines():
             lineno += 1
             try:
-                if not (line := line.decode("utf-8").strip()):
-                    continue
-                try:
-                    obj, end = _scan(line, 0)
-                except (StopIteration, ValueError):
-                    end = None
-                if end != len(line):
-                    # not one JSON value: json.loads raises the error it names
-                    obj = json.loads(line)
-                yield lineno, _record_from_obj(obj)
-            # RecursionError: a line nested deeper than the scanner's recursion limit
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
                 raise LineFormatError(path, lineno, str(exc)) from None
+            if line := line.strip():
+                yield lineno, line
+
+
+# the int64 record the reader appends per line: for an event, its columns
+# (type, root and lang coded as in an EventTable), its counts of hashtags
+# and urls, and its line number; for a message, its two columns and line
+_EVENT_RECORD = ("id", "ts", "user", "type", "root", "followers", "lang", "hashtag", "url", "line")
+_MESSAGE_RECORD = ("msg_ts", "msg_missed", "msg_line")
+_PENDING = 10 * 4096   # numbers of event records held in a list at most
+
+
+def _parse(lines: Iterable[tuple[int, str]], path) -> dict:
+    """The columns of numbered lines (as ``_lines`` gives them), events and
+    messages in file order: those ``StreamBundle.from_columns`` takes, with
+    each string table in the order of first use, and ``line`` and
+    ``msg_line``, the line number of each event and of each message.
+
+    Each line is one call of the JSON scanner, and is checked by the rules
+    of ``Event`` or ``RateLimitMessage``: a line that breaks one raises the
+    LineFormatError that names the rule, as constructing the record would.
+    """
+    from array import array
+
+    events, messages, hashtags, urls = array("q"), array("q"), array("q"), array("q")
+    langs, hashtag_table, url_table = {}, {}, {}   # string -> code, in the order of first use
+    pending = []   # event records not yet in their array: a list takes them faster
+    for lineno, line in lines:
+        try:
+            try:
+                obj, end = _scan(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end != len(line):
+                # not one JSON value: json.loads raises the error it names
+                obj = json.loads(line)
+            # JSON integers only: int() would truncate 4.9 and read "12" or
+            # true.  The checks are inline, as a call per field would slow
+            # every line; a value shifted right by 63 is 0 exactly when it is
+            # a non-negative int64, and the rule's own check names any other.
+            if "rl_ts_ms" in obj:
+                if (ts := obj["rl_ts_ms"]).__class__ is not int or (missed := obj["missed"]).__class__ is not int:
+                    _wrong_type(obj)
+                if (ts | missed) >> 63:
+                    check_message(ts, missed)
+                messages.extend((ts, missed, lineno))
+                continue
+            if ((id_ := obj["id"]).__class__ is not int or (ts := obj["ts_ms"]).__class__ is not int
+                    or (user := obj["user"]).__class__ is not int
+                    or ((root := obj.get("root_id")) is not None and root.__class__ is not int)
+                    or (followers := obj.get("followers", 0)).__class__ is not int
+                    or (lang := obj.get("lang", "en")).__class__ is not str):
+                _wrong_type(obj)
+            kind = obj["type"]
+            # interned, as the table interns them: intern names a value that is no string
+            if (tags := obj.get("hashtags", _NO_STRINGS)).__class__ is not list:
+                _not_a_list("hashtags", tags)
+            for tag in tags:
+                hashtags.append(hashtag_table.setdefault(intern(tag), len(hashtag_table)))
+            if (links := obj.get("urls", _NO_STRINGS)).__class__ is not list:
+                _not_a_list("urls", links)
+            for link in links:
+                urls.append(url_table.setdefault(intern(link), len(url_table)))
+            code = _TYPE_CODE.get(kind) if kind.__class__ is str else None
+            if (code is None or (root is None) != (code == 0) or (id_ | ts | followers | (root or 0)) >> 63
+                    or not -1 <= user >> 63 <= 0):
+                check_event(id_, ts, user, str(kind), root, followers)
+            pending += (id_, ts, user, code, -1 if root is None else root, followers,
+                        langs.setdefault(lang, len(langs)), len(tags), len(links), lineno)
+            if len(pending) >= _PENDING:
+                events.fromlist(pending)
+                pending.clear()
+        # RecursionError: a line nested deeper than the scanner's recursion limit
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise LineFormatError(path, lineno, str(exc)) from None
+    events.fromlist(pending)
+    cols = {name: col.copy() for fields, records in ((_EVENT_RECORD, events), (_MESSAGE_RECORD, messages))
+            for name, col in zip(fields, np.frombuffer(records, np.int64).reshape(-1, len(fields)).T)}
+    cols["lang_table"] = tuple(langs)
+    for base, codes, table in (("hashtag", hashtags, hashtag_table), ("url", urls, url_table)):
+        cols[f"{base}_bounds"], cols[f"{base}_codes"] = bounds_of(cols.pop(base)), np.frombuffer(codes, np.int64)
+        cols[f"{base}_table"] = tuple(table)
+    return cols
+
+
+def _sorted(cols: dict) -> dict:
+    """Columns in file order, ordered as ``StreamBundle.build`` orders rows:
+    events by (timestamp, id), each string table re-coded by first use in
+    that order, and messages by timestamp, stably.  Each is sorted only when
+    it is not in order, which a file ``write_bundle`` writes always is."""
+    ids, ts, step, msg_ts = cols["id"], cols["ts"], np.diff(cols["ts"]), cols["msg_ts"]
+    if np.any((step < 0) | ((step == 0) & (np.diff(ids) < 0))):
+        cols = {**cols, **subtable(_table(cols), np.lexsort((ids, ts)))._asdict()}
+        for codes, table in (("lang", "lang_table"), ("hashtag_codes", "hashtag_table"), ("url_codes", "url_table")):
+            cols[codes], cols[table] = _coded(map(cols[table].__getitem__, cols[codes].tolist()))
+    if np.any(np.diff(msg_ts) < 0):
+        at = np.argsort(msg_ts, kind="stable")
+        cols = {**cols, "msg_ts": msg_ts[at], "msg_missed": cols["msg_missed"][at]}
+    return cols
+
+
+def _table(cols: dict) -> EventTable:
+    return EventTable(**{name: cols[name] for name in EventTable._fields})
 
 
 def iter_records(path) -> Iterator[Record]:
-    """Stream records from a JSONL file without loading the whole bundle."""
+    """Stream records from a JSONL file without loading the whole bundle: a
+    block of lines at a time is parsed into columns, as ``read_bundle``
+    parses a file, and its records are built from them in file order."""
     with open(path, "rb") as fh:
-        for _, rec in _records(fh, path):
-            yield rec
+        lines = _lines(fh, path)
+        for block in iter(lambda: list(islice(lines, _ROW_BLOCK)), []):
+            cols = _parse(block, path)
+            rows = (*EventView(_table(cols)), *message_rows(cols["msg_ts"], cols["msg_missed"]))
+            yield from map(rows.__getitem__, np.argsort(np.concatenate((cols["line"], cols["msg_line"]))).tolist())
 
 
-@collector_paused()
 def read_bundle(path) -> StreamBundle:
     """Load a JSONL file into a StreamBundle (re-sorting if needed).
 
@@ -160,7 +238,6 @@ def read_bundle(path) -> StreamBundle:
     """
     # hashlib loads OpenSSL (5 ms, 3 MB), which a process that reads no
     # file should not pay
-    from array import array
     from hashlib import blake2b
 
     sidecar = Path(f"{path}{SIDECAR_SUFFIX}")
@@ -178,22 +255,16 @@ def read_bundle(path) -> StreamBundle:
         # parse the bytes that the digest covers, so a file rewritten since it
         # was hashed never gets a sidecar that does not match it
         digest = blake2b()
-        events, messages, event_lines = [], [], array("q")
-        for lineno, rec in _records(fh, path, digest.update if regular else None):
-            if isinstance(rec, RateLimitMessage):
-                messages.append(rec)
-            else:
-                events.append(rec)
-                event_lines.append(lineno)
+        cols = _parse(_lines(fh, path, digest.update if regular else None), path)
     try:
-        bundle = StreamBundle.build(events, messages)
+        bundle = StreamBundle.from_columns(_sorted(cols))
     except ValueError:
         # every line passed its own checks, so an id repeats: name the first
         # event, in file order, whose id an earlier one holds
-        ids = np.fromiter((e.id for e in events), np.int64, len(events))
+        ids = cols["id"]
         at = np.setdiff1d(np.arange(len(ids)), np.unique(ids, return_index=True)[1])[0]
-        raise LineFormatError(path, event_lines[at], f"duplicate event id {ids[at]}") from None
-    del events, event_lines   # before the sidecar is packed
+        raise LineFormatError(path, cols["line"][at], f"duplicate event id {ids[at]}") from None
+    del cols   # before the sidecar is packed
     if regular:
         _save_sidecar(sidecar, digest.hexdigest(), bundle)
     return bundle
@@ -240,47 +311,58 @@ def read_edge_csv(path, dst=str) -> dict:
     return _csv_mapping(path, "src", "edge", edge)
 
 
-# one template per record kind, in the key order of the format above; a
-# string field is filled with its JSON text (json.dumps's, ASCII-escaped),
-# and root_id with its whole member or nothing
-_EVENT_LINE = ('{"id":%d,"ts_ms":%d,"user":%d,"type":%s,%s"hashtags":[%s],"urls":[%s],'
-               '"followers":%d,"lang":%s}\n')
 _MESSAGE_LINE = '{"rl_ts_ms":%d,"missed":%d}\n'
-_WRITE_BLOCK = 4096   # lines joined per write
-_QUOTED_TYPE = {name: encode_basestring_ascii(name) for name in EVENT_TYPES}
+# events formatted and written at a time: the strings of a block of 4096
+# took the writer 1 MB over the simulator's peak RSS, those of 2048 none
+_WRITE_BLOCK = 2048
+_QUOTED_TYPE = np.array([encode_basestring_ascii(name) for name in EVENT_TYPES], object)
 
 
-def _event_lines(fields) -> Iterator[str]:
-    """The lines of events from their nine fields, strings but the type quoted."""
-    ids, ts, users, types, roots, tags, urls, followers, langs = fields
-    return map(_EVENT_LINE.__mod__, zip(
-        ids, ts, users, map(_QUOTED_TYPE.__getitem__, types),
-        ("" if r is None else '"root_id":%d,' % r for r in roots),
-        map(",".join, tags), map(",".join, urls), followers, langs))
+def _joined(bounds: np.ndarray, codes: np.ndarray, quoted: np.ndarray) -> list:
+    """Each row's quoted strings of a CSR code column joined by commas; only
+    the rows that hold any are joined."""
+    flat = quoted[codes[bounds[0]:bounds[-1]]].tolist()
+    b = (bounds - bounds[0]).tolist()
+    return [",".join(flat[i:j]) if i != j else "" for i, j in zip(b, b[1:])]
 
 
 def write_bundle(path, bundle: StreamBundle) -> None:
     """Write events and messages interleaved chronologically: each message
     after the events of its millisecond, and messages of one millisecond in
-    counter order.  Lines are formatted and written a block at a time, from
-    string tables JSON-encoded once per write."""
+    counter order.  A block of events at a time, each field's column becomes
+    a list of strings once, and the lines are joined from those in one pass
+    (in the key order of the format above, string tables JSON-encoded as
+    json.dumps would, ASCII-escaped); the block's messages go in at their
+    positions."""
     t = bundle.table
-    quoted = t._replace(**{name: tuple(map(encode_basestring_ascii, getattr(t, name)))
-                           for name in ("lang_table", "hashtag_table", "url_table")})
-    lines = chain.from_iterable(map(_event_lines, field_blocks(quoted)))
+    quoted = {base: np.array([encode_basestring_ascii(s) for s in getattr(t, f"{base}_table")], object)
+              for base in ("lang", "hashtag", "url")}
     order = np.lexsort((bundle.msg_missed, bundle.msg_ts))
-    at = np.searchsorted(t.ts, bundle.msg_ts[order], side="right").tolist()
-    parts, done = [], 0
-    for i, msg in zip(at, zip(bundle.msg_ts[order].tolist(), bundle.msg_missed[order].tolist())):
-        parts += (islice(lines, i - done), (_MESSAGE_LINE % msg,))
-        done = i
-    ordered = chain.from_iterable((*parts, lines))
+    # a message goes before the event at its position
+    at = np.searchsorted(t.ts, bundle.msg_ts[order], side="right")
+    messages = [_MESSAGE_LINE % m for m in zip(bundle.msg_ts[order].tolist(), bundle.msg_missed[order].tolist())]
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for block in iter(lambda: "".join(islice(ordered, _WRITE_BLOCK)), ""):
-            fh.write(block)
+        done = 0
+        for a in range(0, len(t.id), _WRITE_BLOCK):
+            b = a + _WRITE_BLOCK
+            tags, urls = (_joined(getattr(t, f"{base}_bounds")[a:b + 1], getattr(t, f"{base}_codes"), quoted[base])
+                          for base in ("hashtag", "url"))
+            lines = [f'{{"id":{i},"ts_ms":{s},"user":{u},"type":{k},{r}"hashtags":[{h}],"urls":[{w}],'
+                     f'"followers":{f},"lang":{g}}}\n'
+                     for i, s, u, k, r, h, w, f, g in zip(
+                         t.id[a:b].tolist(), t.ts[a:b].tolist(), t.user[a:b].tolist(),
+                         _QUOTED_TYPE[t.type[a:b]].tolist(),
+                         [f'"root_id":{r},' if r >= 0 else "" for r in t.root[a:b].tolist()],
+                         tags, urls, t.followers[a:b].tolist(), quoted["lang"][t.lang[a:b]].tolist())]
+            end = int(np.searchsorted(at, b))
+            for i in reversed(range(done, end)):   # the later first, so that positions hold
+                lines.insert(at[i] - a, messages[i])
+            done = end
+            fh.write("".join(lines))
+        fh.write("".join(messages[done:]))
 
 
 # ---------------------------------------------------------------- sidecar

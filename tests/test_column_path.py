@@ -37,6 +37,7 @@ def no_rows():
 
     with mock.patch.object(model, "_rows", side_effect=AssertionError("built Event rows")), \
             mock.patch.object(model.Event, "__new__", side_effect=AssertionError("built an Event")), \
+            mock.patch.object(model.RateLimitMessage, "__new__", side_effect=AssertionError("built a message")), \
             mock.patch.object(model.StreamBundle, "messages", property(messages)):
         yield
 
@@ -200,6 +201,16 @@ def parsed(path):
     records = list(iter_records(path))
     return (tuple(r for r in records if isinstance(r, sf.Event)),
             tuple(r for r in records if isinstance(r, sf.RateLimitMessage)))
+
+
+def test_cold_read_builds_no_rows(streams, tmp_path):
+    for name in ("complete", "sample"):
+        path = tmp_path / f"{name}.jsonl"
+        shutil.copy(streams / f"{name}.jsonl", path)   # no sidecar beside the copy
+        with no_rows():
+            bundle = read_bundle(path)
+        assert path.with_name(f"{name}.jsonl.streamfid.npz").exists()
+        assert (bundle.events, bundle.messages) == parsed(path)
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
@@ -439,11 +450,20 @@ def jsonl_by_json(bundle):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(streams_of_rows(), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9)), max_size=8),
-       st.sampled_from([1, 3, 7, 4096]))
-def test_writer_on_columns_equals_json_dumps(tmp_path_factory, events, marks, block):
+       st.sampled_from([1, 3, 7, 4096]), st.sampled_from(["drawn", "int64-extremes", "messages-only", "empty"]))
+def test_writer_on_columns_equals_json_dumps(tmp_path_factory, events, marks, block, shape):
+    top = 2 ** 63 - 1
+    if shape == "int64-extremes":
+        # users at both ends of int64, followers at the top, and a last
+        # event whose id, time and root id are the top too
+        events = [e._replace(user_id=(-top - 1, top)[i % 2], follower_count=top) for i, e in enumerate(events)]
+        events.append(ev(top, top, user=-top - 1, kind="retweet", root_id=top, followers=top))
+    elif shape != "drawn":
+        events = []
+        marks = marks if shape == "messages-only" else []
     # messages at the millisecond of an event, before all events and after them
     stamps = [e.timestamp_ms for e in events] or [0]
-    messages = [sf.RateLimitMessage(stamps[i % len(stamps)] + (i == 40), n) for i, n in marks]
+    messages = [sf.RateLimitMessage(min(stamps[i % len(stamps)] + (i == 40), top), n) for i, n in marks]
     rows = sf.StreamBundle.build(events, messages)
     held = as_columns(rows.events, rows.messages)
     path = tmp_path_factory.mktemp("writer") / "b.jsonl"

@@ -273,10 +273,8 @@ def test_lines_are_numbered_and_stripped_as_in_text_mode(data, block):
     want = [(n, text) for n, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1)
             if (text := line.strip())]
     chunks = []
-    # each stripped line read as its own record
-    with (mock.patch.object(sio, "_BLOCK", block), mock.patch.object(sio, "_scan", lambda line, _: (line, len(line))),
-          mock.patch.object(sio, "_record_from_obj", lambda obj: obj)):
-        assert list(sio._records(io.BytesIO(data), "p", chunks.append)) == want
+    with mock.patch.object(sio, "_BLOCK", block):
+        assert list(sio._lines(io.BytesIO(data), "p", chunks.append)) == want
     assert b"".join(chunks) == data
 
 
@@ -432,7 +430,8 @@ class TestCliEntity:
         s = tmp_path / "s.jsonl"
         write_bundle(s, StreamBundle.build([], [RateLimitMessage(150, 0), RateLimitMessage(350, 0)]))
         assert run_cli("estimate-missing", "-i", s, "--key", "user") == 1
-        assert capsys.readouterr() == ("", "error: empty sample stream\n")
+        assert capsys.readouterr() == ("", f"error: {s} holds rate limit messages but no event, and their counters "
+                                           "stay 0: it has no sampling rate\n")
 
     @pytest.mark.parametrize("k_max", [0, -3, 1001, 99999999999999])
     def test_estimate_missing_rejects_k_max_outside_its_range(self, tmp_path, capsys, k_max):

@@ -34,12 +34,12 @@ def sidecar_of(path):
 
 def no_parse():
     """Within it, a read that parses fails: only the sidecar may serve it."""
-    return mock.patch.object(sio, "_records", side_effect=AssertionError("parsed the JSONL"))
+    return mock.patch.object(sio, "_lines", side_effect=AssertionError("parsed the JSONL"))
 
 
 def parsed_read(path):
     """A read that must parse the JSONL: its sidecar may not serve it."""
-    with mock.patch.object(sio, "_records", wraps=sio._records) as parse:
+    with mock.patch.object(sio, "_lines", wraps=sio._lines) as parse:
         bundle = read_bundle(path)
     assert parse.called, "served from the sidecar"
     return bundle
@@ -86,6 +86,36 @@ def test_read_through_sidecar_equals_parse(tmp_path_factory, bundle):
     assert typed(cached) == typed(parsed)
     # interned like a parsed string
     assert all(t is sio.intern(t) for e in cached.events for t in (*e.hashtags, e.lang))
+
+
+def record(obj: dict):
+    """The record of a JSON line's object, built by the checked constructors."""
+    if "rl_ts_ms" in obj:
+        return RateLimitMessage(obj["rl_ts_ms"], obj["missed"])
+    return Event(obj["id"], obj["ts_ms"], obj["user"], obj["type"], obj.get("root_id"), tuple(obj["hashtags"]),
+                 tuple(obj["urls"]), obj["followers"], obj["lang"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(bundles(), st.randoms(use_true_random=False))
+def test_cold_read_of_an_unsorted_file_equals_build_of_its_rows(tmp_path_factory, bundle, rng):
+    path = tmp_path_factory.mktemp("unsorted") / "b.jsonl"
+    write_bundle(path, bundle)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rng.shuffle(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+    rows = [record(json.loads(line)) for line in lines]
+    want = StreamBundle.build([r for r in rows if isinstance(r, Event)],
+                              [r for r in rows if isinstance(r, RateLimitMessage)])
+    got = parsed_read(path)
+    for name, col in want.columns().items():
+        # string tables in the order of first use, and columns as narrow
+        if isinstance(col, tuple):
+            assert got.columns()[name] == col, name
+        else:
+            assert got.columns()[name].dtype == col.dtype and np.array_equal(got.columns()[name], col), name
+    with no_parse():
+        assert read_bundle(path) == want
 
 
 @pytest.mark.parametrize("bundle", [
@@ -430,7 +460,7 @@ def test_fifo_reads_as_its_file_does_unhashed_and_without_a_sidecar(tmp_path):
     writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
     writer.start()
     try:
-        with mock.patch.object(sio, "_records", wraps=sio._records) as records:
+        with mock.patch.object(sio, "_lines", wraps=sio._lines) as records:
             from_fifo = read_bundle(fifo)
     finally:
         writer.join(10)
