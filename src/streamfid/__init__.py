@@ -2,8 +2,8 @@
 
 from .model import (Event, FrequencyVector, RateLimitMessage, StreamBundle, TemporalRateProfile,
                     empirical_mean_rate, mean_rate_from_messages, merge_streams)
-from .simulate import (GeneratorConfig, InterArrivalModel, ZipfPopulation, bernoulli_bundle,
-                       bernoulli_sample, generate_stream, rate_limited_bundle, rate_limited_sample)
+from .simulate import (GeneratorConfig, InterArrivalModel, ZipfPopulation, bernoulli_bundle, generate_stream,
+                       rate_limited_bundle)
 from .ratelimit import (Segment, estimate_missing, map_threads, segment_stream,
                         total_missing_from_threads, validate)
 from .entity import (DiscreteDistribution, binomial_mixture_model, binomial_sample_model,

@@ -112,21 +112,19 @@ def _columns(cascades: Sequence[Cascade]) -> CascadeSet:
     cascades = list(cascades)
     if len({id(c.of) for c in cascades}) > 1:
         raise ValueError("cascades of several sets: reconstruct them from one stream")
-    whole = cascades[0].of if cascades else reconstruct_cascades(())
+    whole = cascades[0].of if cascades else reconstruct_cascades(StreamBundle())
     return whole.take(np.array([c.at for c in cascades], np.intp))
 
 
-def reconstruct_cascades(events: Union[StreamBundle, EventView, Sequence[Event]],
-                         include_quotes: bool = False) -> CascadeSet:
+def reconstruct_cascades(events: Union[StreamBundle, EventView], include_quotes: bool = False) -> CascadeSet:
     """Group retweet events by root id; roots without retweets count too.
 
     Cascades whose root was not observed are returned flagged rootless;
     downstream sample-set reports drop them, since missing the root means
     missing the cascade.  Computed on the table of a bundle or its
-    ``events`` (event rows are made a bundle with ``StreamBundle.build``
-    first), which the cascades share.
+    ``events``, which the cascades share.
     """
-    table = (events if isinstance(events, (StreamBundle, EventView)) else StreamBundle.build(events)).table
+    table = events.table
     ids, ts, kind, root = table.id, table.ts, table.type, table.root
     root_code, retweet_code, quote_code = map(EVENT_TYPES.index, ("root", "retweet", "quote"))
     is_root, is_child = kind == root_code, (kind == retweet_code) | (include_quotes & (kind == quote_code))

@@ -15,11 +15,11 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .model import Event, EventView, FrequencyVector, StreamBundle, distinct_per_event
+from .model import EventView, FrequencyVector, StreamBundle, distinct_per_event
 
 DEFAULT_K_MAX = 100
 K_MAX_CEILING = 1000   # the kernel and the solver hold k_max**2 floats
@@ -370,8 +370,6 @@ def entity_occurrences(events: Union[StreamBundle, EventView], key: str) -> Coun
     return Counter({e: n for e, n in zip(entities, counts.tolist()) if n})
 
 
-def frequency_vector_of(events: Union[StreamBundle, EventView, Sequence[Event]], key: str) -> FrequencyVector:
-    """Histogram of per-entity occurrence counts for one entity kind; event
-    rows are made a bundle (``StreamBundle.build``) first."""
-    source = events if isinstance(events, (StreamBundle, EventView)) else StreamBundle.build(events)
-    return FrequencyVector.from_occurrences(entity_occurrences(source, key).values())
+def frequency_vector_of(events: Union[StreamBundle, EventView], key: str) -> FrequencyVector:
+    """Histogram of per-entity occurrence counts for one entity kind."""
+    return FrequencyVector.from_occurrences(entity_occurrences(events, key).values())

@@ -242,9 +242,9 @@ def read_bundle(path) -> StreamBundle:
 
     sidecar = Path(f"{path}{SIDECAR_SUFFIX}")
     with open(path, "rb") as fh:
-        # a pipe can be read only once, and a sidecar could never match it
+        # a pipe can be read only once and never matches a sidecar; a file without one is hashed once
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        if regular:
+        if regular and sidecar.exists():
             digest = blake2b()
             for chunk in iter(partial(fh.read, _BLOCK), b""):
                 digest.update(chunk)

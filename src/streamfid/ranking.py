@@ -123,14 +123,17 @@ def top_k_rank_table(
 
     Users are selected by sample count; all three rank columns are
     permutations of 1..k over that selection.  Both Kendall tau values are
-    measured against the true (complete-count) ranks.  A user with more
-    sample than complete events (a swapped pair) raises.
+    measured against the true (complete-count) ranks.  A sample of fewer
+    than 2 users, and a user with more sample than complete events (a
+    swapped pair), raise.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     users, groups, counts = np.unique(sample.table.user, return_inverse=True, return_counts=True)
     users = users.tolist()
     n_s = dict(zip(users, counts.tolist()))
+    if len(n_s) < 2:
+        raise ValueError(f"a ranking needs at least 2 users, and the sample holds {len(n_s)}")
     c_users, c_counts = np.unique(complete.table.user, return_counts=True)
     n_c = dict(zip(c_users.tolist(), c_counts.tolist()))
     over = next((u for u in users if n_s[u] > n_c.get(u, 0)), None)

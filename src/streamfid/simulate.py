@@ -1,11 +1,12 @@
 """Synthetic ground-truth streams and the two sampling mechanisms.
 
 The generator produces a complete stream with diurnal volume, Zipf user and
-hashtag populations, and bursty retweet cascades.  Two samplers thin it:
+hashtag populations, and bursty retweet cascades.  Two samplers thin it,
+each into a bundle held as the complete one is:
 
-* ``rate_limited_sample`` delivers the first N events of each anchored
+* ``rate_limited_bundle`` delivers the first N events of each anchored
   1-second window and reports every drop through rate limit messages, and
-* ``bernoulli_sample`` keeps each event independently with a fixed rate.
+* ``bernoulli_bundle`` keeps each event independently with a fixed rate.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Sequence
 
 import numpy as np
 
-from .model import _TYPE_CODE, Event, RateLimitMessage, StreamBundle, bounds_of, csr_gather, take
+from .model import _TYPE_CODE, StreamBundle, bounds_of, csr_gather, take
 
 DEFAULT_THRESHOLD = 50      # events per second before the sampler drops
 DEFAULT_ANCHOR_MS = 657     # window anchor within the wall-clock second
@@ -48,24 +47,36 @@ class ZipfPopulation:
         return np.cumsum(w / w.sum())
 
 
+# the generator's fixed shape: streams start at 0 ms, and a spawned
+# cascade's size k is drawn with weight k^-CASCADE_SIZE_TAIL up to the cap
+URL_POPULATION = ZipfPopulation(1_000, 1.2)
+GAP_MEAN_S = 30.0               # exponential inter-arrival mean
+CASCADE_SIZE_TAIL = 2.5
+CASCADE_SIZE_CAP = 1_000
+LANG_MIX = {"en": 0.7, "ja": 0.2, "es": 0.1}
+HASHTAGS_PER_ROOT = 0.5         # Poisson means per root
+URLS_PER_ROOT = 0.2
+_SIZES = np.arange(1, CASCADE_SIZE_CAP + 1, dtype=float)
+_SIZE_WEIGHTS = _SIZES ** -CASCADE_SIZE_TAIL
+
+
 @dataclass(frozen=True)
 class InterArrivalModel:
     """Within-cascade gap model: exponential or Pareto (power-law) seconds."""
 
-    kind: str = "exponential"
-    mean_s: float = 30.0       # exponential mean
+    kind: str = "exponential"  # of mean GAP_MEAN_S
     alpha: float = 1.5         # power-law tail exponent
     xmin_s: float = 1.0        # power-law minimum gap
 
     def __post_init__(self):
         if self.kind not in ("exponential", "power-law"):
             raise ValueError("inter-arrival kind must be exponential or power-law")
-        if not all(0 < x < math.inf for x in (self.mean_s, self.alpha, self.xmin_s)):
+        if not all(0 < x < math.inf for x in (self.alpha, self.xmin_s)):
             raise ValueError("inter-arrival parameters must be positive and finite")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "exponential":
-            return rng.exponential(self.mean_s, size=n)
+            return rng.exponential(GAP_MEAN_S, size=n)
         return self.xmin_s * (1.0 + rng.pareto(self.alpha, size=n))
 
 
@@ -76,16 +87,9 @@ class GeneratorConfig:
     diurnal_amplitude: float = 0.0               # [0,1) hour-of-day sinusoid
     user_population: ZipfPopulation = field(default_factory=lambda: ZipfPopulation(10_000, 1.5))
     hashtag_population: ZipfPopulation = field(default_factory=lambda: ZipfPopulation(2_000, 1.2))
-    url_population: ZipfPopulation = field(default_factory=lambda: ZipfPopulation(1_000, 1.2))
     cascade_fraction: float = 0.0                # share of roots that spawn cascades
-    cascade_size_tail: float = 2.5               # power-law exponent on cascade sizes
-    cascade_size_cap: int = 1_000
     inter_arrival_model: InterArrivalModel = field(default_factory=InterArrivalModel)
     type_mix: dict = field(default_factory=lambda: {"root": 1.0})
-    lang_mix: dict = field(default_factory=lambda: {"en": 0.7, "ja": 0.2, "es": 0.1})
-    hashtags_per_event: float = 0.5              # Poisson mean
-    urls_per_event: float = 0.2                  # Poisson mean
-    start_ms: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -95,24 +99,15 @@ class GeneratorConfig:
             raise ValueError("diurnal_amplitude must be in [0,1)")
         if not 0.0 <= self.cascade_fraction <= 1.0:
             raise ValueError("cascade_fraction must be in [0,1]")
-        for name, mix in (("type_mix", self.type_mix), ("lang_mix", self.lang_mix)):
-            if not mix:
-                raise ValueError(f"{name} must not be empty")
-            if not all(p >= 0 for p in mix.values()):
-                raise ValueError(f"{name} probabilities must be non-negative")
-            if not abs(sum(mix.values()) - 1.0) <= 1e-9:
-                raise ValueError(f"{name} must sum to 1")
+        if not self.type_mix:
+            raise ValueError("type_mix must not be empty")
+        if not all(p >= 0 for p in self.type_mix.values()):
+            raise ValueError("type_mix probabilities must be non-negative")
+        if not abs(sum(self.type_mix.values()) - 1.0) <= 1e-9:
+            raise ValueError("type_mix must sum to 1")
         unknown = set(self.type_mix) - {"root", "retweet", "quote", "reply"}
         if unknown:
             raise ValueError(f"unknown event types in type_mix: {sorted(unknown)}")
-        if not (0 <= self.hashtags_per_event < math.inf and 0 <= self.urls_per_event < math.inf):
-            raise ValueError("per-event entity means must be non-negative and finite")
-        if not math.isfinite(self.cascade_size_tail):
-            raise ValueError("cascade_size_tail must be finite")
-        if not self.cascade_size_cap >= 1:
-            raise ValueError("cascade_size_cap must be >= 1")
-        if not self.start_ms >= 0:
-            raise ValueError("start_ms must be non-negative")
         if not self.expected_event_count() <= EVENT_CEILING:
             raise ValueError(f"duration and base_rate give {self.expected_event_count():.3g} expected events, "
                              f"over the ceiling of {EVENT_CEILING}")
@@ -121,9 +116,7 @@ class GeneratorConfig:
 
     def mean_cascade_size(self) -> float:
         """Expected retweets per spawned cascade (bounded power-law)."""
-        k = np.arange(1, self.cascade_size_cap + 1, dtype=float)
-        w = k ** -self.cascade_size_tail
-        return float((k * w).sum() / w.sum())
+        return float((_SIZES * _SIZE_WEIGHTS).sum() / _SIZE_WEIGHTS.sum())
 
     def expected_event_count(self) -> float:
         """Analytic mean event count (ignores end-of-window cascade truncation)."""
@@ -197,23 +190,22 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     rng = np.random.default_rng(config.seed)
     user_cdf = config.user_population.cdf()
     tag_cdf = config.hashtag_population.cdf()
-    url_cdf = config.url_population.cdf()
-    langs = sorted(config.lang_mix)
-    lang_p = np.array([config.lang_mix[l] for l in langs])
+    url_cdf = URL_POPULATION.cdf()
+    langs = sorted(LANG_MIX)
+    lang_p = np.array([LANG_MIX[l] for l in langs])
     lang_p = lang_p / lang_p.sum()
 
     # root arrivals: per-second Poisson counts modulated by the diurnal factor
     n_seconds = int(math.ceil(config.duration_s))
-    seconds = np.arange(n_seconds, dtype=float) + config.start_ms / 1000.0
     p_root = config.type_mix.get("root", 0.0)
-    rates = config.base_rate * p_root * _diurnal_factor(seconds % 86_400.0, config.diurnal_amplitude)
+    rates = config.base_rate * p_root * _diurnal_factor(np.arange(n_seconds) % 86_400.0, config.diurnal_amplitude)
     if config.duration_s < n_seconds:
         rates[-1] *= config.duration_s - (n_seconds - 1)
     counts = rng.poisson(rates)
     total_roots = int(counts.sum())
     sec_idx = np.repeat(np.arange(n_seconds), counts)
-    root_ts = config.start_ms + sec_idx * 1000 + rng.integers(0, 1000, size=total_roots)
-    root_ts = root_ts[root_ts < config.start_ms + config.duration_s * 1000]
+    root_ts = sec_idx * 1000 + rng.integers(0, 1000, size=total_roots)
+    root_ts = root_ts[root_ts < config.duration_s * 1000]
     total_roots = len(root_ts)
     root_ts.sort()
 
@@ -224,16 +216,14 @@ def generate_stream(config: GeneratorConfig) -> StreamBundle:
     if child_types:
         child_cdf /= child_cdf[-1]      # as Generator.choice(..., p=child_p) does
 
-    size_k = np.arange(1, config.cascade_size_cap + 1, dtype=float)
-    size_w = size_k ** -config.cascade_size_tail
-    size_cdf = np.cumsum(size_w / size_w.sum())
+    size_cdf = np.cumsum(_SIZE_WEIGHTS / _SIZE_WEIGHTS.sum())
 
-    end_ms = config.start_ms + int(config.duration_s * 1000)
+    end_ms = int(config.duration_s * 1000)
     root_users = _ranks(user_cdf, rng.random(total_roots))
     root_langs = rng.choice(len(langs), size=total_roots, p=lang_p)
     spawn = rng.random(total_roots) < config.cascade_fraction if child_types else np.zeros(total_roots, bool)
-    tag_counts = rng.poisson(config.hashtags_per_event, size=total_roots)
-    url_counts = rng.poisson(config.urls_per_event, size=total_roots)
+    tag_counts = rng.poisson(HASHTAGS_PER_ROOT, size=total_roots)
+    url_counts = rng.poisson(URLS_PER_ROOT, size=total_roots)
 
     # the loop: per spawning root, the uniforms owed since the last cascade
     # (that cascade's kinds and users, the entity ranks of the roots after it
@@ -328,16 +318,6 @@ def _threshold_sampler(ts: np.ndarray, threshold: int, anchor_ms: int) -> tuple[
     return keep, stamps, np.cumsum(dropped)[hit]
 
 
-def rate_limited_sample(
-    events: Sequence[Event],
-    threshold: int = DEFAULT_THRESHOLD,
-    anchor_ms: int = DEFAULT_ANCHOR_MS,
-) -> tuple[list[Event], list[RateLimitMessage]]:
-    """``rate_limited_bundle`` of events sorted by (timestamp_ms, id), as lists."""
-    sample = rate_limited_bundle(StreamBundle(events), threshold, anchor_ms)
-    return list(sample.events), list(sample.messages)
-
-
 def rate_limited_bundle(
     complete: StreamBundle,
     threshold: int = DEFAULT_THRESHOLD,
@@ -354,18 +334,9 @@ def rate_limited_bundle(
     return take(complete, *_threshold_sampler(complete.table.ts, threshold, anchor_ms))
 
 
-def _bernoulli_keep(n: int, rate: float, seed: int) -> np.ndarray:
+def bernoulli_bundle(complete: StreamBundle, rate: float, seed: int = 0) -> StreamBundle:
+    """Keep each event independently with probability ``rate``, held as the
+    bundle is (see ``take``)."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0,1]")
-    return np.random.default_rng(seed).random(n) < rate
-
-
-def bernoulli_sample(events: Sequence[Event], rate: float, seed: int = 0) -> list[Event]:
-    """Keep each event independently with probability ``rate`` (order kept)."""
-    events = events if isinstance(events, (tuple, list)) else tuple(events)
-    return list(compress(events, _bernoulli_keep(len(events), rate, seed).tolist()))
-
-
-def bernoulli_bundle(complete: StreamBundle, rate: float, seed: int = 0) -> StreamBundle:
-    """``bernoulli_sample`` of a bundle's events, held as the bundle is (see ``take``)."""
-    return take(complete, _bernoulli_keep(len(complete), rate, seed))
+    return take(complete, np.random.default_rng(seed).random(len(complete)) < rate)

@@ -25,16 +25,15 @@ from streamfid.entity import (
 )
 from streamfid.cascades import inter_arrival_distribution, reconstruct_cascades
 from streamfid.graphs import Digraph, bowtie_decompose
-from streamfid.model import FrequencyVector
+from streamfid.model import FrequencyVector, StreamBundle
 from streamfid.ranking import kendall_tau, temporal_rates_from_messages, top_k_rank_table
 from streamfid.ratelimit import estimate_missing, map_threads, segment_stream, total_missing_from_threads, validate
 from streamfid.simulate import (
     GeneratorConfig,
     InterArrivalModel,
-    bernoulli_sample,
+    bernoulli_bundle,
     generate_stream,
     rate_limited_bundle,
-    rate_limited_sample,
 )
 
 from conftest import ev
@@ -104,9 +103,8 @@ def test_criterion_3_bernoulli_model_fidelity():
             zip(np.sort(rng.integers(0, 14 * 86_400_000, size=n_c.sum())), np.repeat(np.arange(len(n_c)), n_c))
         )
     ]
-    sampled = bernoulli_sample(events, rate, seed=31)
-    sample_counts = Counter(e.user_id for e in sampled)
-    per_user = np.array([sample_counts.get(u, 0) for u in range(len(n_c))])
+    sampled = bernoulli_bundle(StreamBundle(events), rate, seed=31)
+    per_user = np.bincount(sampled.table.user, minlength=len(n_c))
     vals, freqs = np.unique(per_user, return_counts=True)
     observed = DiscreteDistribution.from_weights(vals, freqs)
     model = binomial_mixture_model(FrequencyVector(Counter(map(int, n_c))), rate)
@@ -121,7 +119,7 @@ def test_criterion_4_missing_entity_estimation():
     rate = 0.5272
     n_c = zipf_population(rng)
     events = [ev(i, i, user=int(u)) for i, u in enumerate(np.repeat(np.arange(len(n_c)), n_c))]
-    sampled = bernoulli_sample(events, rate, seed=41)
+    sampled = bernoulli_bundle(StreamBundle(events), rate, seed=41)
     fv_sample = frequency_vector_of(sampled, "user")
     truly_missing = len(n_c) - fv_sample.total_entities()
     with pytest.warns(UserWarning, match="clamped"):
@@ -187,8 +185,8 @@ def test_criterion_7_bowtie_oracle_equivalence():
 
 def test_criterion_8_cascade_interarrival_dominance():
     t0 = time.perf_counter()
-    events = cascade_corpus(20260810, n_cascades=800, min_retweets=30)
-    sampled = bernoulli_sample(events, 0.5, seed=88)
+    events = StreamBundle(cascade_corpus(20260810, n_cascades=800, min_retweets=30))
+    sampled = bernoulli_bundle(events, 0.5, seed=88)
     complete = reconstruct_cascades(events)
     sample = [c for c in reconstruct_cascades(sampled) if not c.is_rootless]
     dist_c = inter_arrival_distribution(complete)
@@ -237,9 +235,9 @@ def test_criterion_9_distribution_and_units_sanity():
         n = int(rng.integers(1, 300))
         ts = np.sort(rng.integers(0, 4000, size=n))
         events = [ev(i, int(t) + i) for i, t in enumerate(ts)]
-        delivered, msgs = rate_limited_sample(events, int(rng.integers(1, 40)), int(rng.integers(0, 1000)))
-        dropped = msgs[-1].cumulative_missed if msgs else 0
-        checks.append(len(delivered) + dropped == n)
+        sample = rate_limited_bundle(StreamBundle(events), int(rng.integers(1, 40)), int(rng.integers(0, 1000)))
+        dropped = sample.messages[-1].cumulative_missed if sample.messages else 0
+        checks.append(len(sample) + dropped == n)
 
     elapsed = time.perf_counter() - t0
     report(9, all(checks), elapsed, 5.0, f"{len(checks)} sanity checks")

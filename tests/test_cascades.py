@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from streamfid.cascades import ccdf, ccdf_tables, compare_cascades, inter_arrival_distribution, reconstruct_cascades
-from streamfid.simulate import bernoulli_sample
+from streamfid.model import StreamBundle
+from streamfid.simulate import bernoulli_bundle
 
 from conftest import ev
 from workloads import cascade_corpus
@@ -27,7 +28,7 @@ def make_cascade(**spec):
 
 def cascade_of(*events):
     """The one cascade of ``events``."""
-    (cascade,) = reconstruct_cascades(list(events))
+    (cascade,) = reconstruct_cascades(StreamBundle.build(events))
     return cascade
 
 
@@ -38,14 +39,14 @@ class TestReconstructCascades:
             ev(1, 10, user=2, kind="retweet", root_id=0),
             ev(2, 20, user=3, kind="retweet", root_id=0),
         ]
-        cascades = reconstruct_cascades(events)
+        cascades = reconstruct_cascades(StreamBundle(events))
         assert len(cascades) == 1
         assert cascades[0].size == 3
         assert not cascades[0].is_rootless
 
     def test_orphan_retweets_flagged_rootless(self):
         events = [ev(1, 10, user=2, kind="retweet", root_id=77)]
-        cascades = reconstruct_cascades(events)
+        cascades = reconstruct_cascades(StreamBundle(events))
         assert len(cascades) == 1
         assert cascades[0].is_rootless
         assert cascades[0].size == 1
@@ -64,6 +65,7 @@ class TestReconstructCascades:
         events.append(ev(eid, 40, user=9, kind="quote", root_id=0)); eid += 1
         events.append(ev(eid, 41, user=9, kind="reply", root_id=1)); eid += 1
         events.append(ev(eid, 42, user=9, kind="quote", root_id=2)); eid += 1
+        events = StreamBundle(events)
         cascades = {c.root_id: c for c in reconstruct_cascades(events)}
         assert set(cascades) == {0, 1, 2, 99}
         assert cascades[0].size == 6
@@ -80,13 +82,14 @@ class TestReconstructCascades:
             ev(2, 30, user=3, kind="retweet", root_id=0),
             ev(1, 10, user=2, kind="retweet", root_id=0),
         ]
-        c = reconstruct_cascades(events)[0]
+        c = reconstruct_cascades(StreamBundle.build(events))[0]
         assert [e.id for e in c.retweets] == [1, 2]
 
 
 class TestCompareCascades:
     def test_identical_sets_fully_observed(self):
-        cascades = reconstruct_cascades([e for i in range(3) for e in cascade_events(gaps_s=(1, 2), root_id=i)])
+        cascades = reconstruct_cascades(
+            StreamBundle.build([e for i in range(3) for e in cascade_events(gaps_s=(1, 2), root_id=i)]))
         rows, summary = compare_cascades(cascades, list(cascades))
         assert summary.fully_observed == 3
         assert summary.fully_observed_fraction == 1.0
@@ -100,8 +103,8 @@ class TestCompareCascades:
         assert summary.fully_observed == 0
 
     def test_bernoulli_fraction_matches_enumeration(self):
-        events = cascade_corpus(5, n_cascades=150, min_retweets=2, pareto_scale=2)
-        sampled = bernoulli_sample(events, 0.5272, seed=8)
+        events = StreamBundle(cascade_corpus(5, n_cascades=150, min_retweets=2, pareto_scale=2))
+        sampled = bernoulli_bundle(events, 0.5272, seed=8)
         complete = reconstruct_cascades(events)
         sample = [c for c in reconstruct_cascades(sampled) if not c.is_rootless]
         rows, summary = compare_cascades(complete, sample)
@@ -115,10 +118,10 @@ class TestCompareCascades:
 
     def test_unknown_sample_cascade_rejected(self):
         # ids below, between and above the complete ones, and a complete set of none
-        complete = reconstruct_cascades([ev(i, i) for i in (2, 4, 6)])
+        complete = reconstruct_cascades(StreamBundle([ev(i, i) for i in (2, 4, 6)]))
         for known, sample, named in ((complete, [4, 0, 5, 7], "[0, 5, 7]"), ([], [1], "[1]")):
             with pytest.raises(ValueError, match=re.escape(f"not present in complete set: {named}")):
-                compare_cascades(known, reconstruct_cascades([ev(i, i) for i in sample]))
+                compare_cascades(known, reconstruct_cascades(StreamBundle.build([ev(i, i) for i in sample])))
 
     def test_negative_retweet_threshold_rejected(self):
         # -1 would count every cascade as large
@@ -161,8 +164,8 @@ class TestInterArrival:
     def test_cascade_report_pools_rooted_cascades_on_both_sides(self):
         # cascade 0 is rooted, with gaps of 10 s and 20 s; the retweets of
         # root 1, which the stream lacks, are 100 s apart
-        complete = reconstruct_cascades(cascade_events(gaps_s=(10, 20))
-                                        + cascade_events(root_ts=500, gaps_s=(0, 100), root_id=1, with_root=False))
+        complete = reconstruct_cascades(StreamBundle.build(
+            cascade_events(gaps_s=(10, 20)) + cascade_events(root_ts=500, gaps_s=(0, 100), root_id=1, with_root=False)))
         assert [c.is_rootless for c in complete] == [False, True]
         rows, summary = compare_cascades(complete, complete)
         rooted = inter_arrival_distribution(complete.rooted())
@@ -179,8 +182,8 @@ class TestInterArrival:
         assert dist.deltas_s.tolist() == [] and ccdf_tables({"one": dist}, compare_cascades([c], [c])[0], ()) == {}
 
     def test_sample_dominates_complete(self):
-        events = cascade_corpus(11, n_cascades=300)
-        sampled = bernoulli_sample(events, 0.5, seed=2)
+        events = StreamBundle(cascade_corpus(11, n_cascades=300))
+        sampled = bernoulli_bundle(events, 0.5, seed=2)
         dc = inter_arrival_distribution(reconstruct_cascades(events))
         ds = inter_arrival_distribution(
             [c for c in reconstruct_cascades(sampled) if not c.is_rootless])

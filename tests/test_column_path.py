@@ -371,7 +371,7 @@ def test_message_layers_equal_the_row_loops(events, marks, huge):
         assert profile.rates == rates_by_loop(events, messages, granularity)
 
 
-# the sampler loop and the per-cascade reach sum the column code replaced,
+# the sampler loops and the per-cascade reach sum the column code replaced,
 # kept as references
 def sampler_by_loop(events, threshold, anchor_ms):
     delivered, messages = [], []
@@ -393,6 +393,12 @@ def sampler_by_loop(events, threshold, anchor_ms):
     return delivered, messages
 
 
+def bernoulli_by_loop(events, rate, seed):
+    """The events that a seeded uniform each, drawn in order, keeps at ``rate``."""
+    uniforms = np.random.default_rng(seed).random(len(events)).tolist()
+    return [e for e, u in zip(events, uniforms) if u < rate]
+
+
 def reach_by_loop(cascade, horizon_ms):
     return sum(e.follower_count for e in cascade.retweets if e.timestamp_ms <= horizon_ms)
 
@@ -410,9 +416,7 @@ def test_samplers_equal_the_loop(stamps, threshold, anchor_ms, rate, seed):
     events = [ev(i * 2 + 1, t, user=i % 5, hashtags=("a", "b")[: i % 3], urls=("u",) * (i % 2))
               for i, t in enumerate(sorted(stamps))]
     delivered, messages = sampler_by_loop(events, threshold, anchor_ms)
-    assert sf.rate_limited_sample(events, threshold, anchor_ms) == (delivered, messages)
-    assert sf.rate_limited_sample(iter(events), threshold, anchor_ms) == (delivered, messages)
-    kept = sf.bernoulli_sample(events, rate, seed)
+    kept = bernoulli_by_loop(events, rate, seed)
     for source in (sf.StreamBundle(events), as_columns(events)):
         with no_rows():
             by_threshold, by_rate = sf.rate_limited_bundle(source, threshold, anchor_ms), sf.bernoulli_bundle(
@@ -430,8 +434,8 @@ def test_simulator_and_samplers_build_no_rows():
     events = list(complete.events)
     assert len(events) > 300 and {e.event_type for e in events} == set(sf.model.EVENT_TYPES)
     assert complete == sf.StreamBundle(events)
-    assert by_threshold == sf.StreamBundle(*sf.rate_limited_sample(events, 4, 657)) and by_threshold.messages
-    assert by_rate == sf.StreamBundle(sf.bernoulli_sample(events, 0.5, 3))
+    assert by_threshold == sf.StreamBundle(*sampler_by_loop(events, 4, 657)) and by_threshold.messages
+    assert by_rate == sf.StreamBundle(bernoulli_by_loop(events, 0.5, 3))
 
 
 def jsonl_by_json(bundle):
@@ -476,7 +480,6 @@ def test_writer_on_columns_equals_json_dumps(tmp_path_factory, events, marks, bl
 
 def test_threshold_beyond_int64_delivers_everything():
     events = [ev(i, 5 * (i // 3)) for i in range(12)]
-    assert sf.rate_limited_sample(events, 2 ** 70, 0) == (events, [])
     with no_rows():
         sampled = sf.rate_limited_bundle(as_columns(events), 2 ** 70, 0)
     assert sampled.events == tuple(events) and sampled.messages == ()
@@ -501,8 +504,8 @@ def cascade_streams(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(cascade_streams(), st.floats(0, 1), st.booleans(), st.sampled_from([0.5, 1.0, 600.0, float("inf")]))
 def test_cascade_reach_equals_the_loop(events, rate, include_quotes, window_s):
-    complete = sf.reconstruct_cascades(events, include_quotes)
-    sample = sf.reconstruct_cascades(sf.bernoulli_sample(events, rate, 1), include_quotes)
+    complete = sf.reconstruct_cascades(sf.StreamBundle(events), include_quotes)
+    sample = sf.reconstruct_cascades(sf.bernoulli_bundle(sf.StreamBundle(events), rate, 1), include_quotes)
     with no_rows():
         assert cascade_columns(sf.reconstruct_cascades(as_columns(events), include_quotes)) == cascade_columns(
             complete)

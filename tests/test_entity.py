@@ -20,7 +20,7 @@ from streamfid.entity import (
     negbinom_complete_model,
 )
 from streamfid.model import FrequencyVector, StreamBundle
-from streamfid.simulate import bernoulli_sample
+from streamfid.simulate import bernoulli_bundle
 
 from conftest import ev
 
@@ -262,7 +262,7 @@ class TestEstimateMissingEntities:
         ks = np.minimum(rng.zipf(2.2, size=n_entities), 80)
         events = [ev(i, i, user=int(u))
                   for i, u in enumerate(np.repeat(np.arange(n_entities), ks))]
-        sampled = bernoulli_sample(events, rate, seed=5)
+        sampled = bernoulli_bundle(StreamBundle(events), rate, seed=5)
         fv_sample = frequency_vector_of(sampled, "user")
         truly_missing = n_entities - fv_sample.total_entities()
         result = estimate_complete_frequency_vector(fv_sample, rate, k_max=100)
@@ -285,11 +285,11 @@ class TestBernoulliModelFidelity:
 
 class TestFrequencyVectorOf:
     def test_empty(self):
-        assert frequency_vector_of([], "user").counts == {}
+        assert frequency_vector_of(StreamBundle(), "user").counts == {}
 
     def test_three_events_one_user(self):
         events = [ev(i, i, user=7) for i in range(3)]
-        assert frequency_vector_of(events, "user").counts == {3: 1}
+        assert frequency_vector_of(StreamBundle(events), "user").counts == {3: 1}
 
     def test_hashtags_counted_once_per_event(self):
         events = [
@@ -301,12 +301,12 @@ class TestFrequencyVectorOf:
         ]
         occ = entity_occurrences(StreamBundle(events), "hashtag")
         assert occ == {"a": 2, "b": 2, "c": 1}
-        assert frequency_vector_of(events, "hashtag").counts == {1: 1, 2: 2}
+        assert frequency_vector_of(StreamBundle(events), "hashtag").counts == {1: 1, 2: 2}
 
     def test_urls_key(self):
         events = [ev(0, 0, urls=("x",)), ev(1, 1, urls=("x", "y"))]
-        assert frequency_vector_of(events, "url").counts == {1: 1, 2: 1}
+        assert frequency_vector_of(StreamBundle(events), "url").counts == {1: 1, 2: 1}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            frequency_vector_of([], "retweeter")
+            frequency_vector_of(StreamBundle(), "retweeter")

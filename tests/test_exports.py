@@ -46,7 +46,7 @@ def called_in_acceptance() -> set:
 
 def test_every_export_has_a_caller():
     names = exported()
-    assert {"StreamBundle", "rate_limited_sample", "sampling_rate_breakdown"} <= names
+    assert {"StreamBundle", "rate_limited_bundle", "sampling_rate_breakdown"} <= names
     accepted = called_in_acceptance()
     uncalled = sorted(name for name in names if not used_in_package(name) and name not in accepted)
     assert uncalled == []

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from streamfid import model
 from streamfid.model import StreamBundle, columns_of_rows
-from streamfid.simulate import GeneratorConfig, InterArrivalModel, ZipfPopulation, _diurnal_factor, generate_stream
+from streamfid.simulate import (CASCADE_SIZE_CAP, CASCADE_SIZE_TAIL, HASHTAGS_PER_ROOT, LANG_MIX, URL_POPULATION,
+                                URLS_PER_ROOT, GeneratorConfig, InterArrivalModel, ZipfPopulation, _diurnal_factor,
+                                generate_stream)
 
 
 def _sample_ranks(cdf, rng, n):
@@ -42,13 +44,13 @@ def generate_by_loop(config):
     users = _UserDirectory(rng)
     user_cdf = config.user_population.cdf()
     tag_cdf = config.hashtag_population.cdf()
-    url_cdf = config.url_population.cdf()
-    langs = sorted(config.lang_mix)
-    lang_p = np.array([config.lang_mix[l] for l in langs])
+    url_cdf = URL_POPULATION.cdf()
+    langs = sorted(LANG_MIX)
+    lang_p = np.array([LANG_MIX[l] for l in langs])
     lang_p = lang_p / lang_p.sum()
 
     n_seconds = int(math.ceil(config.duration_s))
-    seconds = np.arange(n_seconds, dtype=float) + config.start_ms / 1000.0
+    seconds = np.arange(n_seconds, dtype=float)
     p_root = config.type_mix.get("root", 0.0)
     rates = config.base_rate * p_root * _diurnal_factor(seconds % 86_400.0, config.diurnal_amplitude)
     if config.duration_s < n_seconds:
@@ -56,8 +58,8 @@ def generate_by_loop(config):
     counts = rng.poisson(rates)
     total_roots = int(counts.sum())
     sec_idx = np.repeat(np.arange(n_seconds), counts)
-    root_ts = config.start_ms + sec_idx * 1000 + rng.integers(0, 1000, size=total_roots)
-    root_ts = root_ts[root_ts < config.start_ms + config.duration_s * 1000]
+    root_ts = sec_idx * 1000 + rng.integers(0, 1000, size=total_roots)
+    root_ts = root_ts[root_ts < config.duration_s * 1000]
     total_roots = len(root_ts)
     root_ts.sort()
 
@@ -66,17 +68,17 @@ def generate_by_loop(config):
     child_p = np.array([child_mix[t] for t in child_types])
     child_p = child_p / child_p.sum() if child_types else child_p
 
-    size_k = np.arange(1, config.cascade_size_cap + 1, dtype=float)
-    size_w = size_k ** -config.cascade_size_tail
+    size_k = np.arange(1, CASCADE_SIZE_CAP + 1, dtype=float)
+    size_w = size_k ** -CASCADE_SIZE_TAIL
     size_cdf = np.cumsum(size_w / size_w.sum())
 
-    end_ms = config.start_ms + int(config.duration_s * 1000)
+    end_ms = int(config.duration_s * 1000)
     drafts = []
     root_users = _sample_ranks(user_cdf, rng, total_roots)
     root_langs = rng.choice(len(langs), size=total_roots, p=lang_p)
     spawn = rng.random(total_roots) < config.cascade_fraction if child_types else np.zeros(total_roots, bool)
-    tag_counts = rng.poisson(config.hashtags_per_event, size=total_roots)
-    url_counts = rng.poisson(config.urls_per_event, size=total_roots)
+    tag_counts = rng.poisson(HASHTAGS_PER_ROOT, size=total_roots)
+    url_counts = rng.poisson(URLS_PER_ROOT, size=total_roots)
 
     seq = 0
     for i in range(total_roots):
@@ -126,7 +128,7 @@ MIXES = (
 @st.composite
 def configs(draw):
     if draw(st.booleans()):
-        gaps = InterArrivalModel("exponential", mean_s=draw(st.floats(0.05, 20.0)))
+        gaps = InterArrivalModel("exponential")
     else:   # alpha from 0.5: a heavier tail can draw a gap past 2**63 ms, whose cast warns
         gaps = InterArrivalModel("power-law", alpha=draw(st.floats(0.5, 3.0)), xmin_s=draw(st.floats(0.01, 2.0)))
     return GeneratorConfig(
@@ -135,16 +137,9 @@ def configs(draw):
         diurnal_amplitude=draw(st.sampled_from((0.0, 0.3, 0.95))),
         user_population=ZipfPopulation(draw(st.integers(1, 300)), draw(st.floats(0.5, 2.5))),
         hashtag_population=ZipfPopulation(draw(st.integers(1, 40)), 1.2),
-        url_population=ZipfPopulation(draw(st.integers(1, 40)), 1.2),
         cascade_fraction=draw(st.sampled_from((0.0, 0.3, 1.0))),
-        cascade_size_tail=draw(st.floats(0.5, 3.0)),
-        cascade_size_cap=draw(st.integers(1, 60)),
         inter_arrival_model=gaps,
         type_mix=draw(st.sampled_from(MIXES)),
-        lang_mix=draw(st.sampled_from(({"en": 1.0}, {"en": 0.7, "ja": 0.2, "es": 0.1}, {"ja": 0.5, "de": 0.5}))),
-        hashtags_per_event=draw(st.sampled_from((0.0, 0.5, 3.0))),
-        urls_per_event=draw(st.sampled_from((0.0, 0.2, 1.5))),
-        start_ms=draw(st.sampled_from((0, 1, 86_399_000, 1_600_000_000_123))),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
     )
 
@@ -183,15 +178,15 @@ FIXED = {
     # every root spawns, and 29 of the 89 children drawn fall past the stream's end
     "cut-cascades": GeneratorConfig(duration_s=7.5, base_rate=30.0, cascade_fraction=1.0, type_mix=dict(MIXES[1]),
                                     inter_arrival_model=InterArrivalModel("power-law", alpha=0.8, xmin_s=0.5),
-                                    start_ms=1_000_000, diurnal_amplitude=0.5, seed=9),
-    "no-entities": GeneratorConfig(duration_s=10.0, base_rate=20.0, cascade_fraction=0.7, type_mix=dict(MIXES[3]),
-                                   hashtags_per_event=0.0, urls_per_event=0.0, seed=3),
+                                    diurnal_amplitude=0.5, seed=9),
+    # 9 roots, none of which draws a hashtag or a URL, and one quote of them
+    "no-entities": GeneratorConfig(duration_s=5.0, base_rate=5.0, cascade_fraction=0.7, type_mix=dict(MIXES[3]),
+                                   seed=131),
     "no-roots": GeneratorConfig(duration_s=0.001, base_rate=1.0, seed=4),
-    # cascades of hundreds of 20 ms gaps, cut at the stream's end after a
-    # few seconds: most of each one's gaps are drawn but never walked
-    "long-cuts": GeneratorConfig(duration_s=4.0, base_rate=20.0, cascade_fraction=1.0, type_mix=dict(MIXES[1]),
-                                 cascade_size_tail=1.05, cascade_size_cap=1000,
-                                 inter_arrival_model=_CountedGaps("exponential", mean_s=0.02), seed=5),
+    # a cascade of over 500 gaps near 20 ms, cut at the stream's end after
+    # a few seconds: hundreds of its gaps are drawn but never walked
+    "long-cuts": GeneratorConfig(duration_s=4.0, base_rate=500.0, cascade_fraction=1.0, type_mix=dict(MIXES[1]),
+                                 inter_arrival_model=_CountedGaps("power-law", alpha=3.0, xmin_s=0.02), seed=25),
 }
 
 
@@ -201,9 +196,11 @@ def test_fixed_configs_equal_the_per_root_loop():
         assert_same_columns(got, want)
         assert len(got) or name == "no-roots", name
     cut = generate_stream(FIXED["cut-cascades"])
-    assert (cut.table.type != 0).sum() and cut.table.ts.max() < 1_000_000 + 7_500
+    assert (cut.table.type != 0).sum() and cut.table.ts.max() < 7_500
+    bare = generate_stream(FIXED["no-entities"]).table
+    assert (bare.type != 0).any() and not len(bare.hashtag_codes) and not len(bare.url_codes)
     GAPS_DRAWN.clear()
     long_cuts = generate_stream(FIXED["long-cuts"])
     children = int((long_cuts.table.type != 0).sum())
-    assert max(GAPS_DRAWN) >= 500 and sum(GAPS_DRAWN) > 4 * children > 0
+    assert max(GAPS_DRAWN) >= 500 and sum(GAPS_DRAWN) - children >= 400 and children > 0
     assert long_cuts.table.ts.max() < 4_000

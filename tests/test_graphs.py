@@ -29,7 +29,7 @@ from streamfid.graphs import (
 )
 from streamfid.io import read_bundle
 from streamfid.model import StreamBundle
-from streamfid.simulate import bernoulli_sample
+from streamfid.simulate import bernoulli_bundle
 
 from conftest import ev
 
@@ -339,7 +339,7 @@ class TestBuildRetweetNetwork:
         for i in range(1, 400):
             events.append(ev(i, i, user=int(rng.integers(1, 30)), kind="retweet", root_id=0))
         complete = build_retweet_network(StreamBundle(events))
-        sampled_events = [events[0]] + bernoulli_sample(events[1:], 0.5, seed=3)
+        sampled_events = [events[0], *bernoulli_bundle(StreamBundle(events[1:]), 0.5, seed=3).events]
         sample = build_retweet_network(StreamBundle(sampled_events))
         for edge, w in sample.edges.items():
             assert edge in complete.edges

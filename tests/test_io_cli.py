@@ -389,16 +389,16 @@ class TestCliEntity:
     def test_estimate_missing_on_acceptance_fixture(self, tmp_path, capsys):
         # the acceptance population: 10^5 Zipf users thinned at 0.5272
         import numpy as np
-        from streamfid.simulate import bernoulli_sample
+        from streamfid.simulate import bernoulli_bundle
 
         rng = np.random.default_rng(404)
         n_users = 100_000
         ks = np.minimum(rng.zipf(2.1, size=n_users), 400)
         events = [ev(i, i, user=int(u)) for i, u in enumerate(np.repeat(np.arange(n_users), ks))]
-        sampled = bernoulli_sample(events, 0.5272, seed=41)
-        truth = n_users - len({e.user_id for e in sampled})
+        sampled = bernoulli_bundle(StreamBundle(events), 0.5272, seed=41)
+        truth = n_users - len(np.unique(sampled.table.user))
         s = tmp_path / "s.jsonl"
-        write_bundle(s, StreamBundle.build(sampled))
+        write_bundle(s, sampled)
         with pytest.warns(UserWarning, match="clamped"):
             assert run_cli("estimate-missing", "-i", s, "--rate", 0.5272, "--key", "user") == 0
         payload = json.loads(capsys.readouterr().out)
@@ -479,15 +479,23 @@ class TestCliRankGraphCascade:
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
 
-    def test_rank_with_one_observed_user_fails_without_nan(self, tmp_path, capsys):
+    def test_rank_with_one_observed_user_fails_without_nan(self, tmp_path, capsys, recwarn):
         c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
         write_bundle(c, StreamBundle.build([ev(i, i, user=i % 2) for i in range(6)]))
         write_bundle(s, StreamBundle.build([ev(0, 0, user=0), ev(2, 2, user=0)]))
-        with pytest.warns(UserWarning, match="shrinking"):
-            assert run_cli("rank", "-i", c, "-i", s, "--k", 5) == 1
+        assert run_cli("rank", "-i", c, "-i", s, "--k", 5) == 1
         out, err = capsys.readouterr()
         assert "NaN" not in out
-        assert "at least 2" in err
+        assert err == "error: a ranking needs at least 2 users, and the sample holds 1\n"
+        assert not recwarn.list
+
+    def test_rank_on_an_empty_sample_names_the_user_count(self, tmp_path, capsys, recwarn):
+        c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+        write_bundle(c, StreamBundle.build([ev(i, i, user=i % 2) for i in range(6)]))
+        write_bundle(s, StreamBundle())
+        assert run_cli("rank", "-i", c, "-i", s) == 1
+        assert capsys.readouterr() == ("", "error: a ranking needs at least 2 users, and the sample holds 0\n")
+        assert not recwarn.list
 
     def test_json_reports_refuse_non_finite_numbers(self, capsys):
         from streamfid.cli import _write_json
@@ -526,12 +534,12 @@ class TestCliRankGraphCascade:
 
     def test_cascade_report_and_ccdfs(self, tmp_path, capsys):
         from workloads import cascade_corpus
-        from streamfid.simulate import bernoulli_sample
+        from streamfid.simulate import bernoulli_bundle
 
-        events = cascade_corpus(3, n_cascades=60, min_retweets=5, pareto_scale=2)
+        events = StreamBundle(cascade_corpus(3, n_cascades=60, min_retweets=5, pareto_scale=2))
         c, s = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
-        write_bundle(c, StreamBundle.build(events))
-        write_bundle(s, StreamBundle.build(bernoulli_sample(events, 0.5, seed=1)))
+        write_bundle(c, events)
+        write_bundle(s, bernoulli_bundle(events, 0.5, seed=1))
         out = tmp_path / "cascade.json"
         assert run_cli("cascade", "-i", c, "-i", s, "--window-s", 600, "--window-s", "inf",
                        "-o", out) == 0

@@ -17,7 +17,7 @@ from streamfid.model import (
     mean_rate_from_messages,
     merge_streams,
 )
-from streamfid.simulate import bernoulli_sample, rate_limited_bundle
+from streamfid.simulate import bernoulli_bundle, rate_limited_bundle
 
 from conftest import ev, random_bundle
 
@@ -100,8 +100,8 @@ class TestRecordContract:
     def test_cascade_events_include_observed_root(self):
         root = ev(0, 10)
         rts = (ev(1, 20, kind="retweet", root_id=0), ev(2, 30, kind="retweet", root_id=0))
-        assert reconstruct_cascades([root, *rts])[0].events() == (root,) + rts
-        assert reconstruct_cascades(rts)[0].events() == rts
+        assert reconstruct_cascades(StreamBundle([root, *rts]))[0].events() == (root,) + rts
+        assert reconstruct_cascades(StreamBundle(rts))[0].events() == rts
 
 
 class TestStreamBundle:
@@ -146,11 +146,9 @@ class TestEmpiricalMeanRate:
             empirical_mean_rate(StreamBundle(), StreamBundle())
 
     def test_bernoulli_sample_counts_exactly(self):
-        events = [ev(i, i) for i in range(1000)]
-        complete = StreamBundle.build(events)
-        kept = bernoulli_sample(events, 0.5, seed=7)
-        sample = StreamBundle.build(kept)
-        assert empirical_mean_rate(complete, sample) == len(kept) / 1000
+        complete = StreamBundle([ev(i, i) for i in range(1000)])
+        sample = bernoulli_bundle(complete, 0.5, seed=7)
+        assert empirical_mean_rate(complete, sample) == len(sample) / 1000
 
     def test_reference_corpus_scale_arithmetic(self):
         # event-count ratio of the reference corpus differs from the

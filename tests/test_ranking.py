@@ -192,6 +192,14 @@ class TestTopKRankTable:
         with pytest.raises(ValueError, match="k must be >= 2"):
             top_k_rank_table(simple_bundle, simple_bundle, constant(1.0), k=1)
 
+    @pytest.mark.parametrize("users", [0, 1])
+    def test_sample_of_fewer_than_two_users_rejected_before_shrinking(self, users, recwarn):
+        complete = StreamBundle.build([ev(i, i, user=i % 2) for i in range(6)])
+        sample = StreamBundle.build([ev(i, i, user=0) for i in range(0, 2 * users, 2)])
+        with pytest.raises(ValueError, match=f"a ranking needs at least 2 users, and the sample holds {users}$"):
+            top_k_rank_table(complete, sample, constant(1.0), k=10)
+        assert not recwarn.list
+
     def test_shrinks_below_k_with_warning(self):
         events = [ev(i, i, user=i % 3) for i in range(9)]
         bundle = StreamBundle.build(events)

@@ -145,6 +145,18 @@ def cached(tmp_path):
     return path, bundle
 
 
+def test_first_read_hashes_once_and_looks_up_no_sidecar(tmp_path):
+    path = tmp_path / "b.jsonl"
+    write_bundle(path, StreamBundle.build([ev(0, 1, hashtags=("x",)), ev(2, 3)]))
+    with mock.patch.object(sio, "_load_sidecar", wraps=sio._load_sidecar) as lookup:
+        bundle = parsed_read(path)
+        lookup.assert_not_called()
+        assert sidecar_of(path).exists()
+        with no_parse():
+            assert read_bundle(path) == bundle
+        lookup.assert_called_once()
+
+
 def test_rewrite_of_same_size_is_read_anew(cached):
     path, bundle = cached
     old = path.read_bytes()

@@ -1,7 +1,7 @@
 """A stream enters every analysis layer as a ``StreamBundle`` or its
-``events`` view.  Only the row constructors and the list-in wrappers that
-the acceptance suite calls may take ``Event`` rows: no other parameter of
-any function in the package names ``Event`` in its annotation.
+``events`` view.  Only the row constructors may take ``Event`` rows: no
+other parameter of any function in the package names ``Event`` in its
+annotation.
 """
 
 import importlib
@@ -16,11 +16,6 @@ ROW_INPUTS = {
     "streamfid.model.StreamBundle.__init__",
     "streamfid.model.StreamBundle.build",
     "streamfid.model.columns_of_rows",
-    # the acceptance suite's list-in wrappers
-    "streamfid.simulate.bernoulli_sample",
-    "streamfid.simulate.rate_limited_sample",
-    "streamfid.cascades.reconstruct_cascades",
-    "streamfid.entity.frequency_vector_of",
 }
 
 
@@ -43,10 +38,10 @@ def takes_rows(f) -> bool:
     return any(re.search(r"\bEvent\b", str(p.annotation)) for p in inspect.signature(f).parameters.values())
 
 
-def test_only_row_constructors_and_acceptance_wrappers_take_event_rows():
+def test_only_row_constructors_take_event_rows():
     found = dict(functions())
     assert {"streamfid.cascades.compare_cascades", "streamfid.model.StreamBundle.__eq__",
             "streamfid.cascades.Cascade.root"} <= set(found)
     taking = {name for name, f in found.items() if takes_rows(f)}
     assert taking <= ROW_INPUTS, sorted(taking - ROW_INPUTS)
-    assert {"streamfid.model.StreamBundle.__init__", "streamfid.simulate.bernoulli_sample"} <= taking
+    assert {"streamfid.model.StreamBundle.__init__", "streamfid.model.StreamBundle.build"} <= taking

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from streamfid.model import RateLimitMessage, StreamBundle, merge_streams
 from streamfid.ratelimit import estimate_missing, map_threads, segment_stream
-from streamfid.simulate import rate_limited_sample
+from streamfid.simulate import rate_limited_bundle
 
 from conftest import ev
 
@@ -29,9 +29,9 @@ def event_lists(draw, max_size=80):
 @settings(derandomize=True, deadline=None)
 @given(event_lists(), st.integers(1, 12), st.integers(0, 999))
 def test_delivered_plus_final_missed_equals_input(events, threshold, anchor_ms):
-    delivered, messages = rate_limited_sample(events, threshold, anchor_ms)
-    missed = messages[-1].cumulative_missed if messages else 0
-    assert len(delivered) + missed == len(events)
+    sample = rate_limited_bundle(StreamBundle(events), threshold, anchor_ms)
+    missed = sample.messages[-1].cumulative_missed if sample.messages else 0
+    assert len(sample) + missed == len(events)
 
 
 @st.composite
@@ -42,17 +42,17 @@ def threshold_samples(draw):
     edge = st.builds(lambda w, d: max(anchor_ms + 1000 * w + d, 0),
                      st.integers(-1, 5), st.sampled_from((-1, 0)))
     ts = sorted(draw(st.lists(st.one_of(st.integers(0, 6_000), edge), max_size=200)))
-    events = [ev(i, t) for i, t in enumerate(ts)]
-    return events, *rate_limited_sample(events, threshold, anchor_ms)
+    complete = StreamBundle([ev(i, t) for i, t in enumerate(ts)])
+    return complete, rate_limited_bundle(complete, threshold, anchor_ms)
 
 
 @settings(derandomize=True, deadline=None)
 @given(threshold_samples())
 def test_segment_counters_are_exact(case):
-    events, delivered, messages = case
-    segments = segment_stream(StreamBundle.build(events), StreamBundle.build(delivered, messages))
+    complete, sample = case
+    segments = segment_stream(complete, sample)
     # the complete stream has no messages, so every consecutive pair bounds a segment
-    assert len(segments) == max(len(messages) - 1, 0)
+    assert len(segments) == max(len(sample.msg_ts) - 1, 0)
     for s in segments:
         assert estimate_missing(s) == s.true_missing
 
