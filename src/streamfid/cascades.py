@@ -30,24 +30,20 @@ DEFAULT_RETWEET_THRESHOLD = 50
 
 class Cascade:
     """Root event (when observed) plus time-ordered retweets, as position
-    ``at`` of the ``CascadeSet`` ``of``: ``root_id``, ``is_rootless`` and
-    ``size`` read the set's columns, while ``root``, ``retweets`` and
-    ``events()`` build this cascade's rows on each read.  Equality is on
-    (root_id, root, retweets).
+    ``at`` of the ``CascadeSet`` ``of``, flagged ``is_rootless`` by the set
+    that makes it: ``root_id`` and ``size`` read the set's columns, while
+    ``root``, ``retweets`` and ``events()`` build this cascade's rows on
+    each read.  Equality is on (root_id, root, retweets).
     """
 
-    __slots__ = ("of", "at")
+    __slots__ = ("of", "at", "is_rootless")
 
-    def __init__(self, of: "CascadeSet", at: int):
-        self.of, self.at = of, at
+    def __init__(self, of: "CascadeSet", at: int, is_rootless: bool):
+        self.of, self.at, self.is_rootless = of, at, is_rootless
 
     @property
     def root_id(self) -> int:
         return int(self.of.ids[self.at])
-
-    @property
-    def is_rootless(self) -> bool:
-        return bool(self.of.root_at[self.at] < 0)
 
     @property
     def size(self) -> int:
@@ -92,7 +88,8 @@ class CascadeSet(RowView):
         return len(self.ids)
 
     def _rows(self, positions: np.ndarray) -> list[Cascade]:
-        return [Cascade(self, at) for at in positions.tolist()]
+        return [Cascade(self, at, rootless)
+                for at, rootless in zip(positions.tolist(), (self.root_at[positions] < 0).tolist())]
 
     def take(self, at: np.ndarray) -> "CascadeSet":
         """The cascades at positions ``at``, in that order."""

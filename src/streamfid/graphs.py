@@ -67,11 +67,25 @@ class BipartiteGraph:
 def build_bipartite(events: Union[StreamBundle, EventView]) -> BipartiteGraph:
     t = events.table
     rows, codes = distinct_per_event(t.hashtag_bounds, t.hashtag_codes, len(t.hashtag_table))
-    users, user_codes = np.unique(t.user, return_inverse=True)
-    # one int object per user, shared by its edges
-    weights = Counter(zip(map(users.tolist().__getitem__, user_codes[rows].tolist()),
-                          map(t.hashtag_table.__getitem__, codes.tolist())))
-    return BipartiteGraph.from_weights(weights)
+    # hashtags in string order, and each table code's rank in it
+    order = sorted(range(len(t.hashtag_table)), key=t.hashtag_table.__getitem__)
+    tags, rank = [t.hashtag_table[i] for i in order], np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    tag_codes = rank[codes]
+    users, user_codes = np.unique(t.user[rows], return_inverse=True)
+    users = users.tolist()
+    weights = _pair_weights(user_codes, tag_codes, users, tags)
+    return BipartiteGraph(weights, tuple(users), tuple(map(tags.__getitem__, np.unique(tag_codes).tolist())))
+
+
+def _pair_weights(a: np.ndarray, b: np.ndarray, a_values: list, b_values: list) -> dict:
+    """{(a_values[i], b_values[j]): count} of the code pairs (i, j) of columns
+    ``a`` and ``b``, in (i, j) order; a value is one object in all its keys."""
+    width = max(len(b_values), 1)
+    pairs, counts = np.unique(a * width + b, return_counts=True)
+    i, j = np.divmod(pairs, width)
+    return dict(zip(zip(map(a_values.__getitem__, i.tolist()), map(b_values.__getitem__, j.tolist())),
+                    counts.tolist()))
 
 
 def user_node(user_id) -> str:
@@ -348,16 +362,22 @@ def build_retweet_network(events: Union[StreamBundle, EventView], include_quotes
     Events whose root cannot be resolved to an author within the stream are
     skipped and counted in ``skipped_unresolvable``.
     """
-    ids, user, kind, root = events.table.id, events.table.user, events.table.type, events.table.root
-    roots = kind == EVENT_TYPES.index("root")
-    author_of = dict(zip(ids[roots].tolist(), user[roots].tolist()))
-    sharing = kind == EVENT_TYPES.index("retweet")
+    t = events.table
+    roots = t.type == EVENT_TYPES.index("root")
+    order = np.argsort(t.id[roots])
+    root_ids, root_authors = t.id[roots][order], t.user[roots][order]
+    sharing = t.type == EVENT_TYPES.index("retweet")
     if include_quotes:
-        sharing |= kind == EVENT_TYPES.index("quote")
-    authors = list(map(author_of.get, root[sharing].tolist()))
-    weights = Counter((u, a) for u, a in zip(user[sharing].tolist(), authors) if a is not None)
-    nodes = {n for e in weights for n in e}
-    return Digraph(dict(weights), frozenset(nodes), authors.count(None))
+        sharing |= t.type == EVENT_TYPES.index("quote")
+    shared = t.root[sharing]
+    # each shared root's position among the sorted root ids; an id past the last reads the -1 appended
+    at = np.searchsorted(root_ids, shared)
+    found = np.append(root_ids, -1)[at] == shared   # root ids are never -1
+    retweeters, authors = t.user[sharing][found], root_authors[at[found]]
+    nodes, codes = np.unique(np.concatenate((retweeters, authors)), return_inverse=True)
+    nodes = nodes.tolist()
+    edges = _pair_weights(codes[:len(retweeters)], codes[len(retweeters):], nodes, nodes)
+    return Digraph(edges, frozenset(nodes), int(np.count_nonzero(~found)))
 
 
 def bowtie_component(name: str) -> str:

@@ -18,7 +18,7 @@ unsorted file is sorted on columns.  ``iter_records`` parses a block of
 lines the same way and builds its records from those columns.
 
 ``read_bundle`` keeps the columns in a sidecar ``<input>.streamfid.npz``
-beside the input, keyed by the blake2b digest of the file's bytes.  A
+beside the input, keyed by the SHA-256 digest of the file's bytes.  A
 later read of the same bytes loads them instead of parsing the lines
 again; any other read parses, in one binary pass that hashes each block
 of lines and decodes each line as UTF-8.  Invalid UTF-8, or a number
@@ -238,14 +238,14 @@ def read_bundle(path) -> StreamBundle:
     """
     # hashlib loads OpenSSL (5 ms, 3 MB), which a process that reads no
     # file should not pay
-    from hashlib import blake2b
+    from hashlib import sha256
 
     sidecar = Path(f"{path}{SIDECAR_SUFFIX}")
     with open(path, "rb") as fh:
         # a pipe can be read only once and never matches a sidecar; a file without one is hashed once
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if regular and sidecar.exists():
-            digest = blake2b()
+            digest = sha256()
             for chunk in iter(partial(fh.read, _BLOCK), b""):
                 digest.update(chunk)
             bundle = _load_sidecar(sidecar, digest.hexdigest())
@@ -254,7 +254,7 @@ def read_bundle(path) -> StreamBundle:
             fh.seek(0)
         # parse the bytes that the digest covers, so a file rewritten since it
         # was hashed never gets a sidecar that does not match it
-        digest = blake2b()
+        digest = sha256()
         cols = _parse(_lines(fh, path, digest.update if regular else None), path)
     try:
         bundle = StreamBundle.from_columns(_sorted(cols))
@@ -373,7 +373,7 @@ def write_bundle(path, bundle: StreamBundle) -> None:
 # which a lone surrogate or a NUL is an ASCII escape.
 
 SIDECAR_SUFFIX = ".streamfid.npz"
-SIDECAR_FORMAT = "streamfid-event-columns/4"
+SIDECAR_FORMAT = "streamfid-event-columns/5"
 
 _COLUMNS = (*EventTable._fields, "msg_ts", "msg_missed")
 

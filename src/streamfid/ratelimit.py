@@ -13,12 +13,11 @@ cumulative counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean, median
 from typing import Sequence
 
 import numpy as np
 
-from .model import NON_MONOTONE, StreamBundle, missed_increments
+from .model import NON_MONOTONE, RowView, StreamBundle, missed_increments
 
 DEFAULT_MAX_THREADS = 4
 
@@ -58,12 +57,30 @@ class ValidationReport:
     mean_ape: float
 
 
-def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment]:
+class Segments(RowView):
+    """The rows of ``segment_stream`` as five int64 columns, in the order of
+    ``Segment``'s fields: a ``Sequence[Segment]`` that builds a row only when
+    read (see ``RowView``).  The first row that fails ``Segment``'s checks,
+    found on the whole columns, is built to raise its error."""
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+        start, end, reported, sample, complete = columns
+        self._rows(np.flatnonzero((start >= end) | (reported < 0) | (complete < sample))[:1])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def _rows(self, positions: np.ndarray) -> list[Segment]:
+        return [Segment(*row) for row in zip(*(c[positions].tolist() for c in self.columns))]
+
+
+def segment_stream(complete: StreamBundle, sample: StreamBundle) -> Segments:
     """Maximal spans between consecutive sample messages with a clean reference.
 
     A candidate span (m_i, m_i+1] is kept only when the complete stream
     emitted no rate limit message inside it, i.e. the complete stream is
-    known to be intact there.  Returns an empty list when the sample carries
+    known to be intact there.  Holds no segment when the sample carries
     fewer than two messages.  A span reports the increase of the sample's
     missed counter, so counters of several sampler threads raise the
     ``missed_increments`` error, even where no span is kept.  A sample with
@@ -81,7 +98,7 @@ def segment_stream(complete: StreamBundle, sample: StreamBundle) -> list[Segment
     reported = missed_increments(sample.msg_missed)[1:]   # the counter's increase over each span
     # in the order of Segment's fields
     columns = (lo, hi, reported, count_in(sample.table.ts), count_in(complete.table.ts))
-    return [Segment(*row) for row in zip(*(c[kept].tolist() for c in columns))]
+    return Segments(*(c[kept].astype(np.int64, copy=False) for c in columns))
 
 
 def estimate_missing(segment: Segment) -> int:
@@ -90,13 +107,28 @@ def estimate_missing(segment: Segment) -> int:
 
 
 def validate(segments: Sequence[Segment]) -> ValidationReport:
-    """Absolute percentage error of the counter estimate per segment."""
-    if not segments:
+    """Absolute percentage error of the counter estimate per segment, on the
+    columns of ``Segments`` (other segments are put into them first).  The
+    errors equal Python's int divisions for counts below 2**53, and their
+    mean is rounded once from its exact value, as ``statistics.mean`` is."""
+    if not len(segments):
         raise ValueError("no segments to validate")
-    apes = tuple(
-        abs(estimate_missing(s) - s.true_missing) / max(s.true_missing, 1) for s in segments
-    )
-    return ValidationReport(apes, median(apes), mean(apes))
+    if not isinstance(segments, Segments):
+        segments = Segments(*np.array([(s.start_ms, s.end_ms, s.reported_missing, s.sample_event_count,
+                                        s.complete_event_count) for s in segments], np.int64).T)
+    _, _, reported, sample, complete = segments.columns
+    true = complete - sample
+    apes = np.abs(reported - true) / np.maximum(true, 1)
+    return ValidationReport(tuple(apes.tolist()), float(np.median(apes)), _exact_mean(apes))
+
+
+def _exact_mean(values: np.ndarray) -> float:
+    """The mean of finite floats, rounded once from its exact value."""
+    distinct, counts = np.unique(values, return_counts=True)
+    ratios = [v.as_integer_ratio() for v in distinct.tolist()]
+    # every float is an integer over a power of two, so the largest denominator is a common one
+    scale = max(d for _, d in ratios)
+    return sum(n * (scale // d) * c for (n, d), c in zip(ratios, counts.tolist())) / (scale * len(values))
 
 
 def map_threads(values: Sequence[int], max_threads: int = DEFAULT_MAX_THREADS) -> list[list[int]]:

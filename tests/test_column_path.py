@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import shutil
+import statistics
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -369,6 +370,145 @@ def test_message_layers_equal_the_row_loops(events, marks, huge):
     for granularity in sf.model.GRANULARITIES:
         profile = sf.temporal_rates_from_messages(bundle, granularity)
         assert profile.rates == rates_by_loop(events, messages, granularity)
+
+
+def test_segments_and_validate_build_no_segment_rows(streams):
+    complete, sample = held(streams)
+    with no_rows(), mock.patch.object(sf.ratelimit.Segment, "__init__", side_effect=AssertionError("built a Segment")):
+        segments = sf.segment_stream(complete, sample)
+        report = sf.validate(segments)
+    assert len(segments) > 10
+    assert segments == segments_by_loop(complete, sample)
+    assert report == sf.validate(list(segments))
+
+
+def test_graph_builds_count_no_pairs_in_python(streams):
+    for bundle in held(streams):
+        for quotes in (True, False):
+            with no_rows(), mock.patch.object(sf.graphs, "Counter", side_effect=AssertionError("built a Counter")):
+                bipartite, net = sf.build_bipartite(bundle), sf.build_retweet_network(bundle, quotes)
+            assert bipartite.weights and net.edges
+            assert bipartite == sf.BipartiteGraph.from_weights(bipartite_by_loop(bundle.events))
+            assert net == digraph_by_loop(bundle.events, quotes)
+
+
+def digraph_by_loop(events, include_quotes):
+    edges, skipped = retweets_by_loop(events, include_quotes)
+    return sf.Digraph(dict(edges), frozenset(n for e in edges for n in e), skipped)
+
+
+# tags in and out of ASCII, a lone surrogate, a trailing NUL and the empty
+# tag, whose string order is not their order of first use
+GRAPH_TAGS = ("b", "a", "Z", "é", "ß", "\U0001f600", "\ud800", "a\x00", "")
+
+
+@st.composite
+def graph_streams(draw):
+    """Roots and shares of them, of roots outside the stream too, by users
+    at both ends of int64 (a user sharing their own root included); events
+    may repeat a hashtag or have none."""
+    users = st.sampled_from((-(2 ** 63), 2 ** 63 - 1, -1, 0, 1, 2, 3))
+    events, roots = [], []
+    for i in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(sf.model.EVENT_TYPES))
+        if kind == "root":
+            roots.append(i)
+        root_id = None if kind == "root" else draw(st.sampled_from(roots) | st.integers(1_000, 1_003)
+                                                   if roots else st.integers(1_000, 1_003))
+        events.append(ev(i, i, user=draw(users), kind=kind, root_id=root_id,
+                         hashtags=draw(st.lists(st.sampled_from(GRAPH_TAGS), max_size=4))))
+    return events
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graph_streams(), st.booleans())
+def test_graph_builds_equal_the_counter_reference(events, include_quotes):
+    for source in (sf.StreamBundle(events), as_columns(events)):
+        graph = sf.build_bipartite(source)
+        assert graph == sf.BipartiteGraph.from_weights(bipartite_by_loop(events))
+        assert graph.hashtags == tuple(sorted({h for e in events for h in e.hashtags}))
+        assert sf.build_retweet_network(source, include_quotes) == digraph_by_loop(events, include_quotes)
+
+
+def test_graph_stream_strategy_reaches_every_case():
+    cases = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(graph_streams())
+    def record(events):
+        tags = [e.hashtags for e in events]
+        shares = [e for e in events if e.event_type != "root"]
+        author = {e.id: e.user_id for e in events if e.event_type == "root"}
+        cases.update({"empty": not events, "no roots": bool(events) and not author,
+                      "repeated tag": any(len(set(h)) < len(h) for h in tags), "no tag": () in tags,
+                      "out of string order": any(list(h) != sorted(h) and len(set(h)) == len(h) for h in tags),
+                      "unresolvable": any(e.root_id not in author for e in shares),
+                      "self-share": any(author.get(e.root_id) == e.user_id for e in shares)})
+
+    record()
+    assert all(cases[case] for case in ("empty", "no roots", "repeated tag", "no tag", "out of string order",
+                                         "unresolvable", "self-share")), cases
+
+
+# the row loop segment_stream replaced, kept as a reference
+def segments_by_loop(complete, sample):
+    if len(sample) > len(complete):
+        raise ValueError(f"the sample holds {len(sample)} events but the complete stream {len(complete)}")
+    pairs = list(zip(sample.messages, sample.messages[1:]))
+    if any(b.cumulative_missed < a.cumulative_missed for a, b in pairs):
+        raise ValueError(sf.model.NON_MONOTONE)
+    segments = []
+    for a, b in pairs:
+        if a.timestamp_ms < b.timestamp_ms and not any(
+                a.timestamp_ms < m.timestamp_ms <= b.timestamp_ms for m in complete.messages):
+            counts = [sum(a.timestamp_ms < e.timestamp_ms <= b.timestamp_ms for e in s.events)
+                      for s in (sample, complete)]
+            segments.append(sf.Segment(a.timestamp_ms, b.timestamp_ms, b.cumulative_missed - a.cumulative_missed,
+                                       *counts))
+    return segments
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 60), max_size=25), st.data())
+def test_segment_stream_equals_the_row_loop(stamps, data):
+    # a sample of the complete stream's events plus a few of its own, whose
+    # spans may count more events than the complete stream's
+    events = [ev(i, t) for i, t in enumerate(sorted(stamps))]
+    kept = [e for e in events if data.draw(st.booleans())]
+    extra = [ev(100 + i, t) for i, t in enumerate(data.draw(st.lists(st.integers(0, 60), max_size=2)))]
+    marks = sorted(data.draw(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 40)), max_size=8)))
+    counters = sorted(n for _, n in marks) if data.draw(st.integers(0, 5)) else [n for _, n in marks]
+    sample = sf.StreamBundle.build(kept + extra, [sf.RateLimitMessage(t, n) for (t, _), n in zip(marks, counters)])
+    reference = sf.StreamBundle(events, [sf.RateLimitMessage(t, 0) for t in
+                                         sorted(data.draw(st.lists(st.integers(0, 60), max_size=2)))])
+    want = outcome(segments_by_loop, reference, sample)
+    for complete in (reference, as_columns(reference.events, reference.messages)):
+        got = outcome(sf.segment_stream, complete, sample)
+        assert got == want and (isinstance(got, str) or isinstance(got, sf.ratelimit.Segments))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 53) | st.integers(0, 9), st.integers(0, 2 ** 52) | st.integers(0, 9),
+                          st.integers(0, 2 ** 52) | st.integers(0, 9)), min_size=1, max_size=40))
+def test_validate_equals_the_statistics_module(counts):
+    # reported, sample and complete counts, many of them repeated
+    segments = [sf.Segment(i, i + 1, reported, sample, sample + more) for i, (reported, sample, more) in
+                enumerate(counts)]
+    apes = [abs(s.reported_missing - s.true_missing) / max(s.true_missing, 1) for s in segments]
+    columns = sf.ratelimit.Segments(*np.array([(s.start_ms, s.end_ms, s.reported_missing, s.sample_event_count,
+                                                s.complete_event_count) for s in segments], np.int64).T)
+    for given_segments in (segments, columns):
+        report = sf.validate(given_segments)
+        assert report.apes == tuple(apes)
+        assert report.median_ape.hex() == statistics.median(apes).hex()
+        assert report.mean_ape.hex() == statistics.mean(apes).hex()
 
 
 # the sampler loops and the per-cascade reach sum the column code replaced,

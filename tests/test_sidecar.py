@@ -410,21 +410,31 @@ def test_sidecar_of_an_older_reader_is_not_served(tmp_path):
         read_bundle(path)
 
 
-def test_format_3_sidecar_is_replaced_by_format_4(cached):
-    # format 3 kept each string table as UTF-8 bytes plus character bounds
-    path, bundle = cached
+def keep_as_older_reader(path, version):
+    """Save the sidecar of ``path`` as the reader of format 3 or 4 kept it:
+    keyed by the blake2b digest, and in format 3 with each string table as
+    UTF-8 bytes plus character bounds."""
     with np.load(sidecar_of(path), allow_pickle=False) as z:
-        cols = {k: z[k] for k in z.files if not k.endswith("_table")}
+        cols = {k: z[k] for k in z.files}
+    if version == 3:
         for name in ("lang_table", "hashtag_table", "url_table"):
-            strings = json.loads(z[name].tolist())
+            strings = json.loads(cols.pop(name).tolist())
             cols[f"{name}_text"] = np.frombuffer("".join(strings).encode(), np.uint8)
             cols[f"{name}_bounds"] = np.cumsum([0, *map(len, strings)])
-    cols["format"] = np.array("streamfid-event-columns/3")
+    cols["format"] = np.array(f"streamfid-event-columns/{version}")
+    cols["digest"] = np.array(hashlib.blake2b(path.read_bytes()).hexdigest())
     with open(sidecar_of(path), "wb") as fh:
         np.savez(fh, **cols)
+
+
+@pytest.mark.parametrize("version", [3, 4])
+def test_older_sidecar_is_replaced_by_format_5(cached, version):
+    path, bundle = cached
+    keep_as_older_reader(path, version)
     assert parsed_read(path) == bundle
     with np.load(sidecar_of(path), allow_pickle=False) as z:
-        assert z["format"].tolist() == sio.SIDECAR_FORMAT == "streamfid-event-columns/4"
+        assert z["format"].tolist() == sio.SIDECAR_FORMAT == "streamfid-event-columns/5"
+        assert z["digest"].tolist() == hashlib.sha256(path.read_bytes()).hexdigest()
         assert "lang_table_text" not in z.files
     with no_parse():
         assert read_bundle(path) == bundle
