@@ -67,15 +67,11 @@ class BipartiteGraph:
 def build_bipartite(events: Union[StreamBundle, EventView]) -> BipartiteGraph:
     t = events.table
     rows, codes = distinct_per_event(t.hashtag_bounds, t.hashtag_codes, len(t.hashtag_table))
-    # hashtags in string order, and each table code's rank in it
-    order = sorted(range(len(t.hashtag_table)), key=t.hashtag_table.__getitem__)
-    tags, rank = [t.hashtag_table[i] for i in order], np.empty(len(order), np.int64)
-    rank[order] = np.arange(len(order))
-    tag_codes = rank[codes]
     users, user_codes = np.unique(t.user[rows], return_inverse=True)
     users = users.tolist()
-    weights = _pair_weights(user_codes, tag_codes, users, tags)
-    return BipartiteGraph(weights, tuple(users), tuple(map(tags.__getitem__, np.unique(tag_codes).tolist())))
+    weights = _pair_weights(user_codes, codes, users, t.hashtag_table)
+    hashtags = tuple(sorted(map(t.hashtag_table.__getitem__, np.unique(codes).tolist())))
+    return BipartiteGraph(weights, tuple(users), hashtags)
 
 
 def _pair_weights(a: np.ndarray, b: np.ndarray, a_values: list, b_values: list) -> dict:

@@ -1,7 +1,7 @@
 """The columnar sidecar behind ``read_bundle``.
 
 ``read_bundle`` keeps a parsed file's columns in ``<input>.streamfid.npz``,
-keyed by the blake2b digest of the file's bytes.  What a read returns must
+keyed by the SHA-256 digest of the file's bytes.  What a read returns must
 never depend on the sidecar: a read through one equals a parse, and a
 sidecar that is stale, damaged or holds rows the records reject is not
 served.
@@ -403,7 +403,7 @@ def test_sidecar_of_an_older_reader_is_not_served(tmp_path):
     # by the digest of these very bytes, must not bring that row back
     path = tmp_path / "b.jsonl"
     path.write_text('{"id":0,"ts_ms":1.5,"user":2,"type":"root"}\n')
-    digest = hashlib.blake2b(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     sio._save_sidecar(sidecar_of(path), digest, StreamBundle.build([ev(0, 1, user=2)]))
     rewrite(sidecar_of(path), format=np.array("streamfid-event-columns/1"))
     with pytest.raises(LineFormatError, match="ts_ms must be an integer, not float"):
